@@ -8,7 +8,6 @@ cell probability is P(d,w) = sum_z P(z) P(d|z) P(w|z).  Everything asymmetric
 there is a single source of truth.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,8 @@ LOG_FLOOR = float(np.log(PROB_FLOOR))
 _NORM_TOL = 1e-10
 _DEFAULT_MAX_CELLS = 10_000_000
 _CHUNK_CELLS = 1 << 22
+# S_beta below this takes the log-domain path; above it, terms > 1e-100 of S are normal
+_UNDERFLOW = 1e-200
 
 
 class DegeneracyError(RuntimeError):
@@ -128,10 +129,6 @@ def _tempered_softmax(lp: np.ndarray, beta: float) -> np.ndarray:
     return p
 
 
-def _chunk_step(k: int) -> int:
-    return max(1, _CHUNK_CELLS // max(1, k))
-
-
 def _check_dims(model: AspectModel, counts: CountMatrix) -> None:
     if model.n_docs != counts.n_docs or model.n_terms != counts.n_terms:
         raise ValueError(
@@ -140,24 +137,51 @@ def _check_dims(model: AspectModel, counts: CountMatrix) -> None:
         )
 
 
-def _scan_log_joint(model: AspectModel, counts: CountMatrix, betas=(1.0,)) -> list[np.ndarray]:
-    """Per nonzero cell, logsumexp_z of beta * log[P(z)P(d|z)P(w|z)].
-
-    Returns one array (length nnz) per requested beta, computed in one
-    chunked pass.  No probability floor is applied here.
-    """
+def _log_joint_terms(model: AspectModel, counts: CountMatrix, cells=None):
+    """Yield (selector, lp) over chunks of the nonzero cells (all, or the
+    entry indices `cells`): lp[i, z] = log[P(z)P(d_i|z)P(w_i|z)]."""
     _check_dims(model, counts)
-    outs = [np.empty(counts.nnz) for _ in betas]
     lprior = _safe_log(model.prior)
     ldoc = _safe_log(model.doc_given_z)
     lword = _safe_log(model.word_given_z)
-    step = _chunk_step(model.k)
-    for lo in range(0, counts.nnz, step):
-        sl = slice(lo, min(lo + step, counts.nnz))
-        lp = lprior[None, :] + ldoc[counts.doc_ids[sl]] + lword[counts.term_ids[sl]]
-        for out, beta in zip(outs, betas):
-            out[sl] = logsumexp(_scale_log(lp, beta), axis=1)
-    return outs
+    step = max(1, _CHUNK_CELLS // model.k)
+    for lo in range(0, counts.nnz if cells is None else cells.size, step):
+        sel = slice(lo, lo + step) if cells is None else cells[lo:lo + step]
+        yield sel, lprior[None, :] + ldoc[counts.doc_ids[sel]] + lword[counts.term_ids[sel]]
+
+
+def _row_starts(counts: CountMatrix) -> np.ndarray:
+    return np.searchsorted(counts.doc_ids, np.arange(counts.n_docs + 1))
+
+
+def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
+    """The E-step's SDDMM: (A^beta, W^beta, S_beta) with A = P(z)P(d|z), W = P(w|z)
+    and S_beta[i] = A^beta[d_i] . W^beta[w_i] per nonzero cell.  Below beta = 1
+    the powers are taken in the log domain, before A could underflow."""
+    _check_dims(model, counts)
+    if beta == 1.0:
+        a, w = model.prior * model.doc_given_z, model.word_given_z
+    else:
+        a = np.exp(beta * (_safe_log(model.prior) + _safe_log(model.doc_given_z)))
+        w = np.exp(beta * _safe_log(model.word_given_z))
+    starts = _row_starts(counts)
+    s = np.zeros(counts.nnz)
+    for d in np.flatnonzero(np.diff(starts)):
+        lo, hi = starts[d], starts[d + 1]
+        s[lo:hi] = w[counts.term_ids[lo:hi]] @ a[d]
+    return a, w, s
+
+
+def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, s=None) -> np.ndarray:
+    """Per nonzero cell, log S_beta = logsumexp_z of beta * log[P(z)P(d|z)P(w|z)],
+    from `s` when the caller already has S_beta.  No floor is applied."""
+    if s is None:
+        s = _tempered_joint(model, counts, beta)[2]
+    out = _safe_log(s)
+    low = np.flatnonzero(s < _UNDERFLOW)
+    for sel, lp in _log_joint_terms(model, counts, low) if low.size else ():
+        out[sel] = logsumexp(_scale_log(lp, beta), axis=1)
+    return out
 
 
 def posterior(model: AspectModel, d: int, w: int, beta: float = 1.0) -> np.ndarray:
@@ -179,16 +203,9 @@ def cell_posteriors(model: AspectModel, counts: CountMatrix, beta: float = 1.0) 
     with the counts' entry order."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    _check_dims(model, counts)
     out = np.empty((counts.nnz, model.k))
-    lprior = _safe_log(model.prior)
-    ldoc = _safe_log(model.doc_given_z)
-    lword = _safe_log(model.word_given_z)
-    step = _chunk_step(model.k)
-    for lo in range(0, counts.nnz, step):
-        sl = slice(lo, min(lo + step, counts.nnz))
-        lp = lprior[None, :] + ldoc[counts.doc_ids[sl]] + lword[counts.term_ids[sl]]
-        out[sl] = _tempered_softmax(lp, beta)
+    for sel, lp in _log_joint_terms(model, counts):
+        out[sel] = _tempered_softmax(lp, beta)
     return out
 
 
@@ -248,8 +265,7 @@ def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:
     Cell probabilities below PROB_FLOOR are clamped to it before the log, so
     events the model cannot produce yield a large finite penalty.
     """
-    [log_joint] = _scan_log_joint(model, counts)
-    return float(np.dot(counts.counts, np.maximum(log_joint, LOG_FLOOR)))
+    return float(np.dot(counts.counts, np.maximum(_scan_log_joint(model, counts), LOG_FLOOR)))
 
 
 def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = False) -> float:
@@ -264,7 +280,7 @@ def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = Fals
         raise ValueError("perplexity of an empty count matrix is undefined")
     if not conditional:
         return float(np.exp(-log_likelihood(model, counts) / total))
-    [log_joint] = _scan_log_joint(model, counts)
+    log_joint = _scan_log_joint(model, counts)
     log_pd = logsumexp(_safe_log(model.doc_given_z * model.prior[None, :]), axis=1)
     per_doc = log_pd[counts.doc_ids]
     with np.errstate(invalid="ignore"):
@@ -296,26 +312,19 @@ def free_energy(model: AspectModel, counts: CountMatrix, posteriors: np.ndarray,
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    _check_dims(model, counts)
     q = np.asarray(posteriors, dtype=np.float64)
     if q.shape != (counts.nnz, model.k):
         raise ValueError(f"posteriors must have shape ({counts.nnz}, {model.k}), got {q.shape}")
-    lprior = _safe_log(model.prior)
-    ldoc = _safe_log(model.doc_given_z)
-    lword = _safe_log(model.word_given_z)
-    step = _chunk_step(model.k)
     result = 0.0
-    for lo in range(0, counts.nnz, step):
-        sl = slice(lo, min(lo + step, counts.nnz))
-        lp = lprior[None, :] + ldoc[counts.doc_ids[sl]] + lword[counts.term_ids[sl]]
-        qc = q[sl]
+    for sel, lp in _log_joint_terms(model, counts):
+        qc = q[sel]
         positive = qc > 0.0
         if np.any(positive & np.isneginf(lp)):
             raise DegeneracyError("posterior mass on a zero-probability factor; log undefined")
         with np.errstate(invalid="ignore"):
             expected = np.where(positive, qc * lp, 0.0).sum(axis=1)
             entropy = np.where(positive, qc * np.log(np.where(positive, qc, 1.0)), 0.0).sum(axis=1)
-        result += float(np.dot(counts.counts[sl], -beta * expected + entropy))
+        result += float(np.dot(counts.counts[sel], -beta * expected + entropy))
     return result
 
 

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -517,7 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "query" and not 0.0 <= args.lam <= 1.0:
+        parser.error(f"--lambda must be in [0, 1], got {args.lam}")
+    if args.command == "query" and not args.fold_in_beta > 0.0:
+        parser.error(f"--fold-in-beta must be > 0, got {args.fold_in_beta}")
     try:
         return args.func(args)
     except DegeneracyError as exc:

@@ -7,6 +7,12 @@ schedule starts at beta = 1 (plain EM), then repeatedly shrinks beta by a
 factor eta while performance on an internal held-out split keeps improving.
 Training always returns the parameter snapshot that scored best on the
 held-out data, not the last iterate.
+
+A sweep is KL-NMF's multiplicative update.  The tempered posterior factorises
+as A^beta[d,z] W^beta[w,z] / S_beta(d,w) with A = P(z)P(d|z), W = P(w|z), so
+E and M steps are one SDDMM for S_beta on the nonzero cells and two sparse
+times dense products with R = n / S_beta.  A cell with S_beta below 1e-200
+(_UNDERFLOW) is accumulated from log-domain posteriors; if zero, it raises.
 """
 
 import enum
@@ -15,14 +21,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from ._util import subseed
 from .aspect_model import (
+    _UNDERFLOW,
     LOG_FLOOR,
     AspectModel,
-    _chunk_step,
+    _log_joint_terms,
+    _row_starts,
     _safe_log,
     _scan_log_joint,
+    _tempered_joint,
     _tempered_softmax,
     init_model,
     perplexity,
@@ -102,36 +112,31 @@ class TrainTrace:
             f.write(f"# stopping_reason\t{self.stopping_reason.value}\n")
 
 
-def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0) -> AspectModel:
+def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=None) -> AspectModel:
     """One fused E+M sweep over the nonzero cells at inverse temperature beta.
 
     Accumulates n(d,w) * q(z; d, w) into unnormalized parameter blocks, then
-    normalizes each.  The input model is not modified.  A factor that
-    receives no posterior mass is reset to uniform conditionals (with a
-    warning) so a later sweep can reassign it.
+    normalizes each.  With q = A^beta W^beta / S_beta the blocks are
+    A^beta * (R @ W^beta) and W^beta * (R^T @ A^beta), R = n / S_beta; a cell
+    with S_beta below 1e-200 takes the log-domain path.  `_joint` is the
+    caller's _tempered_joint(model, counts, beta), if it has it.  The input
+    model is not modified.  A factor that receives no posterior mass is reset
+    to uniform conditionals (with a warning) so a later sweep can reassign it.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0 for an EM sweep")
     if counts.nnz == 0:
         raise ValueError("cannot run an EM sweep on empty counts")
-    _require_dims(model, counts)
-    k = model.k
-    lprior = _safe_log(model.prior)
-    ldoc = _safe_log(model.doc_given_z)
-    lword = _safe_log(model.word_given_z)
-    doc_acc = np.zeros((model.n_docs, k))
-    word_acc = np.zeros((model.n_terms, k))
-    prior_acc = np.zeros(k)
-    step = _chunk_step(k)
-    for lo in range(0, counts.nnz, step):
-        sl = slice(lo, min(lo + step, counts.nnz))
-        d = counts.doc_ids[sl]
-        w = counts.term_ids[sl]
-        lp = lprior[None, :] + ldoc[d] + lword[w]
-        weighted = _tempered_softmax(lp, beta) * counts.counts[sl, None]
-        np.add.at(doc_acc, d, weighted)
-        np.add.at(word_acc, w, weighted)
-        prior_acc += weighted.sum(axis=0)
+    a, w, s = _tempered_joint(model, counts, beta) if _joint is None else _joint
+    low = s < _UNDERFLOW
+    ratio = np.divide(counts.counts, s, out=np.zeros(counts.nnz), where=~low)
+    r = scipy.sparse.csr_matrix((ratio, counts.term_ids, _row_starts(counts)),
+                                shape=(model.n_docs, model.n_terms))
+    doc_acc = a * (r @ w)
+    word_acc = w * (r.T @ a)
+    if low.any():
+        _log_domain_accumulate(model, counts, np.flatnonzero(low), beta, doc_acc, word_acc)
+    prior_acc = doc_acc.sum(axis=0)
     dead = prior_acc == 0.0
     if dead.any():
         warnings.warn(
@@ -140,12 +145,20 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0) -> Aspec
         )
         doc_acc[:, dead] = 1.0
         word_acc[:, dead] = 1.0
-        prior_acc[dead] = prior_acc.sum() / k
+        prior_acc[dead] = prior_acc.sum() / model.k
     return AspectModel(
         prior_acc / prior_acc.sum(),
         doc_acc / doc_acc.sum(axis=0),
         word_acc / word_acc.sum(axis=0),
     )
+
+
+def _log_domain_accumulate(model, counts, cells, beta, doc_acc, word_acc) -> None:
+    """Reference path: add n(d,w) q(z; d, w) of the entries `cells`, q in the log domain."""
+    for sel, lp in _log_joint_terms(model, counts, cells):
+        weighted = _tempered_softmax(lp, beta) * counts.counts[sel, None]
+        np.add.at(doc_acc, counts.doc_ids[sel], weighted)
+        np.add.at(word_acc, counts.term_ids[sel], weighted)
 
 
 def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:
@@ -164,11 +177,6 @@ def fit_tem(counts: CountMatrix, k: int, config: TemConfig | None = None
     """Tempered EM: EM with early stopping, then stages of decreasing beta,
     each continued while held-out perplexity keeps improving."""
     return _fit(counts, k, config or TemConfig(), temper=True)
-
-
-def _require_dims(model: AspectModel, counts: CountMatrix) -> None:
-    if model.n_docs != counts.n_docs or model.n_terms != counts.n_terms:
-        raise ValueError("model and counts dimensions disagree")
 
 
 def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
@@ -200,6 +208,7 @@ def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
         best_before_stage = best_ppx
         stage_iters = 0
         stage_end = None
+        joint = None  # _tempered_joint of the current model at this stage's beta
         while stage_end is None:
             if iteration >= config.max_total_iters:
                 stage_end = "total-cap"
@@ -207,14 +216,12 @@ def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
             if stage_iters >= config.max_iters_per_beta:
                 stage_end = "stage-cap"
                 break
-            model = em_step(model, train, beta)
+            model = em_step(model, train, beta, _joint=joint)
             iteration += 1
             stage_iters += 1
-            if beta == 1.0:
-                [log_joint] = _scan_log_joint(model, train)
-                tempered = log_joint
-            else:
-                log_joint, tempered = _scan_log_joint(model, train, betas=(1.0, beta))
+            joint = _tempered_joint(model, train, beta)
+            tempered = _scan_log_joint(model, train, beta, joint[2])
+            log_joint = tempered if beta == 1.0 else _scan_log_joint(model, train)
             train_ll = float(np.dot(train.counts, np.maximum(log_joint, LOG_FLOOR)))
             train_ppx = math.exp(-train_ll / train.total)
             free = -float(np.dot(train.counts, tempered))

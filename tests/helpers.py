@@ -34,6 +34,58 @@ def brute_posterior(model, d, w, beta):
     return np.array([t / total for t in terms])
 
 
+def _log_terms(model, d, w, beta):
+    """beta * log[P(z)P(d|z)P(w|z)] per factor, -inf where the product is 0,
+    summed from the logs of the three factors so nothing underflows."""
+    out = []
+    for z in range(model.k):
+        parts = (float(model.prior[z]), float(model.doc_given_z[d, z]),
+                 float(model.word_given_z[w, z]))
+        out.append(beta * sum(math.log(p) for p in parts) if min(parts) > 0.0 else -math.inf)
+    return out
+
+
+def log_domain_posterior(model, d, w, beta):
+    """brute_posterior from log terms: exact also where the factor products
+    fall below the float range."""
+    logs = _log_terms(model, d, w, beta)
+    peak = max(logs)
+    if peak == -math.inf:
+        raise ZeroDivisionError("no factor can generate this observation")
+    terms = [math.exp(x - peak) for x in logs]
+    total = sum(terms)
+    return np.array([t / total for t in terms])
+
+
+def log_domain_joint(model, d, w, beta):
+    """log sum_z [P(z)P(d|z)P(w|z)]^beta from log terms (-inf if zero)."""
+    logs = _log_terms(model, d, w, beta)
+    peak = max(logs)
+    if peak == -math.inf:
+        return -math.inf
+    return peak + math.log(sum(math.exp(x - peak) for x in logs))
+
+
+def brute_em_step(model, counts, beta, posterior=log_domain_posterior):
+    """One E+M sweep by per-cell accumulation of n(d,w) * q(z; d, w), with the
+    library's rule for a factor that gets no mass: uniform conditionals and
+    the mean prior mass."""
+    k = model.k
+    doc = np.zeros((model.n_docs, k))
+    word = np.zeros((model.n_terms, k))
+    prior = np.zeros(k)
+    for d, w, c in zip(counts.doc_ids, counts.term_ids, counts.counts):
+        q = posterior(model, int(d), int(w), beta) * int(c)
+        doc[d] += q
+        word[w] += q
+        prior += q
+    dead = prior == 0.0
+    doc[:, dead] = 1.0
+    word[:, dead] = 1.0
+    prior[dead] = prior.sum() / k
+    return AspectModel(prior / prior.sum(), doc / doc.sum(axis=0), word / word.sum(axis=0))
+
+
 def brute_log_likelihood(model, counts, floor=PROB_FLOOR):
     result = 0.0
     for d, w, c in zip(counts.doc_ids, counts.term_ids, counts.counts):

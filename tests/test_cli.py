@@ -217,6 +217,24 @@ class TestQuery:
         lam1 = [l.split()[:2] for l in (tmp_path / "ql" / "run.txt").read_text().splitlines()]
         assert base == lam1
 
+    def _query_usage_exit(self, tmp_path, flag, value):
+        out_dir = self._prepare(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "--counts", str(out_dir / "counts.tsv"),
+                  "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                  "--model", str(tmp_path / "m1" / "model.bin"), flag, value,
+                  "--out", str(tmp_path / "q")])
+        assert not (tmp_path / "q").exists()  # rejected before any work
+        return excinfo.value.code
+
+    @pytest.mark.parametrize("value", ["-2", "1.5", "nan"])
+    def test_lambda_outside_unit_interval_is_usage_error(self, tmp_path, value):
+        assert self._query_usage_exit(tmp_path, "--lambda", value) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+    def test_nonpositive_fold_in_beta_is_usage_error(self, tmp_path, value):
+        assert self._query_usage_exit(tmp_path, "--fold-in-beta", value) == 2
+
     def test_pr_outputs_with_qrels(self, tmp_path, capsys):
         out_dir = self._prepare(tmp_path)
         capsys.readouterr()

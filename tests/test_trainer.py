@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from plsa import trainer
 from plsa import (
     AspectModel,
     StoppingReason,
@@ -177,6 +178,44 @@ class TestFitTem:
         b, trace_b = fit_tem(counts, 3, config)
         assert a.word_given_z.tobytes() == b.word_given_z.tobytes()
         assert trace_a.records == trace_b.records
+
+    @staticmethod
+    def fit_files(tmp_path, name, counts, config):
+        model, trace = fit_tem(counts, 4, config)
+        model.save(tmp_path / f"{name}.bin")
+        trace.save(tmp_path / f"{name}.tsv")
+        assert any(r.beta < 1.0 for r in trace.records)  # the tempered kernel ran
+        return (tmp_path / f"{name}.bin").read_bytes(), (tmp_path / f"{name}.tsv").read_bytes()
+
+    def test_reruns_byte_identical_on_disk(self, tmp_path):
+        counts = helpers.random_counts(np.random.default_rng(26), 30, 40, 300, max_count=4)
+        config = TemConfig(seed=4, eta=0.8)
+        assert (self.fit_files(tmp_path, "a", counts, config)
+                == self.fit_files(tmp_path, "b", counts, config))
+
+    def test_reused_joint_matches_fresh_sweeps(self, tmp_path, monkeypatch):
+        # _fit hands each sweep the S_beta its scan computed; recomputing it
+        # inside em_step instead must not change a byte of the outputs
+        counts = helpers.random_counts(np.random.default_rng(27), 30, 40, 300, max_count=4)
+        config = TemConfig(seed=5, eta=0.8)
+        reused = self.fit_files(tmp_path, "reused", counts, config)
+        original = trainer.em_step
+        monkeypatch.setattr(trainer, "em_step",
+                            lambda model, counts, beta, _joint=None: original(model, counts, beta))
+        assert self.fit_files(tmp_path, "fresh", counts, config) == reused
+
+    def test_train_perplexity_never_increases_at_beta_one_on_topic_corpus(self):
+        # MED-like: sparse topical documents, a vocabulary several times the
+        # document count, about a hundred tokens per document
+        rng = np.random.default_rng(31)
+        source = helpers.topic_generator(rng, k=16, n_docs=300, n_terms=2000,
+                                         doc_alpha=0.1, word_alpha=0.01)
+        counts = helpers.sample_corpus(source, 30_000, rng)
+        config = TemConfig(seed=7, improvement_tol=1e-6, max_total_iters=80)
+        _, trace = fit_tem(counts, 16, config)
+        ppx = [r.train_perplexity for r in trace.records if r.beta == 1.0]
+        assert len(ppx) >= 10
+        assert all(b <= a for a, b in zip(ppx, ppx[1:]))
 
     def test_returns_best_heldout_snapshot(self):
         counts = helpers.random_counts(np.random.default_rng(25), 15, 18, 110, max_count=4)

@@ -81,7 +81,8 @@ class AspectModel:
 
     @classmethod
     def load(cls, path) -> "AspectModel":
-        arrays, _ = serialize.load_arrays(path, "aspect-model")
+        arrays, _ = serialize.load_arrays(
+            path, "aspect-model", ("prior", "doc_given_z", "word_given_z"))
         return cls(arrays["prior"], arrays["doc_given_z"], arrays["word_given_z"])
 
 

@@ -79,10 +79,13 @@ def _save_ids(path: Path, ids: list[str]) -> None:
 def _load_ids(path: Path) -> list[str]:
     ids = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for line_no, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if line:
-                ids.append(line.split("\t", 1)[1])
+                _, tab, ext_id = line.partition("\t")
+                if not tab:
+                    raise ParseError(path, line_no, "expected 'row<TAB>document id'")
+                ids.append(ext_id)
     return ids
 
 

@@ -1,7 +1,10 @@
 """Corpus ingestion: tokenization, sparse count matrices, SMART-format
 collections, relevance judgments, and reproducible held-out splits."""
 
+import itertools
+import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +16,13 @@ _SECTION_RE = re.compile(r"^\.([A-Z])(?:\s+(.*))?$")
 # Sections whose content is concatenated into the document text; every other
 # marker ends the current text section and its lines are skipped.
 _TEXT_SECTIONS = frozenset("TABW")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_DIMS_RE = re.compile(rb"#dims\t[^\r\n]*")
+# suffixes numpy's DataSource decompresses when np.loadtxt opens a path
+_NUMPY_DECOMPRESSES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
+_SAVE_BLOCK = 1 << 16  # rows formatted per write in CountMatrix.save
 
 
 class ParseError(ValueError):
@@ -114,6 +124,8 @@ class CountMatrix:
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
         if self.n_docs < 1 or self.n_terms < 1:
             raise ValueError("count matrix needs at least one row and one column")
+        if int(self.n_docs) * int(self.n_terms) > _INT64_MAX + 1:
+            raise ValueError(f"a {self.n_docs} x {self.n_terms} matrix has cell keys beyond int64")
         if not (self.doc_ids.shape == self.term_ids.shape == self.counts.shape):
             raise ValueError("entry arrays must have identical shapes")
         if self.doc_ids.ndim != 1:
@@ -183,56 +195,149 @@ class CountMatrix:
         """
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"#dims\t{self.n_docs}\t{self.n_terms}\n")
-            for d, w, c in zip(self.doc_ids, self.term_ids, self.counts):
-                f.write(f"{d}\t{w}\t{c}\n")
+            # %-formats Python ints a block of rows at a time: no per-scalar
+            # formatting, and the block bounds the temporary strings' memory
+            for lo in range(0, self.nnz, _SAVE_BLOCK):
+                hi = lo + _SAVE_BLOCK
+                rows = np.column_stack((self.doc_ids[lo:hi], self.term_ids[lo:hi], self.counts[lo:hi]))
+                f.write(("%d\t%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
     @classmethod
     def load(cls, path, n_docs=None, n_terms=None) -> "CountMatrix":
         """Read sparse triples; duplicate cells are merged by summation.
 
         Dimensions come from the `#dims` header when present, else from
-        explicit arguments, else from the largest ids seen.
+        explicit arguments, else from the largest ids seen.  Data lines hold
+        three whitespace-separated ASCII decimal integers with count >= 1;
+        blank lines and lines starting with `#` are skipped.  A rejected
+        file raises ParseError naming its first bad line.
         """
-        docs, terms, counts = [], [], []
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line.split("\t")
-                    if parts[0] == "#dims" and len(parts) == 3:
-                        n_docs = int(parts[1])
-                        n_terms = int(parts[2])
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, "expected 'doc_id term_id count'")
-                try:
-                    d, w, c = int(parts[0]), int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ParseError(path, line_no, "doc_id, term_id and count must be integers") from None
-                if c < 1:
-                    raise ParseError(path, line_no, "count must be >= 1")
-                docs.append(d)
-                terms.append(w)
-                counts.append(c)
-        if not docs:
+        dims, stray_hash = _scan_comments(path)
+        if dims is not None:
+            n_docs, n_terms = dims
+        columns = _read_columns(path)
+        if (columns is None or stray_hash
+                or (columns.size and (len(columns) != 3 or columns[2].min() < 1))):
+            _check_lines(path)
+            if columns is None:
+                raise ParseError(path, 0, "unreadable count triples")
+        if not columns.size:
             raise ParseError(path, 0, "no count entries found")
-        doc_arr = np.array(docs, dtype=np.int64)
-        term_arr = np.array(terms, dtype=np.int64)
-        count_arr = np.array(counts, dtype=np.int64)
+        doc_ids, term_ids, counts = columns
         if n_docs is None:
-            n_docs = int(doc_arr.max()) + 1
+            n_docs = int(doc_ids.max()) + 1
         if n_terms is None:
-            n_terms = int(term_arr.max()) + 1
-        order = np.lexsort((term_arr, doc_arr))
-        doc_arr, term_arr, count_arr = doc_arr[order], term_arr[order], count_arr[order]
-        key = doc_arr * n_terms + term_arr
-        uniq, inverse = np.unique(key, return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(merged, inverse, count_arr)
-        return cls(n_docs, n_terms, uniq // n_terms, uniq % n_terms, merged)
+            n_terms = int(term_ids.max()) + 1
+        ascending = (doc_ids[1:] > doc_ids[:-1]) | (
+            (doc_ids[1:] == doc_ids[:-1]) & (term_ids[1:] > term_ids[:-1]))
+        if ascending.all():  # what `save` writes: no sort, no merge
+            entries = doc_ids, term_ids, counts
+        else:
+            order = np.lexsort((term_ids, doc_ids))
+            doc_ids, term_ids = doc_ids[order], term_ids[order]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = (doc_ids[1:] != doc_ids[:-1]) | (term_ids[1:] != term_ids[:-1])
+            starts = np.flatnonzero(first)
+            merged, overflow = _run_sums(counts[order], starts)
+            if overflow is not None:
+                # lexsort is stable: the cell's rows are in file order
+                bounds = np.append(starts, order.size)
+                rows = order[bounds[overflow]:bounds[overflow + 1]].tolist()
+                running = itertools.accumulate(int(counts[row]) for row in rows)
+                row = next(row for row, total in zip(rows, running) if total > _INT64_MAX)
+                line_no = next(itertools.islice(_data_lines(path), row, None))[0]
+                cell = doc_ids[starts[overflow]], term_ids[starts[overflow]]
+                raise ParseError(path, line_no,
+                                 f"counts of cell ({cell[0]}, {cell[1]}) sum beyond int64")
+            entries = doc_ids[starts], term_ids[starts], merged
+        try:
+            return cls(n_docs, n_terms, *entries)
+        except ValueError as exc:
+            raise ParseError(path, 0, str(exc)) from None
+
+
+def _scan_comments(path):
+    """The (n_docs, n_terms) of the file's `#dims` line, or None, and whether
+    some '#' does not open its line: it may trail data, which numpy would
+    take for a comment, so the caller checks such a file line by line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    data = np.frombuffer(raw, dtype=np.uint8)
+    hashes = np.flatnonzero(data == ord("#"))
+    stray_hash = bool((data[hashes[hashes > 0] - 1] != ord("\n")).any())
+    return _dims_header(path, raw), stray_hash
+
+
+def _read_columns(path):
+    """The integers of every data line, parsed by numpy in C, as one int64
+    array of columns; None if numpy rejects the text."""
+    source = os.path.abspath(path)  # absolute: DataSource never sees a URL
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without data
+            if os.path.splitext(source)[1] in _NUMPY_DECOMPRESSES:
+                with open(path, encoding="utf-8") as f:  # slower, read as is
+                    table = np.loadtxt(f, dtype=np.int64, comments="#", ndmin=2)
+            else:
+                table = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2,
+                                   encoding="utf-8")
+    except ValueError:
+        return None
+    return table.T.copy()
+
+
+def _dims_header(path, raw: bytes):
+    """(n_docs, n_terms) from the last `#dims<TAB>N<TAB>M` line, or None."""
+    dims = None
+    for m in _DIMS_RE.finditer(raw):
+        start = max(raw.rfind(b"\n", 0, m.start()), raw.rfind(b"\r", 0, m.start())) + 1
+        parts = raw[start:m.end()].decode("utf-8").strip().split("\t")
+        if parts[0] == "#dims" and len(parts) == 3:
+            try:
+                dims = int(parts[1]), int(parts[2])
+            except ValueError:
+                head = raw[:start]
+                line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                raise ParseError(path, line_no, "'#dims' needs two integers") from None
+    return dims
+
+
+def _data_lines(path):
+    """(line number, stripped text) of each line neither blank nor a comment."""
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield line_no, line
+
+
+def _check_lines(path) -> None:
+    """Raise ParseError at the first data line outside the grammar.  This
+    second pass over the text runs only for a file already found at fault."""
+    for line_no, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(path, line_no, "expected 'doc_id term_id count'")
+        if not all(_INT_RE.fullmatch(p) for p in parts):
+            raise ParseError(path, line_no, "doc_id, term_id and count must be integers")
+        values = [int(p) for p in parts]
+        if not all(-_INT64_MAX - 1 <= v <= _INT64_MAX for v in values):
+            raise ParseError(path, line_no, "integer beyond the int64 range")
+        if values[2] < 1:
+            raise ParseError(path, line_no, "count must be >= 1")
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray):
+    """Sums of `values` (all >= 1) over the runs that begin at `starts`, and
+    the index of the first run whose sum passes int64, else None.  The 32-bit
+    halves are summed apart, so the test is exact."""
+    high = np.add.reduceat(values >> 32, starts)
+    low = np.add.reduceat(values & 0xFFFFFFFF, starts)
+    high += low >> 32
+    over = np.flatnonzero(high >> 31)
+    if over.size:
+        return None, int(over[0])
+    return (high << 32) | (low & 0xFFFFFFFF), None
 
 
 def build_counts(docs: list[list[str]]) -> tuple[Vocabulary, CountMatrix]:

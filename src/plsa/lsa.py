@@ -55,7 +55,7 @@ class SvdDecomposition:
 
     @classmethod
     def load(cls, path) -> "SvdDecomposition":
-        arrays, _ = serialize.load_arrays(path, "svd-decomposition")
+        arrays, _ = serialize.load_arrays(path, "svd-decomposition", ("u", "sigma", "v"))
         return cls(arrays["u"], arrays["sigma"], arrays["v"])
 
 

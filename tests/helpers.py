@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from plsa import AspectModel, CountMatrix
+from plsa import AspectModel, CountMatrix, ParseError
 
 PROB_FLOOR = 1e-12
 
@@ -104,6 +104,59 @@ def brute_free_energy(model, counts, posteriors, beta):
                      * float(model.word_given_z[int(w), z]))
             result += int(c) * (-beta * q * math.log(joint) + q * math.log(q))
     return result
+
+
+def brute_load_counts(path, n_docs=None, n_terms=None):
+    """CountMatrix.load as one Python pass over the lines: the reference for
+    the array parser, with the same ParseError line numbers."""
+    docs, terms, counts = [], [], []
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line.split("\t")
+                if parts[0] == "#dims" and len(parts) == 3:
+                    n_docs = int(parts[1])
+                    n_terms = int(parts[2])
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(path, line_no, "expected 'doc_id term_id count'")
+            try:
+                d, w, c = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(path, line_no, "doc_id, term_id and count must be integers") from None
+            if c < 1:
+                raise ParseError(path, line_no, "count must be >= 1")
+            docs.append(d)
+            terms.append(w)
+            counts.append(c)
+    if not docs:
+        raise ParseError(path, 0, "no count entries found")
+    doc_arr = np.array(docs, dtype=np.int64)
+    term_arr = np.array(terms, dtype=np.int64)
+    count_arr = np.array(counts, dtype=np.int64)
+    if n_docs is None:
+        n_docs = int(doc_arr.max()) + 1
+    if n_terms is None:
+        n_terms = int(term_arr.max()) + 1
+    order = np.lexsort((term_arr, doc_arr))
+    doc_arr, term_arr, count_arr = doc_arr[order], term_arr[order], count_arr[order]
+    key = doc_arr * n_terms + term_arr
+    uniq, inverse = np.unique(key, return_inverse=True)
+    merged = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(merged, inverse, count_arr)
+    return CountMatrix(n_docs, n_terms, uniq // n_terms, uniq % n_terms, merged)
+
+
+def brute_save_counts(counts, path):
+    """CountMatrix.save one f-string per entry: the byte-level reference."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"#dims\t{counts.n_docs}\t{counts.n_terms}\n")
+        for d, w, c in zip(counts.doc_ids, counts.term_ids, counts.counts):
+            f.write(f"{d}\t{w}\t{c}\n")
 
 
 def entropy(p):

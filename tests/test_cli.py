@@ -332,7 +332,65 @@ class TestTopics:
         assert first_row.split("\t")[0].strip() == "the"
 
 
+def container(header) -> bytes:
+    """A model container with the given JSON header line (bytes or an object)
+    and 8 payload bytes."""
+    line = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return b"#plsa-container v1\n" + line + b"\n" + bytes(8)
+
+
+def model_header(**entry):
+    return {"kind": "aspect-model", "version": 1, "meta": {},
+            "arrays": [{"name": "prior", "dtype": "<f8", "shape": [1], **entry}]}
+
+
+# case: (file written into the ingest folder, its bytes, text stderr must hold)
+CORRUPT_INPUTS = {
+    "count id beyond int64": (
+        "counts.tsv", b"0\t1\t2\n1\t99999999999999999999\t1\n", "counts.tsv:2: integer"),
+    "cell sum beyond int64": (
+        "counts.tsv", b"0 0 9223372036854775807\n0 0 1\n", "counts.tsv:2: counts of cell"),
+    "cell key beyond int64": (
+        "counts.tsv", b"4611686018427387904 3 1\n", "cell keys beyond int64"),
+    "header not JSON": ("model.bin", container(b"{nope"), "model.bin: corrupt container header"),
+    "header not an object": (
+        "model.bin", container(b"[1, 2]"), "model.bin: corrupt container header"),
+    "header without arrays": (
+        "model.bin", container({"kind": "aspect-model", "version": 1}),
+        "model.bin: corrupt container header"),
+    "entry without a dtype": (
+        "model.bin", container({"kind": "aspect-model", "version": 1,
+                                "arrays": [{"name": "prior", "shape": [1]}]}),
+        "model.bin: corrupt entry 0"),
+    "unknown dtype": ("model.bin", container(model_header(dtype="zz")), "model.bin: corrupt entry 0"),
+    "negative shape": ("model.bin", container(model_header(shape=[-1])), "model.bin: corrupt entry 0"),
+    "shape beyond the file": (
+        "model.bin", container(model_header(shape=[2**40])), "model.bin: truncated container"),
+    "missing array": ("model.bin", container(model_header()), "container lacks arrays"),
+    "docids line without a tab": ("docids.tsv", b"0\t1\n1 2\n", "docids.tsv:2:"),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_INPUTS))
+    def test_corrupt_input_is_data_error(self, tmp_path, capsys, case):
+        name, content, message = CORRUPT_INPUTS[case]
+        out_dir = ingest(tmp_path)
+        (out_dir / name).write_bytes(content)
+        counts_arg = str(out_dir / "counts.tsv")
+        argv = {
+            "counts.tsv": ["train", "--counts", counts_arg, "--k", "1", "--mode", "svd",
+                           "--out", str(tmp_path / "t")],
+            "model.bin": ["perplexity", "--model", str(out_dir / "model.bin"),
+                          "--counts", counts_arg],
+            "docids.tsv": ["query", "--counts", counts_arg, "--queries",
+                           str(tmp_path / "queries.txt"), "--baseline-only",
+                           "--out", str(tmp_path / "q")],
+        }[name]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["ingest", "x", "--format", "bogus", "--out", "y"])

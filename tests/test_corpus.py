@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from plsa import (
     CountMatrix,
     ParseError,
@@ -130,6 +133,154 @@ class TestCountMatrix:
         path.write_text("0\tx\t1\n")
         with pytest.raises(ParseError):
             CountMatrix.load(path)
+
+
+SEPARATORS = ("\t", " ", "  ", " \t")
+FILLER_LINES = ("", "   ", "\t", "# note", "#a # b", "  # indented", "#dims 9 9", "#dims\t9")
+
+
+@st.composite
+def count_files(draw):
+    """Lines of a counts file in the accepted grammar: shuffled triples with
+    duplicate cells (or strictly sorted ones, as `save` writes them), blank
+    and comment lines, `#dims` present or absent, tab or space separators."""
+    n_docs, n_terms = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(0, n_docs - 1), st.integers(0, n_terms - 1))
+    if draw(st.booleans()):
+        cells = sorted(draw(st.sets(cell, min_size=1, max_size=20)))
+    else:
+        cells = draw(st.lists(cell, min_size=1, max_size=20))
+    lines = []
+    for d, w in cells:
+        sep = draw(st.sampled_from(SEPARATORS))
+        c = draw(st.integers(1, 2**40))
+        lines.append(draw(st.sampled_from(["", " "])) + f"{d}{sep}{w}{sep}{c}")
+    for filler in draw(st.lists(st.sampled_from(FILLER_LINES), max_size=6)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    if draw(st.booleans()):
+        dims = f"#dims\t{n_docs + draw(st.integers(0, 2))}\t{n_terms + draw(st.integers(0, 2))}"
+        lines.insert(draw(st.integers(0, len(lines))), dims)
+    return lines
+
+
+BAD_LINES = {
+    "two fields": "0\t1",
+    "four fields": "0\t1\t2\t3",
+    "not an integer": "0\tx\t1",
+    "a float": "0\t1\t1.5",
+    "zero count": "0\t1\t0",
+    "negative count": "1 0 -3",
+    "trailing comment": "0\t1\t2 # note",
+    "attached comment": "0\t1\t2#note",
+}
+
+
+def write_lines(path, lines, newline, final_newline=True):
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+
+
+class TestCountsCodec:
+    """CountMatrix.load against the line-by-line oracle, save against the
+    f-string writer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=count_files(), newline=st.sampled_from(["\n", "\r\n"]), final=st.booleans())
+    def test_load_matches_line_oracle(self, tmp_path_factory, lines, newline, final):
+        path = tmp_path_factory.mktemp("codec") / "counts.tsv"
+        write_lines(path, lines, newline, final)
+        want = helpers.brute_load_counts(path)
+        got = CountMatrix.load(path)
+        assert (got.n_docs, got.n_terms) == (want.n_docs, want.n_terms)
+        for name in ("doc_ids", "term_ids", "counts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == np.int64
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=count_files(), newline=st.sampled_from(["\n", "\r\n"]), data=st.data(),
+           bad=st.sampled_from(sorted(BAD_LINES.values())))
+    def test_bad_line_reported_where_the_oracle_reports_it(
+            self, tmp_path_factory, lines, newline, data, bad):
+        lines.insert(data.draw(st.integers(0, len(lines))), bad)
+        path = tmp_path_factory.mktemp("codec") / "counts.tsv"
+        write_lines(path, lines, newline)
+        with pytest.raises(ParseError) as want:
+            helpers.brute_load_counts(path)
+        with pytest.raises(ParseError) as got:
+            CountMatrix.load(path)
+        assert got.value.line_no == want.value.line_no
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 9), n_terms=st.integers(1, 9),
+           max_count=st.sampled_from([5, 2**62]))
+    def test_save_bytes_match_fstring_writer(self, tmp_path_factory, seed, n_docs, n_terms,
+                                             max_count):
+        rng = np.random.default_rng(seed)
+        m = helpers.random_counts(rng, n_docs, n_terms, rng.integers(0, n_docs * n_terms + 1),
+                                  max_count)
+        folder = tmp_path_factory.mktemp("codec")
+        m.save(folder / "new.tsv")
+        helpers.brute_save_counts(m, folder / "old.tsv")
+        assert (folder / "new.tsv").read_bytes() == (folder / "old.tsv").read_bytes()
+
+    def test_save_spanning_several_blocks(self, tmp_path):
+        m = helpers.random_counts(np.random.default_rng(5), 400, 300, 70_000, max_count=900)
+        m.save(tmp_path / "new.tsv")
+        helpers.brute_save_counts(m, tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+        back = CountMatrix.load(tmp_path / "new.tsv")
+        np.testing.assert_array_equal(back.to_dense(), m.to_dense())
+
+    def test_id_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("0\t1\t2\n1\t99999999999999999999\t1\n")
+        with pytest.raises(ParseError, match="int64") as excinfo:
+            CountMatrix.load(path)
+        assert excinfo.value.line_no == 2
+
+    def test_overflowing_cell_sum_is_named(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("0 0 9223372036854775000\n1 1 1\n0 0 800\n0 0 8\n0 0 1\n")
+        with pytest.raises(ParseError, match=r"cell \(0, 0\) sum beyond int64") as excinfo:
+            CountMatrix.load(path)
+        assert excinfo.value.line_no == 4
+
+    def test_largest_cell_sum_still_fits(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("0 0 9223372036854775000\n1 1 1\n0 0 807\n")
+        assert CountMatrix.load(path).counts.tolist() == [2**63 - 1, 1]
+
+    def test_key_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("4611686018427387904 3 1\n")
+        with pytest.raises(ParseError, match="cell keys beyond int64"):
+            CountMatrix.load(path)
+
+    def test_ids_outside_dims_rejected(self, tmp_path):
+        # the key 0 * 2 + 3 is also the key of cell (1, 1)
+        path = tmp_path / "counts.tsv"
+        path.write_text("#dims\t3\t2\n0\t3\t1\n")
+        with pytest.raises(ParseError, match="term_id out of range"):
+            CountMatrix.load(path)
+
+    def test_bad_dims_header_names_its_line(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("0 0 1\r\n#dims\tx\t3\r\n")
+        with pytest.raises(ParseError, match="#dims") as excinfo:
+            CountMatrix.load(path)
+        assert excinfo.value.line_no == 2
+
+    def test_lone_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(b"1 0 2\r0 1 3\r#dims\t3\t4\r")
+        m = CountMatrix.load(path)
+        assert (m.n_docs, m.n_terms) == (3, 4)
+        assert m.to_dense()[1, 0] == 2 and m.to_dense()[0, 1] == 3
+
+    def test_compressed_suffix_read_as_plain_text(self, tmp_path):
+        path = tmp_path / "counts.gz"
+        path.write_text("#dims\t2\t2\n0\t1\t4\n")
+        assert CountMatrix.load(path).to_dense().tolist() == [[0, 4], [0, 0]]
 
 
 class TestVocabulary:

@@ -165,12 +165,18 @@ def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
     else:
         a = np.exp(beta * (_safe_log(model.prior) + _safe_log(model.doc_given_z)))
         w = np.exp(beta * _safe_log(model.word_given_z))
+    return a, w, _sddmm(a, w, counts)
+
+
+def _sddmm(a: np.ndarray, w: np.ndarray, counts: CountMatrix) -> np.ndarray:
+    """S[i] = a[d_i] . w[t_i] for every nonzero cell (d_i, t_i) of `counts`;
+    each row's cells depend on that row of `a` alone."""
     starts = _row_starts(counts)
     s = np.zeros(counts.nnz)
     for d in np.flatnonzero(np.diff(starts)):
         lo, hi = starts[d], starts[d + 1]
         s[lo:hi] = w[counts.term_ids[lo:hi]] @ a[d]
-    return a, w, s
+    return s
 
 
 def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, s=None) -> np.ndarray:

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,15 @@ from .corpus import (
     tokenize,
 )
 from .lsa import SvdDecomposition, lsi_doc_coords, truncated_svd
-from .retrieval import RetrievalRun, precision_recall, rank_all
+from .retrieval import (
+    RetrievalRun,
+    combined_scores,
+    cosine_scores,
+    latent_scores,
+    plsi_star_scores,
+    precision_recall,
+    rank_all,
+)
 from .trainer import TemConfig, fit_em, fit_tem, fold_in
 
 EXIT_OK = 0
@@ -55,7 +63,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict,
-                    inputs: dict, outputs: dict) -> None:
+                    inputs: dict, outputs: dict, counters: dict | None = None) -> None:
     manifest = {
         "tool": f"plsa {__version__}",
         "command": command,
@@ -65,6 +73,8 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict,
         "outputs": {name: {"path": str(p), "sha256": _sha256(Path(p))}
                     for name, p in outputs.items()},
     }
+    if counters is not None:
+        manifest["counters"] = counters
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -243,45 +253,28 @@ def _load_queries(args) -> tuple[list[str], list[str]]:
     return ids, texts
 
 
-def _normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized copy plus the mask of rows with positive norm."""
-    norms = np.linalg.norm(matrix, axis=1)
-    valid = norms > 0.0
-    out = np.zeros_like(matrix, dtype=np.float64)
-    out[valid] = matrix[valid] / norms[valid, None]
-    return out, valid
+def _query_counts(texts: list[str], vocab: Vocabulary, stopwords) -> CountMatrix:
+    """One row of term counts per query text; words outside `vocab` are dropped."""
+    if not texts:
+        raise ValueError("no queries found in the query file")
+    ids = [[vocab.index[t] for t in tokenize(text, stopwords) if t in vocab.index] for text in texts]
+    rows = np.repeat(np.arange(len(texts)), [len(i) for i in ids])
+    keys, counts = np.unique(rows * len(vocab) + np.fromiter(chain.from_iterable(ids), np.int64),
+                             return_counts=True)
+    return CountMatrix(len(texts), len(vocab), keys // len(vocab), keys % len(vocab), counts)
 
 
-def _latent_scores_for_model(model: AspectModel, query_vectors,
-                             fold_beta, threads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_queries x n_docs latent cosine matrix, query validity, doc validity)."""
-    doc_reps = mixing_weight_matrix(model)
-    doc_valid = np.isfinite(doc_reps).all(axis=1)
-    doc_reps = np.where(doc_valid[:, None], doc_reps, 0.0)
-    doc_unit, doc_norm_ok = _normalize_rows(doc_reps)
-    doc_valid &= doc_norm_ok
-
-    def one_query(vec):
-        if vec[0].size == 0:
-            return None
-        try:
-            return fold_in(model, vec, beta=fold_beta)
-        except (ValueError, DegeneracyError):
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(one_query, query_vectors))
-    else:
-        reps = [one_query(v) for v in query_vectors]
-    query_valid = np.array([r is not None for r in reps])
-    rep_matrix = np.zeros((len(reps), model.k))
-    for i, r in enumerate(reps):
-        if r is not None:
-            rep_matrix[i] = r
-    query_unit, query_norm_ok = _normalize_rows(rep_matrix)
-    query_valid &= query_norm_ok
-    return query_unit @ doc_unit.T, query_valid, doc_valid
+def _write_run(path: Path, rankings, query_ext_ids: list[str], doc_ext_ids: list[str]) -> None:
+    """`query_id doc_id rank score` lines, one %-format call per query."""
+    doc_ext = np.array(doc_ext_ids, dtype=object)
+    with open(path, "w", encoding="utf-8") as f:
+        for ranking in rankings:
+            n = ranking.doc_ids.size
+            fields = [query_ext_ids[ranking.query_id]] * (4 * n)
+            fields[1::4] = doc_ext[ranking.doc_ids].tolist()
+            fields[2::4] = range(1, n + 1)
+            fields[3::4] = ranking.scores.tolist()
+            f.write(("%s %s %d %.10g\n" * n) % tuple(fields))
 
 
 def cmd_query(args) -> int:
@@ -305,32 +298,12 @@ def cmd_query(args) -> int:
 
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     query_ext_ids, query_texts = _load_queries(args)
-    query_vectors = []
-    for text in query_texts:
-        per_term: dict[int, int] = {}
-        for token in tokenize(text, stopwords):
-            tid = vocab.index.get(token)
-            if tid is not None:
-                per_term[tid] = per_term.get(tid, 0) + 1
-        ids = np.fromiter(sorted(per_term), dtype=np.int64, count=len(per_term))
-        query_vectors.append((ids, np.array([per_term[t] for t in ids], dtype=np.float64)))
-
-    n_docs, n_queries = counts.n_docs, len(query_ext_ids)
-    doc_csr = counts.to_csr()
-    doc_norms = np.sqrt(np.asarray(doc_csr.multiply(doc_csr).sum(axis=1)).ravel())
-    query_dense = np.zeros((n_queries, counts.n_terms))
-    for i, (ids, cnt) in enumerate(query_vectors):
-        query_dense[i, ids] = cnt
-    query_norms = np.linalg.norm(query_dense, axis=1)
-    raw = (doc_csr @ query_dense.T).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos_scores = raw / (query_norms[:, None] * doc_norms[None, :])
-    cos_scores = np.nan_to_num(cos_scores, nan=0.0, posinf=0.0, neginf=0.0)
-    doc_valid = doc_norms > 0.0
-    query_valid = query_norms > 0.0
+    queries = _query_counts(query_texts, vocab, stopwords)
+    n_docs, n_queries = counts.n_docs, queries.n_docs
+    query_csr = queries.to_csr()
+    scores, query_ok, doc_ok = cosine_scores(query_csr, counts.to_csr())
 
     lam = 1.0 if args.baseline_only else args.lam
-    latent = np.zeros((n_queries, n_docs))
     method = "cos"
     # lam = 1 is the pure cosine ranking by definition, whatever was supplied
     if not args.baseline_only and lam < 1.0 and (args.model or args.svd):
@@ -345,39 +318,24 @@ def cmd_query(args) -> int:
                 model = models[idx]
                 if model.n_terms != counts.n_terms or model.n_docs != counts.n_docs:
                     raise ValueError(f"model {args.model[idx]} does not match the count matrix")
-                scores, q_ok, d_ok = _latent_scores_for_model(
-                    model, query_vectors, args.fold_in_beta, args.threads)
-                pieces.append(scores)
-                query_valid &= q_ok
-                doc_valid &= d_ok
+                pieces.append(latent_scores(fold_in(model, queries, beta=args.fold_in_beta),
+                                            mixing_weight_matrix(model)))
             method = "plsi" if len(models) == 1 else "plsi-star"
         if args.svd:
             decomp = SvdDecomposition.load(args.svd)
             if decomp.v.shape[0] != counts.n_terms:
                 raise ValueError("svd decomposition does not match the count matrix")
-            doc_coords, d_ok = _normalize_rows(lsi_doc_coords(decomp))
-            query_coords, q_ok = _normalize_rows(query_dense @ decomp.v)
-            pieces.append(query_coords @ doc_coords.T)
-            query_valid &= q_ok
-            doc_valid &= d_ok
+            pieces.append(latent_scores(query_csr @ decomp.v, lsi_doc_coords(decomp)))
             method = "lsi" if not args.model else method
-        latent = sum(pieces) / len(pieces)
+        latent, latent_query_ok, latent_doc_ok = plsi_star_scores(pieces)
+        scores = combined_scores(lam, scores, latent)
+        query_ok &= latent_query_ok
+        doc_ok &= latent_doc_ok
 
-    combined = lam * cos_scores + (1.0 - lam) * latent
-
-    def scorer(qi, d):
-        if not query_valid[qi] or not doc_valid[d]:
-            raise ValueError("unmatchable pair")
-        return float(combined[qi, d])
-
-    rankings = rank_all(scorer, n_docs, range(n_queries))
-
+    rankings = rank_all(scores, query_ok[:, None] & doc_ok[None, :], range(n_queries))
     run_path = out_dir / "run.txt"
-    with open(run_path, "w", encoding="utf-8") as f:
-        for ranking in rankings:
-            qid = query_ext_ids[ranking.query_id]
-            for rank, (d, score) in enumerate(zip(ranking.doc_ids, ranking.scores), 1):
-                f.write(f"{qid} {doc_ext_ids[d]} {rank} {score:.10g}\n")
+    _write_run(run_path, rankings, query_ext_ids, doc_ext_ids)
+    counters = {"unscored_queries": int((~query_ok).sum())}
 
     outputs = {"run": run_path}
     inputs = {"counts": args.counts, "queries": args.queries}
@@ -410,10 +368,12 @@ def cmd_query(args) -> int:
                 f.write(f"{level:.1f} {prec:.6f}\n")
         outputs["pr"] = pr_path
         outputs["pr_curve"] = curve_path
-        print(f"method={method} queries={summary.n_queries} "
-              f"average_precision={summary.average_precision:.4f}")
+        counters["unjudged_queries"] = n_queries - summary.n_queries
+        summary_line = (f"method={method} queries={summary.n_queries} "
+                        f"average_precision={summary.average_precision:.4f}")
     else:
-        print(f"method={method} queries={n_queries} ranked={n_docs} docs each")
+        summary_line = f"method={method} queries={n_queries} ranked={n_docs} docs each"
+    print(summary_line, *(f"{name}={n}" for name, n in counters.items()))
 
     inputs["vocab"] = str(vocab_path)
     if docids_path is not None:
@@ -421,9 +381,9 @@ def cmd_query(args) -> int:
     _write_manifest(
         out_dir, "query",
         {"lambda": lam, "baseline_only": args.baseline_only, "method": method,
-         "fold_in_beta": args.fold_in_beta, "threads": args.threads,
+         "fold_in_beta": args.fold_in_beta,
          "queries_format": args.queries_format, "stopwords": args.stopwords},
-        inputs, outputs,
+        inputs, outputs, counters,
     )
     return EXIT_OK
 
@@ -505,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab")
     p.add_argument("--docids")
     p.add_argument("--fold-in-beta", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_query)
 

@@ -1,8 +1,9 @@
 """Query/document scoring and the interpolated precision-recall harness.
 
-Scorers: raw term-frequency cosine, cosine between latent mixing-weight
-vectors, their convex blend, and a uniform average of latent scores across
-several models.  Evaluation reports interpolated precision at the nine
+Scorers fill (queries x documents) matrices: raw term-frequency cosine,
+cosine between latent representations, their convex blend, and a uniform
+average of latent scores across several models; the scalar scorers are
+views of them.  Evaluation reports interpolated precision at the nine
 recall levels 10% through 90%, macro-averaged over queries.
 """
 
@@ -10,48 +11,86 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 RECALL_LEVELS = tuple(level / 10.0 for level in range(1, 10))
 
 
-def cosine_score(doc_counts, query_counts) -> float:
-    """Cosine between two raw term-count vectors; in [0, 1] for counts."""
-    d = np.asarray(doc_counts, dtype=np.float64).ravel()
-    q = np.asarray(query_counts, dtype=np.float64).ravel()
-    nd = np.linalg.norm(d)
-    nq = np.linalg.norm(q)
-    if nd == 0.0 or nq == 0.0:
-        raise ValueError("cosine of an all-zero vector is undefined")
-    return float(np.dot(d, q) / (nd * nq))
+def cosine_scores(queries, docs):
+    """Raw term-count cosine of every query row against every document row,
+    shape (n_queries, n_docs), plus the query and document masks of rows
+    with a positive norm.  Both inputs are (sparse or dense) matrices over
+    the same terms; pairs with an all-zero row score 0."""
+    q = scipy.sparse.csr_matrix(queries, dtype=np.float64)
+    d = scipy.sparse.csr_matrix(docs, dtype=np.float64)
+    q_norms, d_norms = (np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel()) for m in (q, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = (q @ d.T).toarray() / (q_norms[:, None] * d_norms[None, :])
+    return np.nan_to_num(scores, nan=0.0, posinf=0.0, neginf=0.0), q_norms > 0.0, d_norms > 0.0
 
 
-def latent_score(rep_d, rep_q) -> float:
-    """Cosine between two mixing-weight vectors; probability vectors are
-    never zero, so this is total."""
-    d = np.asarray(rep_d, dtype=np.float64).ravel()
-    q = np.asarray(rep_q, dtype=np.float64).ravel()
-    if d.size != q.size:
-        raise ValueError("representations must have the same number of factors")
-    return float(np.dot(d, q) / (np.linalg.norm(d) * np.linalg.norm(q)))
+def _unit_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalised copy plus the mask of finite rows with positive norm."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    norms = np.linalg.norm(matrix, axis=1)
+    valid = np.isfinite(matrix).all(axis=1) & (norms > 0.0)
+    out = np.zeros_like(matrix)
+    out[valid] = matrix[valid] / norms[valid, None]
+    return out, valid
 
 
-def combined_score(lam: float, cos: float, latent: float) -> float:
+def latent_scores(query_reps, doc_reps):
+    """Cosine between every query and every document representation, such
+    as fold-in and document mixing weights or LSI coordinates, plus the masks
+    of rows that are finite with a positive norm."""
+    q_unit, q_ok = _unit_rows(query_reps)
+    d_unit, d_ok = _unit_rows(doc_reps)
+    return q_unit @ d_unit.T, q_ok, d_ok
+
+
+def combined_scores(lam: float, cos, latent):
     """Convex blend lam * cos + (1 - lam) * latent."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
     return lam * cos + (1.0 - lam) * latent
 
 
+def plsi_star_scores(pieces):
+    """Uniform average of several latent scorers' (scores, query mask, doc
+    mask) results, one per model; a pair is scorable when it is in all."""
+    if not pieces:
+        raise ValueError("at least one model is required")
+    scores, q_ok, d_ok = zip(*pieces)
+    return sum(scores) / len(scores), np.logical_and.reduce(q_ok), np.logical_and.reduce(d_ok)
+
+
+def _scalar(scores, q_ok, d_ok) -> float:
+    if not (q_ok[0] and d_ok[0]):
+        raise ValueError("cosine of an all-zero vector is undefined")
+    return float(scores[0, 0])
+
+
+def cosine_score(doc_counts, query_counts) -> float:
+    """Cosine between two raw term-count vectors; in [0, 1] for counts."""
+    return _scalar(*cosine_scores(np.atleast_2d(query_counts), np.atleast_2d(doc_counts)))
+
+
+def latent_score(rep_d, rep_q) -> float:
+    """Cosine between two mixing-weight vectors."""
+    return _scalar(*latent_scores(rep_q, rep_d))
+
+
+def combined_score(lam: float, cos: float, latent: float) -> float:
+    """Convex blend lam * cos + (1 - lam) * latent."""
+    return float(combined_scores(lam, cos, latent))
+
+
 def plsi_star_score(doc_reps, query_reps, lam: float, cos: float) -> float:
     """Uniform average of per-model latent scores, blended with the cosine
     score.  `doc_reps` and `query_reps` are aligned lists, one entry per
     trained model."""
-    if len(doc_reps) != len(query_reps):
-        raise ValueError("doc_reps and query_reps must be aligned")
-    if not doc_reps:
-        raise ValueError("at least one model is required")
-    avg = sum(latent_score(d, q) for d, q in zip(doc_reps, query_reps)) / len(doc_reps)
-    return combined_score(lam, cos, avg)
+    pieces = [latent_scores(q, d) for d, q in zip(doc_reps, query_reps, strict=True)]
+    return combined_score(lam, cos, _scalar(*plsi_star_scores(pieces)))
 
 
 @dataclass(frozen=True)
@@ -71,11 +110,11 @@ class RankedList:
         if np.unique(self.doc_ids).size != self.doc_ids.size:
             raise ValueError("ranked list contains duplicate documents")
         if self.doc_ids.size > 1:
-            diff = np.diff(self.scores)
-            if (diff > 0).any():
+            # unscorable documents tie at -inf, where a difference would be NaN
+            ahead, behind = self.scores[:-1], self.scores[1:]
+            if (behind > ahead).any():
                 raise ValueError("scores must be non-increasing")
-            tied = diff == 0
-            if np.any(tied & (np.diff(self.doc_ids) <= 0)):
+            if np.any((behind == ahead) & (np.diff(self.doc_ids) <= 0)):
                 raise ValueError("tied scores must be ordered by ascending doc id")
 
 
@@ -93,30 +132,22 @@ class RetrievalRun:
                 raise ValueError(f"query {ranking.query_id!r} has no judgments entry")
 
 
-def rank_all(scorer, n_docs: int, query_ids) -> list[RankedList]:
-    """Rank every document for every query with scorer(query_id, doc_id).
-
-    A scorer error demotes that document to the bottom (score -inf); one
-    warning per affected query is emitted.
-    """
-    rankings = []
-    for qid in query_ids:
-        scores = np.empty(n_docs)
-        failures = 0
-        for d in range(n_docs):
-            try:
-                scores[d] = scorer(qid, d)
-            except Exception:
-                scores[d] = -np.inf
-                failures += 1
+def rank_all(scores, scorable, query_ids) -> list[RankedList]:
+    """Rank every document for every query: row i of the (n_queries, n_docs)
+    `scores` belongs to query_ids[i].  Pairs outside the boolean mask
+    `scorable` (broadcast to the scores' shape) score -inf and rank last; one
+    warning per affected query is emitted."""
+    scorable = np.broadcast_to(scorable, np.shape(scores))
+    scores = np.where(scorable, scores, -np.inf)
+    for qid, failures in zip(query_ids, (~scorable).sum(axis=1).tolist(), strict=True):
         if failures:
             warnings.warn(
                 f"query {qid!r}: {failures} document(s) could not be scored and rank last",
                 RuntimeWarning,
             )
-        order = np.lexsort((np.arange(n_docs), -scores))
-        rankings.append(RankedList(qid, order, scores[order]))
-    return rankings
+    order = np.lexsort((np.broadcast_to(np.arange(scores.shape[1]), scores.shape), -scores))
+    ranked = np.take_along_axis(scores, order, axis=1)
+    return [RankedList(qid, o, s) for qid, o, s in zip(query_ids, order, ranked, strict=True)]
 
 
 @dataclass(frozen=True)
@@ -152,8 +183,7 @@ def precision_recall(run: RetrievalRun) -> PrSummary:
                 RuntimeWarning,
             )
             continue
-        hits = np.fromiter((d in relevant for d in ranking.doc_ids), dtype=bool,
-                           count=ranking.doc_ids.size)
+        hits = np.isin(ranking.doc_ids, np.fromiter(relevant, np.int64, len(relevant)))
         found = int(hits.sum())
         if found != len(relevant):
             raise ValueError(

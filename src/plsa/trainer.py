@@ -32,6 +32,7 @@ from .aspect_model import (
     _row_starts,
     _safe_log,
     _scan_log_joint,
+    _sddmm,
     _tempered_joint,
     _tempered_softmax,
     init_model,
@@ -128,14 +129,8 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
     if counts.nnz == 0:
         raise ValueError("cannot run an EM sweep on empty counts")
     a, w, s = _tempered_joint(model, counts, beta) if _joint is None else _joint
-    low = s < _UNDERFLOW
-    ratio = np.divide(counts.counts, s, out=np.zeros(counts.nnz), where=~low)
-    r = scipy.sparse.csr_matrix((ratio, counts.term_ids, _row_starts(counts)),
-                                shape=(model.n_docs, model.n_terms))
-    doc_acc = a * (r @ w)
-    word_acc = w * (r.T @ a)
-    if low.any():
-        _log_domain_accumulate(model, counts, np.flatnonzero(low), beta, doc_acc, word_acc)
+    doc_acc, word_acc = _spmm(counts, a, w, s, beta,
+                              lambda cells: _log_joint_terms(model, counts, cells))
     prior_acc = doc_acc.sum(axis=0)
     dead = prior_acc == 0.0
     if dead.any():
@@ -153,12 +148,24 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
     )
 
 
-def _log_domain_accumulate(model, counts, cells, beta, doc_acc, word_acc) -> None:
-    """Reference path: add n(d,w) q(z; d, w) of the entries `cells`, q in the log domain."""
-    for sel, lp in _log_joint_terms(model, counts, cells):
+def _spmm(counts: CountMatrix, a, w, s, beta: float, log_terms):
+    """The E-step's two SpMMs over the nonzero cells of `counts`, given their
+    SDDMM `s`: a * (R @ w) and w * (R^T @ a) with R = n / s.  A cell with s
+    below 1e-200 adds n(d,w) q(z) from its log-domain posterior instead;
+    `log_terms(cells)` yields (selector, lp) chunks of the untempered log
+    joint terms of those entries."""
+    low = s < _UNDERFLOW
+    ratio = np.divide(counts.counts, s, out=np.zeros(counts.nnz), where=~low)
+    r = scipy.sparse.csr_matrix((ratio, counts.term_ids, _row_starts(counts)),
+                                shape=(counts.n_docs, counts.n_terms))
+    row_acc = a * (r @ w)
+    col_acc = w * (r.T @ a)
+    cells = np.flatnonzero(low)
+    for sel, lp in log_terms(cells) if cells.size else ():
         weighted = _tempered_softmax(lp, beta) * counts.counts[sel, None]
-        np.add.at(doc_acc, counts.doc_ids[sel], weighted)
-        np.add.at(word_acc, counts.term_ids[sel], weighted)
+        np.add.at(row_acc, counts.doc_ids[sel], weighted)
+        np.add.at(col_acc, counts.term_ids[sel], weighted)
+    return row_acc, col_acc
 
 
 def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:
@@ -251,56 +258,44 @@ def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
     return best_model, TrainTrace(records=records, stopping_reason=stopping)
 
 
-def _as_sparse_vector(query_counts, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a term-count vector given as a mapping, an (ids, counts)
-    pair, or a dense length-M array."""
-    if isinstance(query_counts, dict):
-        ids = np.fromiter(query_counts.keys(), dtype=np.int64, count=len(query_counts))
-        cnt = np.fromiter(query_counts.values(), dtype=np.float64, count=len(query_counts))
-    elif isinstance(query_counts, tuple) and len(query_counts) == 2:
-        ids = np.asarray(query_counts[0], dtype=np.int64)
-        cnt = np.asarray(query_counts[1], dtype=np.float64)
-    else:
-        dense = np.asarray(query_counts, dtype=np.float64).ravel()
-        if dense.size != n_terms:
-            raise ValueError(f"dense query vector must have length {n_terms}")
-        ids = np.flatnonzero(dense)
-        cnt = dense[ids]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_terms):
-        raise ValueError("query term id out of range")
-    if (cnt <= 0).any():
-        raise ValueError("query counts must be positive")
-    return ids, cnt
-
-
-def fold_in(model: AspectModel, query_counts, beta: float = 1.0,
+def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
             max_iters: int = 50, tol: float = 1e-6) -> np.ndarray:
-    """Mixing weights P(z|q) for an unseen query, by EM updates that keep the
-    model's word distributions and prior frozen.
+    """Mixing weights P(z|q) for unseen queries, shape (n_queries, K), by EM
+    sweeps that keep the model's word distributions frozen.
 
-    `query_counts` may be a {term_id: count} mapping, a (term_ids, counts)
-    pair, or a dense length-M vector.  Terms outside the vocabulary range
-    are rejected; terms no factor can generate are dropped.  Starts from
-    uniform weights and stops when the largest weight change falls below
-    `tol` or after `max_iters` sweeps.
+    `queries` holds one row per query over the model's terms.  A sweep is
+    em_step's kernel with theta = P(z|q) in place of A and W = P(w|z) fixed.
+    Terms no factor can generate are dropped; a query left without terms
+    gets a NaN row.  Each query starts from uniform weights and is frozen
+    after the sweep in which no weight moved by `tol`, or after `max_iters`
+    sweeps, so its row does not depend on the other queries.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    ids, cnt = _as_sparse_vector(query_counts, model.n_terms)
-    if ids.size:
-        supported = model.word_given_z[ids].sum(axis=1) > 0.0
-        ids, cnt = ids[supported], cnt[supported]
-    if ids.size == 0:
-        raise ValueError("query shares no usable terms with the model vocabulary")
-    lword = _safe_log(model.word_given_z[ids])
-    weights = np.full(model.k, 1.0 / model.k)
+    if queries.n_terms != model.n_terms:
+        raise ValueError(f"queries span {queries.n_terms} terms but the model {model.n_terms}")
+    keep = model.word_given_z[queries.term_ids].sum(axis=1) > 0.0
+    # columns renumbered over the terms in use: the kernel's column-side
+    # SpMM, which fold-in discards, then costs no more than the batch
+    terms = np.unique(queries.term_ids[keep])
+    cell_term = np.searchsorted(terms, queries.term_ids)
+    lword = _safe_log(model.word_given_z[terms])
+    w_beta = model.word_given_z[terms] if beta == 1.0 else np.exp(beta * lword)
+    theta = np.full((queries.n_docs, model.k), 1.0 / model.k)
+    active = np.bincount(queries.doc_ids[keep], minlength=queries.n_docs) > 0
+    theta[~active] = np.nan
     for _ in range(max_iters):
-        lp = _safe_log(weights)[None, :] + lword
-        post = _tempered_softmax(lp, beta)
-        updated = (post * cnt[:, None]).sum(axis=0)
-        updated /= updated.sum()
-        delta = np.abs(updated - weights).max()
-        weights = updated
-        if delta < tol:
+        if not active.any():
             break
-    return weights
+        rows = np.flatnonzero(active)
+        sel = keep & active[queries.doc_ids]
+        running = CountMatrix(rows.size, terms.size, (np.cumsum(active) - 1)[queries.doc_ids[sel]],
+                              cell_term[sel], queries.counts[sel])
+        old = theta[rows]
+        old_beta = old if beta == 1.0 else np.exp(beta * _safe_log(old))
+        acc, _ = _spmm(running, old_beta, w_beta, _sddmm(old_beta, w_beta, running), beta,
+                       lambda cells: [(cells, _safe_log(old)[running.doc_ids[cells]]
+                                       + lword[running.term_ids[cells]])])
+        theta[rows] = acc / acc.sum(axis=1, keepdims=True)
+        active[rows] = ~(np.abs(theta[rows] - old).max(axis=1) < tol)
+    return theta

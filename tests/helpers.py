@@ -1,11 +1,12 @@
 """Shared test utilities: brute-force oracles kept deliberately independent
 of the library's vectorized paths, plus random/synthetic data generators."""
 
+import hashlib
 import math
 
 import numpy as np
 
-from plsa import AspectModel, CountMatrix, ParseError
+from plsa import AspectModel, CountMatrix, ParseError, lsi_doc_coords, mixing_weight_matrix, tokenize
 
 PROB_FLOOR = 1e-12
 
@@ -157,6 +158,131 @@ def brute_save_counts(counts, path):
         f.write(f"#dims\t{counts.n_docs}\t{counts.n_terms}\n")
         for d, w, c in zip(counts.doc_ids, counts.term_ids, counts.counts):
             f.write(f"{d}\t{w}\t{c}\n")
+
+
+def brute_fold_in(model, ids, cnt, beta=1.0, max_iters=50, tol=1e-6):
+    """Fold-in of one query given as parallel (term ids, counts), one query
+    at a time with log-domain posteriors: the reference for the batched
+    fold_in.  Returns (weights, sweeps run), or (None, 0) for a query
+    without a term some factor can generate."""
+    ids = np.asarray(ids, dtype=np.int64)
+    cnt = np.asarray(cnt, dtype=np.float64)
+    supported = model.word_given_z[ids].sum(axis=1) > 0.0
+    ids, cnt = ids[supported], cnt[supported]
+    if ids.size == 0:
+        return None, 0
+    with np.errstate(divide="ignore"):
+        lword = np.log(model.word_given_z[ids])
+    weights = np.full(model.k, 1.0 / model.k)
+    sweeps = 0
+    for sweeps in range(1, max_iters + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp = np.log(weights)[None, :] + lword
+            scaled = np.where(np.isneginf(lp), -np.inf, beta * lp)
+        peak = scaled.max(axis=1)
+        if np.isneginf(peak).any():
+            raise ZeroDivisionError("no factor can generate this observation")
+        post = np.exp(scaled - peak[:, None])
+        post /= post.sum(axis=1, keepdims=True)
+        updated = (post * cnt[:, None]).sum(axis=0)
+        updated /= updated.sum()
+        delta = np.abs(updated - weights).max()
+        weights = updated
+        if delta < tol:
+            break
+    return weights, sweeps
+
+
+def _brute_unit_rows(matrix):
+    norms = np.linalg.norm(matrix, axis=1)
+    valid = norms > 0.0
+    out = np.zeros_like(matrix, dtype=np.float64)
+    out[valid] = matrix[valid] / norms[valid, None]
+    return out, valid
+
+
+def brute_query_scores(counts, vocab, query_texts, models=(), svd=None, lam=0.5,
+                       fold_in_beta=1.0, stopwords=None):
+    """The query command's scoring as a dense per-query path: term cosine
+    from dense query vectors, one brute_fold_in per query and model (models
+    reduced in the order of their parameter hashes), LSI coordinates from
+    the dense query vectors, their mean, and the lam-blend.  Returns
+    (scores, query mask, doc mask); a pair is scorable when both are set."""
+    n_queries = len(query_texts)
+    query_dense = np.zeros((n_queries, counts.n_terms))
+    for i, text in enumerate(query_texts):
+        for token in tokenize(text, stopwords):
+            if token in vocab.index:
+                query_dense[i, vocab.index[token]] += 1
+    doc_csr = counts.to_csr()
+    doc_norms = np.sqrt(np.asarray(doc_csr.multiply(doc_csr).sum(axis=1)).ravel())
+    query_norms = np.linalg.norm(query_dense, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (doc_csr @ query_dense.T).T / (query_norms[:, None] * doc_norms[None, :])
+    cos = np.nan_to_num(cos, nan=0.0, posinf=0.0, neginf=0.0)
+    query_valid, doc_valid = query_norms > 0.0, doc_norms > 0.0
+    if lam == 1.0 or not (models or svd):
+        return cos, query_valid, doc_valid
+    pieces = []
+    order = sorted(models, key=lambda m: hashlib.sha256(
+        m.prior.tobytes() + m.doc_given_z.tobytes() + m.word_given_z.tobytes()).hexdigest())
+    for model in order:
+        doc_reps = mixing_weight_matrix(model)
+        finite = np.isfinite(doc_reps).all(axis=1)
+        doc_unit, d_ok = _brute_unit_rows(np.where(finite[:, None], doc_reps, 0.0))
+        reps = np.zeros((n_queries, model.k))
+        q_ok = np.zeros(n_queries, dtype=bool)
+        for i in range(n_queries):
+            ids = np.flatnonzero(query_dense[i])
+            rep, _ = brute_fold_in(model, ids, query_dense[i, ids], beta=fold_in_beta)
+            if rep is not None:
+                reps[i], q_ok[i] = rep, True
+        query_unit, norm_ok = _brute_unit_rows(reps)
+        pieces.append(query_unit @ doc_unit.T)
+        query_valid &= q_ok & norm_ok
+        doc_valid &= finite & d_ok
+    if svd is not None:
+        doc_coords, d_ok = _brute_unit_rows(lsi_doc_coords(svd))
+        query_coords, q_ok = _brute_unit_rows(query_dense @ svd.v)
+        pieces.append(query_coords @ doc_coords.T)
+        query_valid &= q_ok
+        doc_valid &= d_ok
+    latent = sum(pieces) / len(pieces)
+    return lam * cos + (1.0 - lam) * latent, query_valid, doc_valid
+
+
+def brute_rank(scores):
+    """Document order of one query: descending score, ties by ascending id."""
+    return sorted(range(len(scores)), key=lambda d: (-scores[d], d))
+
+
+def brute_run_and_pr(scores, scorable, query_ids, doc_ids, judgments):
+    """run.txt, and pr.txt when `judgments` (external query id -> set of
+    external doc ids) is given, written one f-string per line from
+    brute_rank's order and per-document relevance checks."""
+    scores = np.where(scorable, scores, -np.inf)
+    run, table = [], []
+    for qi, qid in enumerate(query_ids):
+        order = brute_rank(scores[qi].tolist())
+        for rank, d in enumerate(order, 1):
+            run.append(f"{qid} {doc_ids[d]} {rank} {scores[qi, d]:.10g}\n")
+        relevant = (judgments or {}).get(qid, set())
+        if not relevant:
+            continue
+        hits = np.array([doc_ids[d] in relevant for d in order])
+        cum = np.cumsum(hits)
+        precision = cum / np.arange(1, hits.size + 1)
+        recall = cum / len(relevant)
+        best_ahead = np.maximum.accumulate(precision[::-1])[::-1]
+        levels = np.arange(1, 10) / 10.0
+        table.append(best_ahead[np.searchsorted(recall, levels, side="left")])
+    if judgments is None:
+        return "".join(run), None
+    table = np.vstack(table)
+    pr = ["# recall\tprecision\n"]
+    pr += [f"{level / 10:.1f}\t{p:.6f}\n" for level, p in zip(range(1, 10), table.mean(axis=0))]
+    pr.append(f"# average_precision\t{table.mean(axis=1).mean():.6f}\t({len(table)} queries)\n")
+    return "".join(run), "".join(pr)
 
 
 def entropy(p):

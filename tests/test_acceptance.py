@@ -17,6 +17,7 @@ import pytest
 
 import helpers
 from plsa import (
+    CountMatrix,
     RetrievalRun,
     TemConfig,
     build_counts,
@@ -48,6 +49,7 @@ from plsa import (
     unigram_baseline,
 )
 from plsa.lsa import lsi_doc_coords
+from plsa.retrieval import latent_scores
 from plsa.retrieval import RankedList
 
 
@@ -263,7 +265,7 @@ def test_retrieval_arithmetic():
     d2, q2 = [1.0, 0.0], [0.6, np.sqrt(1 - 0.36)]
     assert abs(plsi_star_score([d1, d2], [q1, q2], 0.0, 0.9) - 0.4) < 1e-12
 
-    rankings = rank_all(lambda q, d: 1.0, 4, ["q"])
+    rankings = rank_all(np.ones((1, 4)), True, ["q"])
     assert rankings[0].doc_ids.tolist() == [0, 1, 2, 3]
 
     def run_for(order, relevant):
@@ -376,20 +378,13 @@ class TestMedCollection:
 
         latent = np.zeros_like(cos_scores)
         ks = (32, 48, 64, 80, 128)
+        entries = [(qi, t, c) for qi, vec in enumerate(vectors) for t, c in sorted(vec.items())]
+        query_counts = CountMatrix.from_entries(len(vectors), counts.n_terms, *zip(*entries))
         for i, k in enumerate(ks):
             model, _ = fit_tem(counts, k, TemConfig(seed=100 + i))
-            doc_reps = mixing_weight_matrix(model)
-            doc_reps = np.nan_to_num(doc_reps)
-            norms = np.linalg.norm(doc_reps, axis=1, keepdims=True)
-            doc_unit = np.divide(doc_reps, norms, out=np.zeros_like(doc_reps),
-                                 where=norms > 0)
-            q_unit = np.zeros((len(queries), k))
-            for qi, vec in enumerate(vectors):
-                if not vec:
-                    continue
-                rep = fold_in(model, vec)
-                q_unit[qi] = rep / np.linalg.norm(rep)
-            latent += (q_unit @ doc_unit.T) / len(ks)
+            # queries without a usable term and documents without mass score 0
+            scores, _, _ = latent_scores(fold_in(model, query_counts), mixing_weight_matrix(model))
+            latent += scores / len(ks)
         plsi_star = 0.5 * cos_scores + 0.5 * latent
         ap = _med_average_precision(plsi_star, docs, queries, judgments)
         print(f"    PLSI* average precision: {ap:.4f} (baseline {baseline_ap:.4f})")

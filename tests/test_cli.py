@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import helpers
 from plsa import (
     AspectModel,
     CountMatrix,
@@ -302,6 +303,130 @@ class TestQuery:
                    "--baseline-only", "--qrels", str(tmp_path / "bad_qrels.txt"),
                    "--out", str(tmp_path / "q")])
         assert rc == 3
+
+
+    def test_threads_flag_is_usage_error(self, tmp_path):
+        assert self._query_usage_exit(tmp_path, "--threads", "2") == 2
+
+    @pytest.mark.parametrize("model", [False, True])
+    def test_counts_unscored_and_unjudged_queries(self, tmp_path, capsys, model):
+        # query 2 has no vocabulary word, query 3 has no judgments
+        out_dir = self._prepare(tmp_path)
+        (tmp_path / "queries.txt").write_text("engine fuel\nzebra\nwheat harvest\n")
+        (tmp_path / "qrels.txt").write_text("1 1\n2 3\n")
+        scoring = (["--model", str(tmp_path / "m1" / "model.bin")] if model
+                   else ["--baseline-only"])
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning) as caught:
+            rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
+                       "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                       *scoring, "--qrels", str(tmp_path / "qrels.txt"),
+                       "--out", str(tmp_path / "q")])
+        assert rc == 0
+        assert sorted(str(w.message) for w in caught) == [
+            "query 1: 4 document(s) could not be scored and rank last",
+            "query 2 has no relevant documents; excluded"]
+        summary = capsys.readouterr().out.split()
+        assert summary[-2:] == ["unscored_queries=1", "unjudged_queries=1"]
+        manifest = json.loads((tmp_path / "q" / "manifest.json").read_text())
+        assert manifest["counters"] == {"unscored_queries": 1, "unjudged_queries": 1}
+        assert "threads" not in manifest["parameters"]
+        capsys.readouterr()
+        main(["query", "--counts", str(out_dir / "counts.tsv"),
+              "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+              *scoring, "--out", str(tmp_path / "q2")])
+        assert capsys.readouterr().out.split()[-1] == "unscored_queries=1"
+        manifest = json.loads((tmp_path / "q2" / "manifest.json").read_text())
+        assert manifest["counters"] == {"unscored_queries": 1}
+
+
+ORACLE_DOCS = {  # external ids with '%' reach the %-formatted run.txt as data
+    "7%d": "engine fuel pumps burn fuel",
+    "a%s": "wheat harvest soil farm the",
+    "9": "engine thrust rocket fuel nozzle",
+    "10": "harvest grain wheat tractor soil",
+    "11": "the the",  # empty once stop words are gone
+    "12": "rocket engine harvest grain",
+    "13": "fuel grain soil pumps",
+}
+ORACLE_QUERIES = {"q%s": "engine fuel", "2": "wheat harvest soil", "3": "zebra",
+                  "4%": "rocket grain", "5": "the pumps"}
+ORACLE_QRELS = "q%s 7%d\nq%s 9\n2 a%s\n2 10\n3 7%d\n5 13\n"
+
+
+class TestQueryOracle:
+    """plsa query against helpers.brute_query_scores, the dense per-query
+    scoring path, on SMART files whose ids hold '%'."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        smart = lambda records: "".join(f".I {i}\n.W\n{t}\n" for i, t in records.items())
+        (tmp_path / "docs.all").write_text(smart(ORACLE_DOCS))
+        (tmp_path / "q.qry").write_text(smart(ORACLE_QUERIES))
+        (tmp_path / "qrels").write_text(ORACLE_QRELS)
+        (tmp_path / "stop").write_text("the\n")
+        assert main(["ingest", str(tmp_path / "docs.all"), "--format", "smart",
+                     "--stopwords", str(tmp_path / "stop"), "--out", str(tmp_path / "ing")]) == 0
+        counts_arg = str(tmp_path / "ing" / "counts.tsv")
+        for seed in (1, 2):
+            assert main(["train", "--counts", counts_arg, "--k", "3", "--mode", "tem",
+                         "--seed", str(seed), "--out", str(tmp_path / f"m{seed}")]) == 0
+        assert main(["train", "--counts", counts_arg, "--k", "3", "--mode", "svd",
+                     "--out", str(tmp_path / "sv")]) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("scoring", [
+        ["--baseline-only"],
+        ["--model", "m1", "--lambda", "0"],
+        ["--model", "m2", "m1", "--svd", "sv", "--lambda", "0.3"],
+        ["--model", "m1", "m2", "--fold-in-beta", "0.8"],
+        ["--svd", "sv", "--lambda", "0.6"],
+    ], ids=["cosine", "plsi", "plsi-star-lsi", "tempered-fold-in", "lsi"])
+    def test_matches_dense_oracle(self, corpus, monkeypatch, scoring):
+        import plsa.cli as cli_mod
+        from plsa import Vocabulary
+
+        captured = []
+
+        def recording_rank_all(scores, scorable, query_ids):
+            captured.append((np.array(scores), np.broadcast_to(scorable, np.shape(scores))))
+            return rank_all(scores, scorable, query_ids)
+
+        rank_all = cli_mod.rank_all
+        monkeypatch.setattr(cli_mod, "rank_all", recording_rank_all)
+        argv = [a if a not in ("m1", "m2", "sv") else str(
+            corpus / a / ("svd.bin" if a == "sv" else "model.bin")) for a in scoring]
+        with pytest.warns(RuntimeWarning):  # the stop-word document ranks last
+            rc = main(["query", "--counts", str(corpus / "ing" / "counts.tsv"),
+                       "--queries", str(corpus / "q.qry"), "--stopwords", str(corpus / "stop"),
+                       *argv, "--qrels", str(corpus / "qrels"), "--out", str(corpus / "q")])
+        assert rc == 0
+
+        counts = CountMatrix.load(corpus / "ing" / "counts.tsv")
+        vocab = Vocabulary.load(corpus / "ing" / "vocab.tsv")
+        models = [AspectModel.load(corpus / m / "model.bin") for m in ("m1", "m2") if m in scoring]
+        svd = SvdDecomposition.load(corpus / "sv" / "svd.bin") if "sv" in scoring else None
+        lam = (1.0 if "--baseline-only" in scoring
+               else float(scoring[scoring.index("--lambda") + 1]) if "--lambda" in scoring else 0.5)
+        beta = float(scoring[-1]) if "--fold-in-beta" in scoring else 1.0
+        want, q_ok, d_ok = helpers.brute_query_scores(
+            counts, vocab, list(ORACLE_QUERIES.values()), models, svd, lam, beta, {"the"})
+        (scores, scorable), = captured
+        np.testing.assert_array_equal(scorable, q_ok[:, None] & d_ok[None, :])
+        np.testing.assert_allclose(scores[scorable], want[scorable], rtol=1e-12, atol=0)
+
+        judgments = {}
+        for line in ORACLE_QRELS.splitlines():
+            q, d = line.split()
+            judgments.setdefault(q, set()).add(d)
+        run, pr = helpers.brute_run_and_pr(want, scorable, list(ORACLE_QUERIES),
+                                           list(ORACLE_DOCS), judgments)
+        got_run = (corpus / "q" / "run.txt").read_text()
+        assert [l.split()[:3] for l in got_run.splitlines()] == \
+            [l.split()[:3] for l in run.splitlines()]
+        assert (corpus / "q" / "pr.txt").read_text() == pr
+        if "--baseline-only" in scoring:
+            assert got_run == run
 
 
 class TestTopics:

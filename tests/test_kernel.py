@@ -1,7 +1,8 @@
-"""Differential and property tests of the sparse E-step kernel: em_step and
-the log-joint scan against the brute-force oracles in helpers, over random
-shapes, tempering levels, dead factors, parameters near PROB_FLOOR, cells
-whose factor products underflow, and zero-probability cells."""
+"""Differential and property tests of the sparse E-step kernel: em_step,
+the log-joint scan and the batched fold_in against the brute-force oracles
+in helpers, over random shapes, tempering levels, dead factors, parameters
+near PROB_FLOOR, cells whose factor products underflow, and
+zero-probability cells."""
 
 import math
 
@@ -11,8 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from plsa import AspectModel, CountMatrix, DegeneracyError, TemConfig, em_step, log_likelihood
-from plsa.aspect_model import _UNDERFLOW, _scan_log_joint, _tempered_joint
+from plsa import (
+    AspectModel,
+    CountMatrix,
+    DegeneracyError,
+    TemConfig,
+    em_step,
+    fold_in,
+    log_likelihood,
+)
+from plsa.aspect_model import _UNDERFLOW, _scan_log_joint, _sddmm, _tempered_joint
+from plsa.trainer import _spmm
 
 RTOL = 1e-12
 BETAS = (1.0, 0.9, TemConfig().beta_min)
@@ -148,3 +158,74 @@ class TestScan:
         got = _scan_log_joint(model, counts, beta)
         assert got[1] == -math.inf
         np.testing.assert_allclose(got[0], beta * math.log(0.5), rtol=RTOL)
+
+
+@st.composite
+def fold_cases(draw):
+    """(model, queries, beta): random shapes, some empty query rows, some
+    terms no factor generates, and optionally P(w|z) entries near PROB_FLOOR."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_queries, n_terms, k = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    word = 0.05 + rng.random((n_terms, k))
+    if n_terms > 1 and draw(st.booleans()):
+        word[rng.integers(n_terms)] = 0.0  # a term no factor generates
+    if draw(st.booleans()):
+        low = (rng.random(word.shape) < 0.4) & (word > 0)
+        word[low] = helpers.PROB_FLOOR * (0.5 + rng.random(int(low.sum())))
+    model = normalized(0.1 + rng.random(k), 0.1 + rng.random((2, k)), word)
+    mask = rng.random((n_queries, n_terms)) < draw(st.floats(0.1, 1.0))
+    if draw(st.booleans()):
+        mask[rng.integers(n_queries)] = False  # a query without terms
+    d, t = np.nonzero(mask)
+    queries = CountMatrix(n_queries, n_terms, d, t, rng.integers(1, 6, size=d.size))
+    return model, queries, draw(st.sampled_from(BETAS))
+
+
+def assert_folds_like_oracle(model, queries, beta):
+    """Each row agrees with the per-query oracle, and is final after the
+    sweep the oracle stops at and not before it unless the oracle's is too."""
+    got = fold_in(model, queries, beta)
+    for i in range(queries.n_docs):
+        ids, cnt = queries.row(i)
+        want, sweeps = helpers.brute_fold_in(model, ids, cnt, beta)
+        if want is None:
+            assert np.isnan(got[i]).all()
+            continue
+        np.testing.assert_allclose(got[i], want, rtol=RTOL, atol=1e-15)
+        np.testing.assert_array_equal(fold_in(model, queries, beta, max_iters=sweeps)[i], got[i])
+        if sweeps > 1:
+            early = fold_in(model, queries, beta, max_iters=sweeps - 1)[i]
+            want_early, _ = helpers.brute_fold_in(model, ids, cnt, beta, max_iters=sweeps - 1)
+            np.testing.assert_allclose(early, want_early, rtol=RTOL, atol=1e-15)
+            assert np.array_equal(early, got[i]) == np.array_equal(want_early, want)
+
+
+class TestFoldIn:
+    @settings(max_examples=80, deadline=None)
+    @given(fold_cases())
+    def test_matches_per_query_oracle(self, case):
+        assert_folds_like_oracle(*case)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_underflowing_cell_matches_log_domain_oracle(self, beta):
+        # term 0 has P(w|z) ~ 1e-250 under every factor, so its cell's
+        # S_beta at the uniform start is below the threshold at beta = 1
+        word = np.array([[1e-250, 3e-250], [0.3, 0.6], [0.7, 0.4]])
+        model = normalized(np.array([0.3, 0.7]), np.ones((2, 2)), word)
+        queries = CountMatrix(3, 3, [0, 0, 1, 2, 2], [0, 1, 0, 0, 2], [2, 1, 1, 1, 3])
+        if beta == 1.0:
+            assert model.word_given_z[0] @ np.full(2, 0.5) < _UNDERFLOW
+        assert_folds_like_oracle(model, queries, beta)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.7])
+    def test_zero_probability_cell_raises(self, beta):
+        # fold_in's uniform start keeps weight on every factor that can emit
+        # a query term, so a true zero reaches its sweep only from other
+        # weights: here P(z|q) = (1, 0) and the term only factor 1 emits
+        queries = CountMatrix(1, 2, [0], [1], [1])
+        theta, word = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        s = _sddmm(theta, word, queries)
+        assert s[0] == 0.0
+        with pytest.raises(DegeneracyError), np.errstate(divide="ignore"):
+            _spmm(queries, theta, word, s, beta, lambda cells: [
+                (cells, np.log(theta)[queries.doc_ids[cells]] + np.log(word)[queries.term_ids[cells]])])

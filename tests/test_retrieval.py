@@ -1,8 +1,14 @@
 """Scoring and evaluation tests, mostly against hand-computed oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from plsa import (
     RankedList,
     RetrievalRun,
@@ -13,6 +19,7 @@ from plsa import (
     precision_recall,
     rank_all,
 )
+from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 
 
 class TestCosineScore:
@@ -115,31 +122,53 @@ class TestPlsiStarScore:
 
 class TestRankAll:
     def test_sorts_descending(self):
-        scores = {0: 0.1, 1: 0.9, 2: 0.5}
-        rankings = rank_all(lambda q, d: scores[d], 3, ["q1"])
+        rankings = rank_all(np.array([[0.1, 0.9, 0.5]]), True, ["q1"])
         assert rankings[0].doc_ids.tolist() == [1, 2, 0]
 
     def test_ties_by_ascending_doc_id(self):
-        rankings = rank_all(lambda q, d: 1.0, 4, ["q1"])
+        rankings = rank_all(np.ones((1, 4)), True, ["q1"])
         assert rankings[0].doc_ids.tolist() == [0, 1, 2, 3]
 
     def test_matches_exhaustive_cosine(self):
         docs = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
         query = np.array([1.0, 0.0, 1.0])
-        rankings = rank_all(lambda q, d: cosine_score(docs[d], query), 3, [0])
+        scores, q_ok, d_ok = cosine_scores(query[None, :], docs)
+        rankings = rank_all(scores, q_ok[:, None] & d_ok[None, :], [0])
         by_hand = sorted(range(3), key=lambda d: (-cosine_score(docs[d], query), d))
         assert rankings[0].doc_ids.tolist() == by_hand
 
     def test_scorer_error_ranks_last_with_warning(self):
-        def scorer(q, d):
-            if d == 1:
-                raise ValueError("empty document")
-            return float(d)
-
         with pytest.warns(RuntimeWarning, match="could not be scored"):
-            rankings = rank_all(scorer, 3, ["q"])
+            rankings = rank_all(np.array([[0.0, 1.0, 2.0]]), np.array([True, False, True]), ["q"])
         assert rankings[0].doc_ids.tolist()[-1] == 1
         assert rankings[0].scores[-1] == -np.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8))
+    def test_matches_sorted_oracle(self, seed, n_queries, n_docs):
+        # scores from a few values give exact ties; whole rows and columns
+        # may be unscorable
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([-0.5, 0.0, 0.25, 1.0], size=(n_queries, n_docs))
+        scorable = rng.random((n_queries, n_docs)) < 0.8
+        scorable[rng.integers(n_queries)] = rng.random() < 0.5
+        scorable[:, rng.integers(n_docs)] &= rng.random() < 0.5
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rankings = rank_all(scores, scorable, [f"q{i}" for i in range(n_queries)])
+        masked = np.where(scorable, scores, -np.inf)
+        for i, ranking in enumerate(rankings):
+            assert ranking.query_id == f"q{i}"
+            assert ranking.doc_ids.tolist() == helpers.brute_rank(masked[i].tolist())
+            np.testing.assert_array_equal(ranking.scores, masked[i, ranking.doc_ids])
+        expected = [f"query 'q{i}': {n} document(s) could not be scored and rank last"
+                    for i, n in enumerate((~scorable).sum(axis=1)) if n]
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.category is RuntimeWarning for w in caught)
+
+    def test_one_query_id_per_row(self):
+        with pytest.raises(ValueError):
+            rank_all(np.zeros((2, 3)), True, ["q"])
 
 
 class TestRankedListValidation:
@@ -150,6 +179,10 @@ class TestRankedListValidation:
     def test_rejects_tie_order_violation(self):
         with pytest.raises(ValueError):
             RankedList("q", [1, 0], [0.5, 0.5])
+
+    def test_rejects_tie_order_violation_at_minus_infinity(self):
+        with pytest.raises(ValueError):
+            RankedList("q", [0, 2, 1], [0.5, -np.inf, -np.inf])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -238,16 +271,46 @@ class TestBaselineEquivalence:
         docs = rng.integers(0, 4, size=(5, 6)).astype(float)
         docs[docs.sum(axis=1) == 0, 0] = 1
         query = rng.integers(1, 4, size=6).astype(float)
-        latent_doc = [rng.dirichlet(np.ones(3)) for _ in range(5)]
+        latent_doc = rng.dirichlet(np.ones(3), size=5)
         latent_query = rng.dirichlet(np.ones(3))
-
-        def blended(q, d):
-            return combined_score(1.0, cosine_score(docs[d], query),
-                                  latent_score(latent_doc[d], latent_query))
-
-        def pure(q, d):
-            return cosine_score(docs[d], query)
-
-        a = rank_all(blended, 5, ["q"])[0]
-        b = rank_all(pure, 5, ["q"])[0]
+        cos, _, _ = cosine_scores(query[None, :], docs)
+        latent, _, _ = latent_scores(latent_query[None, :], latent_doc)
+        a = rank_all(combined_scores(1.0, cos, latent), True, ["q"])[0]
+        b = rank_all(cos, True, ["q"])[0]
         np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
+        np.testing.assert_array_equal(a.scores, b.scores)
+
+
+class TestMatrixScorers:
+    def test_cosine_matches_dense_formula(self):
+        rng = np.random.default_rng(8)
+        docs = rng.integers(0, 3, size=(6, 9)) * (rng.random((6, 9)) < 0.4)
+        docs[2] = 0  # an empty document
+        queries = rng.integers(0, 3, size=(4, 9)) * (rng.random((4, 9)) < 0.4)
+        queries[1] = 0  # a query without terms
+        scores, q_ok, d_ok = cosine_scores(scipy.sparse.csr_matrix(queries), docs)
+        np.testing.assert_array_equal(q_ok, queries.any(axis=1))
+        np.testing.assert_array_equal(d_ok, docs.any(axis=1))
+        for i, q in enumerate(queries):
+            for d, doc in enumerate(docs):
+                want = (cosine_score(doc, q) if q_ok[i] and d_ok[d] else 0.0)
+                assert scores[i, d] == pytest.approx(want, abs=1e-15)
+                with np.errstate(invalid="ignore"):
+                    dense = np.dot(doc, q) / (np.linalg.norm(doc) * np.linalg.norm(q))
+                assert scores[i, d] == pytest.approx(np.nan_to_num(dense), rel=1e-12, abs=1e-15)
+
+    def test_latent_masks_non_finite_and_zero_rows(self):
+        reps = np.array([[0.2, 0.8], [np.nan, np.nan], [0.0, 0.0], [1.0, 0.0]])
+        scores, q_ok, d_ok = latent_scores(reps, reps)
+        np.testing.assert_array_equal(q_ok, [True, False, False, True])
+        np.testing.assert_array_equal(d_ok, q_ok)
+        assert np.isfinite(scores).all()
+        assert scores[0, 3] == pytest.approx(0.2 / np.hypot(0.2, 0.8), abs=1e-15)
+
+    def test_plsi_star_averages_and_intersects_masks(self):
+        a = (np.array([[0.2, 0.4]]), np.array([True]), np.array([True, False]))
+        b = (np.array([[0.6, 0.0]]), np.array([False]), np.array([True, True]))
+        scores, q_ok, d_ok = plsi_star_scores([a, b])
+        np.testing.assert_allclose(scores, [[0.4, 0.2]], atol=1e-15)
+        np.testing.assert_array_equal(q_ok, [False])
+        np.testing.assert_array_equal(d_ok, [True, False])

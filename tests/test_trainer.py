@@ -7,6 +7,7 @@ import helpers
 from plsa import trainer
 from plsa import (
     AspectModel,
+    CountMatrix,
     StoppingReason,
     TemConfig,
     build_counts,
@@ -254,10 +255,17 @@ class TestTrace:
         assert lines[-1].endswith(trace.stopping_reason.value)
 
 
+def queries(n_terms, *rows):
+    """A query CountMatrix with one {term_id: count} mapping per row."""
+    entries = [(i, t, c) for i, row in enumerate(rows) for t, c in sorted(row.items())]
+    d, t, c = zip(*entries) if entries else ((), (), ())
+    return CountMatrix(len(rows), n_terms, d, t, c)
+
+
 class TestFoldIn:
     def test_single_factor(self):
         model = init_model(1, 4, 6, seed=0)
-        np.testing.assert_array_equal(fold_in(model, {2: 3}), [1.0])
+        np.testing.assert_array_equal(fold_in(model, queries(6, {2: 3})), [[1.0]])
 
     def test_concentrates_on_supporting_factor(self):
         word = np.array([[0.5, 0.0],
@@ -265,49 +273,50 @@ class TestFoldIn:
                          [0.0, 0.8]])
         model = AspectModel(np.array([0.5, 0.5]),
                             np.full((3, 2), 1 / 3), word)
-        rep = fold_in(model, {0: 1}, beta=1.0)  # term 0 only factor 0 can emit
-        assert rep[0] >= 1 - 1e-9
+        rep = fold_in(model, queries(3, {0: 1}), beta=1.0)  # term 0 only factor 0 can emit
+        assert rep[0, 0] >= 1 - 1e-9
 
     def test_model_untouched(self):
         model = init_model(3, 5, 7, seed=2)
         before = (model.prior.copy(), model.doc_given_z.copy(), model.word_given_z.copy())
-        fold_in(model, {1: 2, 3: 1})
+        fold_in(model, queries(7, {1: 2, 3: 1}, {0: 1}))
         np.testing.assert_array_equal(model.prior, before[0])
         np.testing.assert_array_equal(model.doc_given_z, before[1])
         np.testing.assert_array_equal(model.word_given_z, before[2])
 
     def test_scale_invariant_at_beta_one(self):
         model = init_model(4, 5, 8, seed=3)
-        base = fold_in(model, {0: 1, 2: 2, 5: 1}, beta=1.0, tol=1e-10, max_iters=500)
-        scaled = fold_in(model, {0: 3, 2: 6, 5: 3}, beta=1.0, tol=1e-10, max_iters=500)
+        base, scaled = fold_in(model, queries(8, {0: 1, 2: 2, 5: 1}, {0: 3, 2: 6, 5: 3}),
+                               beta=1.0, tol=1e-10, max_iters=500)
         np.testing.assert_allclose(scaled, base, atol=1e-6)
 
     def test_input_forms_agree(self):
+        # a query's row is the same alone, in a batch, and after other rows
+        # that stop earlier or later than it does
         model = init_model(3, 4, 6, seed=4)
-        from_dict = fold_in(model, {1: 2, 4: 1})
-        from_pair = fold_in(model, (np.array([1, 4]), np.array([2, 1])))
-        dense = np.zeros(6)
-        dense[1], dense[4] = 2, 1
-        from_dense = fold_in(model, dense)
-        np.testing.assert_allclose(from_pair, from_dict, atol=1e-15)
-        np.testing.assert_allclose(from_dense, from_dict, atol=1e-15)
+        rows = ({1: 2, 4: 1}, {0: 1}, {}, {5: 3, 2: 1, 1: 1}, {1: 2, 4: 1})
+        batch = fold_in(model, queries(6, *rows), beta=0.9)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(batch[i], fold_in(model, queries(6, row), beta=0.9)[0])
+        np.testing.assert_array_equal(batch[0], batch[4])
 
     def test_unmatchable_query_rejected(self):
         model = init_model(2, 3, 4, seed=0)
+        reps = fold_in(model, queries(4, {}, {1: 1}))
+        assert np.isnan(reps[0]).all() and np.isfinite(reps[1]).all()
         with pytest.raises(ValueError):
-            fold_in(model, {})
+            fold_in(model, queries(9, {8: 1}))  # not the model's vocabulary
         with pytest.raises(ValueError):
-            fold_in(model, {9: 1})  # out of vocabulary range
+            fold_in(model, queries(4, {1: 1}), beta=0.0)
 
     def test_unsupported_terms_dropped(self):
         word = np.array([[0.5, 0.0],
                          [0.5, 1.0],
                          [0.0, 0.0]])  # term 2 unsupported by every factor
         model = AspectModel(np.array([0.5, 0.5]), np.full((2, 2), 0.5), word)
-        rep = fold_in(model, {0: 1, 2: 5})
-        np.testing.assert_allclose(rep, fold_in(model, {0: 1}), atol=1e-15)
-        with pytest.raises(ValueError):
-            fold_in(model, {2: 5})
+        with_dropped, alone, only_dropped = fold_in(model, queries(3, {0: 1, 2: 5}, {0: 1}, {2: 5}))
+        np.testing.assert_allclose(with_dropped, alone, atol=1e-15)
+        assert np.isnan(only_dropped).all()
 
 
 class TestGeneratorRecovery:

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .corpus import (
     CountMatrix,
     ParseError,
     Vocabulary,
+    _count_cells,
     build_counts,
     load_stopwords,
     parse_qrels,
@@ -141,7 +143,7 @@ def cmd_ingest(args) -> int:
                         texts.append(line.rstrip("\n"))
         if not texts:
             raise ValueError("no documents found in the input files")
-        vocab, counts = build_counts([tokenize(t, stopwords) for t in texts])
+        vocab, counts = build_counts(tokenize(t, stopwords) for t in texts)
 
     counts_path = out_dir / "counts.tsv"
     vocab_path = out_dir / "vocab.tsv"
@@ -241,9 +243,13 @@ def cmd_perplexity(args) -> int:
 
 
 def _load_queries(args) -> tuple[list[str], list[str]]:
-    """Returns (external query ids, raw query texts)."""
+    """Returns (external query ids, raw query texts); ids must be unique."""
     if args.queries_format == "smart":
         records = parse_smart_queries(args.queries)
+        repeated = [qid for qid, n in Counter(r.id for r in records).items() if n > 1]
+        if repeated:
+            raise ParseError(args.queries, 0, f"query id {repeated[0]!r} appears more than once;"
+                             " run.txt could not tell the queries apart")
         return [r.id for r in records], [r.text for r in records]
     ids, texts = [], []
     with open(args.queries, encoding="utf-8") as f:
@@ -259,18 +265,17 @@ def _query_counts(texts: list[str], vocab: Vocabulary, stopwords) -> CountMatrix
         raise ValueError("no queries found in the query file")
     ids = [[vocab.index[t] for t in tokenize(text, stopwords) if t in vocab.index] for text in texts]
     rows = np.repeat(np.arange(len(texts)), [len(i) for i in ids])
-    keys, counts = np.unique(rows * len(vocab) + np.fromiter(chain.from_iterable(ids), np.int64),
-                             return_counts=True)
-    return CountMatrix(len(texts), len(vocab), keys // len(vocab), keys % len(vocab), counts)
+    return _count_cells(len(texts), len(vocab), rows,
+                        np.fromiter(chain.from_iterable(ids), np.int64))
 
 
-def _write_run(path: Path, rankings, query_ext_ids: list[str], doc_ext_ids: list[str]) -> None:
+def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> None:
     """`query_id doc_id rank score` lines, one %-format call per query."""
     doc_ext = np.array(doc_ext_ids, dtype=object)
     with open(path, "w", encoding="utf-8") as f:
         for ranking in rankings:
             n = ranking.doc_ids.size
-            fields = [query_ext_ids[ranking.query_id]] * (4 * n)
+            fields = [ranking.query_id] * (4 * n)
             fields[1::4] = doc_ext[ranking.doc_ids].tolist()
             fields[2::4] = range(1, n + 1)
             fields[3::4] = ranking.scores.tolist()
@@ -332,9 +337,9 @@ def cmd_query(args) -> int:
         query_ok &= latent_query_ok
         doc_ok &= latent_doc_ok
 
-    rankings = rank_all(scores, query_ok[:, None] & doc_ok[None, :], range(n_queries))
+    rankings = rank_all(scores, query_ok[:, None] & doc_ok[None, :], query_ext_ids)
     run_path = out_dir / "run.txt"
-    _write_run(run_path, rankings, query_ext_ids, doc_ext_ids)
+    _write_run(run_path, rankings, doc_ext_ids)
     counters = {"unscored_queries": int((~query_ok).sum())}
 
     outputs = {"run": run_path}
@@ -348,12 +353,12 @@ def cmd_query(args) -> int:
         inputs["qrels"] = args.qrels
         ext_judgments = parse_qrels(args.qrels)
         doc_index = {ext: i for i, ext in enumerate(doc_ext_ids)}
-        judgments: dict[int, set[int]] = {qi: set() for qi in range(n_queries)}
-        for qi, ext_qid in enumerate(query_ext_ids):
-            for ext_doc in ext_judgments.get(ext_qid, ()):  # queries may lack judgments
+        judgments: dict[str, set[int]] = {qid: set() for qid in query_ext_ids}
+        for qid, relevant in judgments.items():
+            for ext_doc in ext_judgments.get(qid, ()):  # queries may lack judgments
                 if ext_doc not in doc_index:
                     raise ValueError(f"qrels reference unknown document id {ext_doc!r}")
-                judgments[qi].add(doc_index[ext_doc])
+                relevant.add(doc_index[ext_doc])
         summary = precision_recall(RetrievalRun(rankings, judgments))
         pr_path = out_dir / "pr.txt"
         with open(pr_path, "w", encoding="utf-8") as f:

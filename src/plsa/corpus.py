@@ -5,6 +5,7 @@ import itertools
 import os
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ _DIMS_RE = re.compile(rb"#dims\t[^\r\n]*")
 # suffixes numpy's DataSource decompresses when np.loadtxt opens a path
 _NUMPY_DECOMPRESSES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 _SAVE_BLOCK = 1 << 16  # rows formatted per write in CountMatrix.save
+_COUNT_BLOCK = 1 << 10  # documents mapped to term ids per step in build_counts
 
 
 class ParseError(ValueError):
@@ -35,10 +37,10 @@ class ParseError(ValueError):
 
 
 def tokenize(text: str, stopwords=None) -> list[str]:
-    """Lowercase `text` and split it on runs of non-alphanumeric characters.
+    """Lowercase `text` and return its runs of Unicode letters and digits.
 
-    Tokens found in `stopwords` are dropped.  Duplicates are preserved;
-    counting happens in build_counts.
+    `_` and every other character separate tokens.  Tokens found in
+    `stopwords` are dropped; duplicates are kept for build_counts to count.
     """
     tokens = _TOKEN_RE.findall(text.lower())
     if stopwords:
@@ -193,14 +195,11 @@ class CountMatrix:
         A leading `#dims` comment records (N, M) so empty trailing rows and
         columns survive a round trip.
         """
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"#dims\t{self.n_docs}\t{self.n_terms}\n")
-            # %-formats Python ints a block of rows at a time: no per-scalar
-            # formatting, and the block bounds the temporary strings' memory
+        with open(path, "wb") as f:
+            f.write(f"#dims\t{self.n_docs}\t{self.n_terms}\n".encode())
             for lo in range(0, self.nnz, _SAVE_BLOCK):
-                hi = lo + _SAVE_BLOCK
-                rows = np.column_stack((self.doc_ids[lo:hi], self.term_ids[lo:hi], self.counts[lo:hi]))
-                f.write(("%d\t%d\t%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+                columns = [c[lo:lo + _SAVE_BLOCK] for c in (self.doc_ids, self.term_ids, self.counts)]
+                f.write(_decimal_rows(columns, b"\t\t\n"))
 
     @classmethod
     def load(cls, path, n_docs=None, n_terms=None) -> "CountMatrix":
@@ -254,6 +253,23 @@ class CountMatrix:
             return cls(n_docs, n_terms, *entries)
         except ValueError as exc:
             raise ParseError(path, 0, str(exc)) from None
+
+
+def _decimal_rows(columns, ends: bytes) -> np.ndarray:
+    """Decimal text of rows of non-negative int64 `columns`, each value followed
+    by its byte of `ends`: right-aligned digits with leading zeros masked out."""
+    widths = [len(str(int(values.max()))) for values in columns]
+    table = np.empty((columns[0].size, sum(widths) + len(columns)), dtype=np.uint8)
+    keep = np.ones(table.shape, dtype=bool)
+    start = 0
+    for values, width, end in zip(columns, widths, ends):
+        keep[:, start:start + width - 1] = values[:, None] >= 10 ** np.arange(width - 1, 0, -1)
+        for pos in range(start + width - 1, start - 1, -1):
+            values, table[:, pos] = np.divmod(values, 10)
+        table[:, start:start + width] += ord("0")
+        table[:, start + width] = end
+        start += width + 1
+    return table[keep]
 
 
 def _scan_comments(path):
@@ -340,37 +356,32 @@ def _run_sums(values: np.ndarray, starts: np.ndarray):
     return (high << 32) | (low & 0xFFFFFFFF), None
 
 
-def build_counts(docs: list[list[str]]) -> tuple[Vocabulary, CountMatrix]:
-    """Count term occurrences per document.
+def build_counts(docs) -> tuple[Vocabulary, CountMatrix]:
+    """Count term occurrences per document of any iterable of token lists,
+    taken `_COUNT_BLOCK` documents at a time.
 
     Term ids are assigned in first-seen order across the corpus.  Documents
     with no tokens are retained as empty rows.
     """
-    index: dict[str, int] = {}
-    terms: list[str] = []
-    doc_ids, term_ids, counts = [], [], []
-    for d, tokens in enumerate(docs):
-        per_doc: dict[int, int] = {}
-        for token in tokens:
-            tid = index.get(token)
-            if tid is None:
-                tid = len(terms)
-                index[token] = tid
-                terms.append(token)
-            per_doc[tid] = per_doc.get(tid, 0) + 1
-        for tid in sorted(per_doc):
-            doc_ids.append(d)
-            term_ids.append(tid)
-            counts.append(per_doc[tid])
-    if not terms:
+    index = defaultdict()
+    index.default_factory = index.__len__  # a new term takes the next id
+    rows, terms, n_docs, docs = [], [], 0, iter(docs)
+    while block := list(itertools.islice(docs, _COUNT_BLOCK)):
+        lengths = list(map(len, block))
+        flat = itertools.chain.from_iterable(block)
+        terms.append(np.fromiter(map(index.__getitem__, flat), np.int64, sum(lengths)))
+        rows.append(np.repeat(np.arange(n_docs, n_docs + len(block)), lengths))
+        n_docs += len(block)
+    if not index:
         raise ValueError("all documents are empty; nothing to count")
-    matrix = CountMatrix(
-        len(docs), len(terms),
-        np.array(doc_ids, dtype=np.int64),
-        np.array(term_ids, dtype=np.int64),
-        np.array(counts, dtype=np.int64),
-    )
-    return Vocabulary(terms), matrix
+    rows, terms = np.concatenate(rows), np.concatenate(terms)  # frees the blocks' arrays
+    return Vocabulary(list(index)), _count_cells(n_docs, len(index), rows, terms)
+
+
+def _count_cells(n_rows: int, n_terms: int, rows: np.ndarray, terms: np.ndarray) -> CountMatrix:
+    """The CountMatrix of occurrence pairs (rows[i], terms[i]), one per token."""
+    keys, counts = np.unique(rows * n_terms + terms, return_counts=True)
+    return CountMatrix(n_rows, n_terms, keys // n_terms, keys % n_terms, counts)
 
 
 @dataclass(frozen=True)

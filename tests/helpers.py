@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from plsa import AspectModel, CountMatrix, ParseError, lsi_doc_coords, mixing_weight_matrix, tokenize
+from plsa import (AspectModel, CountMatrix, ParseError, Vocabulary, lsi_doc_coords,
+                  mixing_weight_matrix, tokenize)
 
 PROB_FLOOR = 1e-12
 
@@ -105,6 +106,40 @@ def brute_free_energy(model, counts, posteriors, beta):
                      * float(model.word_given_z[int(w), z]))
             result += int(c) * (-beta * q * math.log(joint) + q * math.log(q))
     return result
+
+
+def brute_build_counts(docs: list[list[str]]) -> tuple[Vocabulary, CountMatrix]:
+    """build_counts as one dict pass per token: the reference for the
+    blocked array path.
+
+    Term ids are assigned in first-seen order across the corpus.  Documents
+    with no tokens are retained as empty rows.
+    """
+    index: dict[str, int] = {}
+    terms: list[str] = []
+    doc_ids, term_ids, counts = [], [], []
+    for d, tokens in enumerate(docs):
+        per_doc: dict[int, int] = {}
+        for token in tokens:
+            tid = index.get(token)
+            if tid is None:
+                tid = len(terms)
+                index[token] = tid
+                terms.append(token)
+            per_doc[tid] = per_doc.get(tid, 0) + 1
+        for tid in sorted(per_doc):
+            doc_ids.append(d)
+            term_ids.append(tid)
+            counts.append(per_doc[tid])
+    if not terms:
+        raise ValueError("all documents are empty; nothing to count")
+    matrix = CountMatrix(
+        len(docs), len(terms),
+        np.array(doc_ids, dtype=np.int64),
+        np.array(term_ids, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+    )
+    return Vocabulary(terms), matrix
 
 
 def brute_load_counts(path, n_docs=None, n_terms=None):

@@ -89,6 +89,38 @@ class TestIngest:
         docids = (tmp_path / "ing3" / "docids.tsv").read_text().splitlines()
         assert docids == ["0\t101", "1\t102"]
 
+    @pytest.mark.parametrize("fmt", ["raw", "smart"])
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_bytes_match_dict_loop_oracle(self, tmp_path, fmt, stop):
+        # ~3000 documents span several counting blocks; new words keep
+        # appearing late, and every tenth document is empty
+        from plsa import load_stopwords, parse_smart_collection, tokenize
+        from plsa.corpus import _COUNT_BLOCK
+        rng = np.random.default_rng(6)
+        words = np.array([f"w{i}" for i in range(4000)] + ["Café", "straße", "日本", "the"])
+        n_docs = 3000
+        assert n_docs > 2 * _COUNT_BLOCK
+        texts = [" ".join(words[rng.zipf(1.3, size=rng.integers(1, 30)) % words.size])
+                 + ", THE end." if d % 10 else "" for d in range(n_docs)]
+        if fmt == "raw":
+            (tmp_path / "docs").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        else:
+            (tmp_path / "docs").write_text(
+                "".join(f".I {d + 7}\n.W\n{t}\n" for d, t in enumerate(texts)), encoding="utf-8")
+        (tmp_path / "stop").write_text("the\nw1\nend\n")
+        stop_args = ["--stopwords", str(tmp_path / "stop")] if stop else []
+        assert main(["ingest", str(tmp_path / "docs"), "--format", fmt, *stop_args,
+                     "--out", str(tmp_path / "ing")]) == 0
+
+        stopwords = load_stopwords(tmp_path / "stop") if stop else None
+        if fmt == "smart":
+            texts = [r.text for r in parse_smart_collection(tmp_path / "docs")]
+        vocab, counts = helpers.brute_build_counts([tokenize(t, stopwords) for t in texts])
+        helpers.brute_save_counts(counts, tmp_path / "counts.tsv")
+        vocab.save(tmp_path / "vocab.tsv")
+        for name in ("counts.tsv", "vocab.tsv"):
+            assert (tmp_path / "ing" / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_triples_round_trip(self, tmp_path):
         out_dir = ingest(tmp_path)
         rc = main(["ingest", str(out_dir / "counts.tsv"), "--format", "triples",
@@ -323,9 +355,10 @@ class TestQuery:
                        *scoring, "--qrels", str(tmp_path / "qrels.txt"),
                        "--out", str(tmp_path / "q")])
         assert rc == 0
+        # warnings name the external ids that run.txt prints, not row numbers
         assert sorted(str(w.message) for w in caught) == [
-            "query 1: 4 document(s) could not be scored and rank last",
-            "query 2 has no relevant documents; excluded"]
+            "query '2': 4 document(s) could not be scored and rank last",
+            "query '3' has no relevant documents; excluded"]
         summary = capsys.readouterr().out.split()
         assert summary[-2:] == ["unscored_queries=1", "unjudged_queries=1"]
         manifest = json.loads((tmp_path / "q" / "manifest.json").read_text())
@@ -338,6 +371,17 @@ class TestQuery:
         assert capsys.readouterr().out.split()[-1] == "unscored_queries=1"
         manifest = json.loads((tmp_path / "q2" / "manifest.json").read_text())
         assert manifest["counters"] == {"unscored_queries": 1}
+
+    def test_repeated_query_id_is_data_error(self, tmp_path, capsys):
+        out_dir = self._prepare(tmp_path)
+        (tmp_path / "q.qry").write_text(".I 7\n.W\nengine fuel\n.I 8\n.W\nwheat\n"
+                                        ".I 7\n.W\nharvest\n")
+        rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
+                   "--queries", str(tmp_path / "q.qry"), "--baseline-only",
+                   "--out", str(tmp_path / "q")])
+        assert rc == 3
+        assert "query id '7' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "q" / "run.txt").exists()
 
 
 ORACLE_DOCS = {  # external ids with '%' reach the %-formatted run.txt as data

@@ -1,11 +1,15 @@
 """Ingestion tests: tokenization, count matrices, splits, SMART parsing."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from plsa import corpus
 from plsa import (
     CountMatrix,
     ParseError,
@@ -77,6 +81,69 @@ class TestBuildCounts:
             build_counts([[], []])
         with pytest.raises(ValueError):
             build_counts([])
+        with pytest.raises(ValueError):
+            build_counts(iter([[], [], []]))
+
+
+TOKENS = ("a", "b", "ab", "x1", "café", "straße", "日本", "ωμέγα", "z")
+
+
+def assert_same_counts(got, want):
+    (got_vocab, got_counts), (want_vocab, want_counts) = got, want
+    assert got_vocab.terms == want_vocab.terms
+    assert (got_counts.n_docs, got_counts.n_terms) == (want_counts.n_docs, want_counts.n_terms)
+    for name in ("doc_ids", "term_ids", "counts"):
+        np.testing.assert_array_equal(getattr(got_counts, name), getattr(want_counts, name))
+        assert getattr(got_counts, name).dtype == np.int64
+
+
+@st.composite
+def token_docs(draw):
+    """Token lists with repeated and non-ASCII tokens and many empty
+    documents, sometimes leading or trailing, sometimes all but one."""
+    token = st.one_of(st.sampled_from(TOKENS), st.text(min_size=1, max_size=3))
+    docs = draw(st.lists(st.lists(token, max_size=8), min_size=1, max_size=30))
+    shape = draw(st.sampled_from(["as drawn", "leading", "trailing", "all but one"]))
+    n_empty = draw(st.integers(1, 5))
+    if shape == "leading":
+        docs = [[]] * n_empty + docs
+    elif shape == "trailing":
+        docs = docs + [[]] * n_empty
+    elif shape == "all but one":
+        keep = draw(st.integers(0, len(docs) - 1))
+        docs = [doc if i == keep else [] for i, doc in enumerate(docs)]
+    return docs
+
+
+class TestBuildCountsOracle:
+    """build_counts against the per-token dict loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=token_docs(), block=st.integers(1, 4))
+    def test_matches_dict_loop(self, docs, block):
+        try:
+            want = helpers.brute_build_counts(docs)
+        except ValueError:
+            with pytest.raises(ValueError, match="all documents are empty"):
+                build_counts(docs)
+            return
+        # small blocks put first appearances of terms across block boundaries
+        with mock.patch.object(corpus, "_COUNT_BLOCK", block):
+            assert_same_counts(build_counts(docs), want)
+            assert_same_counts(build_counts(list(d) for d in docs), want)
+
+    def test_single_document(self):
+        docs = [["b", "日本", "b", "a", "日本", "b"]]
+        assert_same_counts(build_counts(iter(docs)), helpers.brute_build_counts(docs))
+
+    def test_terms_first_seen_in_later_blocks(self):
+        n_docs = 2 * corpus._COUNT_BLOCK + 7
+        docs = [["common", f"t{d % 50}"] * (d % 3) for d in range(n_docs)]
+        docs[corpus._COUNT_BLOCK] = ["fresh", "common", "fresh"]  # first doc of block 2
+        docs[-1] = ["last", "common"]
+        got = build_counts(doc for doc in docs)
+        assert_same_counts(got, helpers.brute_build_counts(docs))
+        assert got[0].terms[-2:] == ["fresh", "last"]
 
 
 class TestCountMatrix:
@@ -230,6 +297,43 @@ class TestCountsCodec:
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
         back = CountMatrix.load(tmp_path / "new.tsv")
         np.testing.assert_array_equal(back.to_dense(), m.to_dense())
+
+    # every digit-width boundary, so one block mixes values of every width
+    WIDTH_EDGES = sorted({0, *(10**k for k in range(19)), *(10**k - 1 for k in range(1, 19))})
+
+    @pytest.mark.parametrize("column", ["doc_ids", "term_ids", "counts"])
+    def test_save_at_digit_width_boundaries(self, tmp_path, column):
+        edges = np.array(self.WIDTH_EDGES, dtype=np.int64)
+        n = edges.size
+        if column == "doc_ids":
+            m = CountMatrix(10**18 + 1, 1, edges, np.zeros(n), np.ones(n))
+        elif column == "term_ids":
+            m = CountMatrix(1, 10**18 + 1, np.zeros(n), edges, np.ones(n))
+        else:
+            values = np.append(edges[1:], 2**63 - 1)
+            m = CountMatrix(values.size, 1, np.arange(values.size), np.zeros(values.size),
+                            values)
+        m.save(tmp_path / "new.tsv")
+        helpers.brute_save_counts(m, tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+        back = CountMatrix.load(tmp_path / "new.tsv")
+        np.testing.assert_array_equal(getattr(back, column), getattr(m, column))
+
+    def test_huge_dims_cost_no_memory(self, tmp_path):
+        # nothing in save or load may be sized by n_docs or n_terms
+        m = CountMatrix(1, 10**12, [0], [10**12 - 1], [3])
+        path = tmp_path / "counts.tsv"
+        tracemalloc.start()
+        try:
+            m.save(path)
+            back = CountMatrix.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == "#dims\t1\t1000000000000\n0\t999999999999\t3\n"
+        assert (back.n_docs, back.n_terms) == (1, 10**12)
+        assert back.term_ids.tolist() == [10**12 - 1] and back.counts.tolist() == [3]
+        assert peak < 4 * 2**20
 
     def test_id_beyond_int64_names_its_line(self, tmp_path):
         path = tmp_path / "counts.tsv"

@@ -20,7 +20,6 @@ PROB_FLOOR = 1e-12
 LOG_FLOOR = float(np.log(PROB_FLOOR))
 
 _NORM_TOL = 1e-10
-_DEFAULT_MAX_CELLS = 10_000_000
 _CHUNK_CELLS = 1 << 22
 # S_beta below this takes the log-domain path; above it, terms > 1e-100 of S are normal
 _UNDERFLOW = 1e-200
@@ -57,7 +56,7 @@ class AspectModel:
             if block.min(initial=0.0) < 0.0:
                 raise ValueError(f"{name} contains negative entries")
             sums = block.sum(axis=0)
-            if np.max(np.abs(sums - 1.0)) > _NORM_TOL:
+            if not (np.abs(sums - 1.0) <= _NORM_TOL).all():  # NaN fails too
                 raise ValueError(f"{name} columns must sum to 1 within {_NORM_TOL}")
 
     @property
@@ -81,9 +80,11 @@ class AspectModel:
 
     @classmethod
     def load(cls, path) -> "AspectModel":
-        arrays, _ = serialize.load_arrays(
-            path, "aspect-model", ("prior", "doc_given_z", "word_given_z"))
-        return cls(arrays["prior"], arrays["doc_given_z"], arrays["word_given_z"])
+        arrays = serialize.load_arrays(path, "aspect-model", ("prior", "doc_given_z", "word_given_z"))
+        try:
+            return cls(arrays["prior"], arrays["doc_given_z"], arrays["word_given_z"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def init_model(k: int, n_docs: int, n_terms: int, seed: int = 0) -> AspectModel:
@@ -216,20 +217,6 @@ def cell_posteriors(model: AspectModel, counts: CountMatrix, beta: float = 1.0) 
     return out
 
 
-def doc_marginals(model: AspectModel) -> np.ndarray:
-    """P(d) = sum_z P(z) P(d|z) for every document."""
-    return model.doc_given_z @ model.prior
-
-
-def mixing_weights(model: AspectModel, d: int) -> np.ndarray:
-    """P(z|d) by Bayes' rule from the symmetric parameters."""
-    joint = model.prior * model.doc_given_z[d]
-    total = joint.sum()
-    if total <= 0.0:
-        raise DegeneracyError(f"document {d} has zero probability under the model")
-    return joint / total
-
-
 def mixing_weight_matrix(model: AspectModel) -> np.ndarray:
     """P(z|d) for all documents, shape (N, K).
 
@@ -244,26 +231,9 @@ def mixing_weight_matrix(model: AspectModel) -> np.ndarray:
     return out
 
 
-def word_given_doc(model: AspectModel, d: int) -> np.ndarray:
-    """P(w|d) = sum_z P(w|z) P(z|d); a convex combination of the factors'
-    word distributions."""
-    return model.word_given_z @ mixing_weights(model, d)
-
-
 def joint_prob(model: AspectModel, d: int, w: int) -> float:
     """P(d, w) = sum_z P(z) P(d|z) P(w|z) for one cell."""
     return float(np.dot(model.prior * model.doc_given_z[d], model.word_given_z[w]))
-
-
-def joint_matrix(model: AspectModel, max_cells: int = _DEFAULT_MAX_CELLS) -> np.ndarray:
-    """Dense N x M joint probability table.  Entries are nonnegative and the
-    grand sum is 1.  Guarded by `max_cells`; use joint_prob beyond it."""
-    cells = model.n_docs * model.n_terms
-    if cells > max_cells:
-        raise ValueError(
-            f"joint_matrix would materialize {cells} cells (> {max_cells}); use joint_prob"
-        )
-    return (model.doc_given_z * model.prior[None, :]) @ model.word_given_z.T
 
 
 def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:

@@ -31,14 +31,14 @@ from .corpus import (
     ParseError,
     Vocabulary,
     _count_cells,
+    _text_lines,
     build_counts,
     load_stopwords,
     parse_qrels,
     parse_smart_collection,
-    parse_smart_queries,
     tokenize,
 )
-from .lsa import SvdDecomposition, lsi_doc_coords, truncated_svd
+from .lsa import SvdDecomposition, lsi_doc_coords, lsi_fold_in, truncated_svd
 from .retrieval import (
     RetrievalRun,
     combined_scores,
@@ -90,14 +90,13 @@ def _save_ids(path: Path, ids: list[str]) -> None:
 
 def _load_ids(path: Path) -> list[str]:
     ids = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if line:
-                _, tab, ext_id = line.partition("\t")
-                if not tab:
-                    raise ParseError(path, line_no, "expected 'row<TAB>document id'")
-                ids.append(ext_id)
+    for line_no, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if line:
+            _, tab, ext_id = line.partition("\t")
+            if not tab:
+                raise ParseError(path, line_no, "expected 'row<TAB>document id'")
+            ids.append(ext_id)
     return ids
 
 
@@ -106,6 +105,13 @@ def _sidecar(counts_path: Path, explicit, name: str):
         return Path(explicit)
     candidate = counts_path.parent / name
     return candidate if candidate.exists() else None
+
+
+def _load_model(path, counts: CountMatrix) -> AspectModel:
+    model = AspectModel.load(path)
+    if model.n_docs != counts.n_docs or model.n_terms != counts.n_terms:
+        raise ValueError(f"model {path} does not match the count matrix")
+    return model
 
 
 # ---------------------------------------------------------------- ingest
@@ -122,8 +128,8 @@ def cmd_ingest(args) -> int:
         if vocab_path is not None:
             vocab = Vocabulary.load(vocab_path)
             if len(vocab) != counts.n_terms:
-                raise ValueError(
-                    f"vocabulary has {len(vocab)} terms but counts reference {counts.n_terms}")
+                raise ValueError(f"{vocab_path}: vocabulary has {len(vocab)} terms but counts "
+                                 f"reference {counts.n_terms}")
         else:
             vocab = Vocabulary([f"t{i}" for i in range(counts.n_terms)])
         doc_ids = [str(i) for i in range(counts.n_docs)]
@@ -137,13 +143,13 @@ def cmd_ingest(args) -> int:
                     texts.append(record.text)
         else:  # raw: one document per line
             for path in args.inputs:
-                with open(path, encoding="utf-8") as f:
-                    for line in f:
-                        doc_ids.append(str(len(doc_ids) + 1))
-                        texts.append(line.rstrip("\n"))
-        if not texts:
-            raise ValueError("no documents found in the input files")
-        vocab, counts = build_counts(tokenize(t, stopwords) for t in texts)
+                for _, line in _text_lines(path):
+                    doc_ids.append(str(len(doc_ids) + 1))
+                    texts.append(line.rstrip("\n"))
+        try:
+            vocab, counts = build_counts(tokenize(t, stopwords) for t in texts)
+        except ValueError as exc:  # no document has a token
+            raise ValueError(f"{', '.join(map(str, args.inputs))}: {exc}") from None
 
     counts_path = out_dir / "counts.tsv"
     vocab_path = out_dir / "vocab.tsv"
@@ -214,12 +220,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
-    model = AspectModel.load(args.model)
     counts = CountMatrix.load(args.counts)
+    model = _load_model(args.model, counts)
     value = perplexity(model, counts, conditional=args.conditional)
     lines = [f"perplexity {value:.10g}"]
     if args.baseline:
-        base = AspectModel.load(args.baseline)
+        base = _load_model(args.baseline, counts)
         base_value = perplexity(base, counts, conditional=args.conditional)
         lines.append(f"baseline_perplexity {base_value:.10g}")
         lines.append(f"reduction_factor {base_value / value:.10g}")
@@ -245,24 +251,22 @@ def cmd_perplexity(args) -> int:
 def _load_queries(args) -> tuple[list[str], list[str]]:
     """Returns (external query ids, raw query texts); ids must be unique."""
     if args.queries_format == "smart":
-        records = parse_smart_queries(args.queries)
-        repeated = [qid for qid, n in Counter(r.id for r in records).items() if n > 1]
-        if repeated:
-            raise ParseError(args.queries, 0, f"query id {repeated[0]!r} appears more than once;"
-                             " run.txt could not tell the queries apart")
-        return [r.id for r in records], [r.text for r in records]
-    ids, texts = [], []
-    with open(args.queries, encoding="utf-8") as f:
-        for line in f:
-            ids.append(str(len(ids) + 1))
-            texts.append(line.rstrip("\n"))
+        records = parse_smart_collection(args.queries)
+        ids, texts = [r.id for r in records], [r.text for r in records]
+    else:
+        texts = [line.rstrip("\n") for _, line in _text_lines(args.queries)]
+        ids = [str(i) for i in range(1, len(texts) + 1)]
+    if not texts:
+        raise ParseError(args.queries, 0, "no queries found")
+    repeated = [qid for qid, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise ParseError(args.queries, 0, f"query id {repeated[0]!r} appears more than once;"
+                         " run.txt could not tell the queries apart")
     return ids, texts
 
 
 def _query_counts(texts: list[str], vocab: Vocabulary, stopwords) -> CountMatrix:
     """One row of term counts per query text; words outside `vocab` are dropped."""
-    if not texts:
-        raise ValueError("no queries found in the query file")
     ids = [[vocab.index[t] for t in tokenize(text, stopwords) if t in vocab.index] for text in texts]
     rows = np.repeat(np.arange(len(texts)), [len(i) for i in ids])
     return _count_cells(len(texts), len(vocab), rows,
@@ -294,43 +298,37 @@ def cmd_query(args) -> int:
         raise ValueError("no vocabulary file found; pass --vocab")
     vocab = Vocabulary.load(vocab_path)
     if len(vocab) != counts.n_terms:
-        raise ValueError("vocabulary size does not match the count matrix")
+        raise ValueError(f"{vocab_path}: vocabulary size does not match the count matrix")
     docids_path = _sidecar(counts_path, args.docids, "docids.tsv")
     doc_ext_ids = (_load_ids(docids_path) if docids_path is not None
                    else [str(i) for i in range(counts.n_docs)])
     if len(doc_ext_ids) != counts.n_docs:
-        raise ValueError("document id map does not match the count matrix")
+        raise ValueError(f"{docids_path}: document id map does not match the count matrix")
 
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     query_ext_ids, query_texts = _load_queries(args)
     queries = _query_counts(query_texts, vocab, stopwords)
-    n_docs, n_queries = counts.n_docs, queries.n_docs
-    query_csr = queries.to_csr()
-    scores, query_ok, doc_ok = cosine_scores(query_csr, counts.to_csr())
+    scores, query_ok, doc_ok = cosine_scores(queries.to_csr(), counts.to_csr())
 
     lam = 1.0 if args.baseline_only else args.lam
     method = "cos"
     # lam = 1 is the pure cosine ranking by definition, whatever was supplied
-    if not args.baseline_only and lam < 1.0 and (args.model or args.svd):
+    if lam < 1.0 and (args.model or args.svd):
         pieces = []
         if args.model:
-            models = [AspectModel.load(p) for p in args.model]
+            models = [_load_model(p, counts) for p in args.model]
             # fixed reduction order so permuting --model files cannot change a bit
-            order = np.argsort([hashlib.sha256(m.prior.tobytes() + m.doc_given_z.tobytes()
-                                               + m.word_given_z.tobytes()).hexdigest()
-                                for m in models])
-            for idx in order:
-                model = models[idx]
-                if model.n_terms != counts.n_terms or model.n_docs != counts.n_docs:
-                    raise ValueError(f"model {args.model[idx]} does not match the count matrix")
+            models.sort(key=lambda m: hashlib.sha256(m.prior.tobytes() + m.doc_given_z.tobytes()
+                                                     + m.word_given_z.tobytes()).digest())
+            for model in models:
                 pieces.append(latent_scores(fold_in(model, queries, beta=args.fold_in_beta),
                                             mixing_weight_matrix(model)))
             method = "plsi" if len(models) == 1 else "plsi-star"
         if args.svd:
             decomp = SvdDecomposition.load(args.svd)
-            if decomp.v.shape[0] != counts.n_terms:
-                raise ValueError("svd decomposition does not match the count matrix")
-            pieces.append(latent_scores(query_csr @ decomp.v, lsi_doc_coords(decomp)))
+            if decomp.u.shape[0] != counts.n_docs or decomp.v.shape[0] != counts.n_terms:
+                raise ValueError(f"{args.svd}: svd decomposition does not match the count matrix")
+            pieces.append(latent_scores(lsi_fold_in(decomp, queries), lsi_doc_coords(decomp)))
             method = "lsi" if not args.model else method
         latent, latent_query_ok, latent_doc_ok = plsi_star_scores(pieces)
         scores = combined_scores(lam, scores, latent)
@@ -357,9 +355,12 @@ def cmd_query(args) -> int:
         for qid, relevant in judgments.items():
             for ext_doc in ext_judgments.get(qid, ()):  # queries may lack judgments
                 if ext_doc not in doc_index:
-                    raise ValueError(f"qrels reference unknown document id {ext_doc!r}")
+                    raise ValueError(f"{args.qrels}: unknown document id {ext_doc!r}")
                 relevant.add(doc_index[ext_doc])
-        summary = precision_recall(RetrievalRun(rankings, judgments))
+        try:
+            summary = precision_recall(RetrievalRun(rankings, judgments))
+        except ValueError as exc:  # no query has a judged document
+            raise ValueError(f"{args.qrels}: {exc}") from None
         pr_path = out_dir / "pr.txt"
         with open(pr_path, "w", encoding="utf-8") as f:
             f.write("# recall\tprecision\n")
@@ -373,11 +374,11 @@ def cmd_query(args) -> int:
                 f.write(f"{level:.1f} {prec:.6f}\n")
         outputs["pr"] = pr_path
         outputs["pr_curve"] = curve_path
-        counters["unjudged_queries"] = n_queries - summary.n_queries
+        counters["unjudged_queries"] = queries.n_docs - summary.n_queries
         summary_line = (f"method={method} queries={summary.n_queries} "
                         f"average_precision={summary.average_precision:.4f}")
     else:
-        summary_line = f"method={method} queries={n_queries} ranked={n_docs} docs each"
+        summary_line = f"method={method} queries={queries.n_docs} ranked={counts.n_docs} docs each"
     print(summary_line, *(f"{name}={n}" for name, n in counters.items()))
 
     inputs["vocab"] = str(vocab_path)
@@ -398,19 +399,36 @@ def cmd_query(args) -> int:
 
 def cmd_topics(args) -> int:
     model = AspectModel.load(args.model)
-    if not args.vocab:
-        raise ValueError("a vocabulary file is required; pass --vocab")
     vocab = Vocabulary.load(args.vocab)
     if len(vocab) != model.n_terms:
-        raise ValueError("vocabulary size does not match the model")
+        raise ValueError(f"{args.vocab}: vocabulary size does not match the model")
     for z in range(model.k):
         print(f"factor {z}\tP(z)={model.prior[z]:.6g}")
         for term_id, prob in top_words(model, z, args.top):
-            print(f"  {vocab.term_of(term_id)}\t{prob:.6g}")
+            print(f"  {vocab.terms[term_id]}\t{prob:.6g}")
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ main
+
+
+def _flag(convert, check):
+    """An argparse type: the value `convert` reads from the text must pass
+    `check`, whose ValueError becomes a usage error naming the flag."""
+    def parse(text):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
+        return value
+    parse.__name__ = convert.__name__  # argparse names it when `convert` fails
+    return parse
+
+
+def _require(ok: bool, rule: str) -> None:
+    if not ok:
+        raise ValueError(f"must be {rule}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,17 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit an aspect model (or an SVD) on a count matrix")
     p.add_argument("--counts", required=True)
-    p.add_argument("--k", type=int, required=True, help="number of factors / components")
+    p.add_argument("--k", type=_flag(int, lambda k: _require(k >= 1, ">= 1")), required=True,
+                   help="number of factors / components")
     p.add_argument("--mode", choices=["em", "tem", "svd"], default="tem")
-    p.add_argument("--eta", type=float, default=0.9, help="beta decay factor")
-    p.add_argument("--beta-min", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="relative held-out improvement counting as progress")
-    p.add_argument("--heldout", type=float, default=0.1,
-                   help="fraction of occurrences split off for early stopping")
+    p.add_argument("--eta", type=_flag(float, lambda v: TemConfig(eta=v)), default=0.9,
+                   help="beta decay factor")
+    p.add_argument("--beta-min", type=_flag(float, lambda v: TemConfig(beta_min=v)), default=0.5)
+    p.add_argument("--tol", type=_flag(float, lambda v: TemConfig(improvement_tol=v)),
+                   default=1e-4, help="relative held-out improvement counting as progress")
+    p.add_argument("--heldout", type=_flag(float, lambda v: TemConfig(heldout_fraction=v)),
+                   default=0.1, help="fraction of occurrences split off for early stopping")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters-per-beta", type=int, default=100)
-    p.add_argument("--max-total-iters", type=int, default=1000)
+    p.add_argument("--max-iters-per-beta", default=100,
+                   type=_flag(int, lambda v: TemConfig(max_iters_per_beta=v)))
+    p.add_argument("--max-total-iters", default=1000,
+                   type=_flag(int, lambda v: TemConfig(max_total_iters=v)))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -463,32 +485,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svd", help="svd decomposition file for latent-space scoring")
     p.add_argument("--baseline-only", action="store_true",
                    help="rank by the raw term cosine only")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                   help="weight of the cosine score in the blend")
+    p.add_argument("--lambda", dest="lam", type=_flag(float, lambda v: combined_scores(v, 0, 0)),
+                   default=0.5, help="weight of the cosine score in the blend")
     p.add_argument("--qrels", help="relevance judgments; enables precision-recall output")
     p.add_argument("--stopwords")
     p.add_argument("--vocab")
     p.add_argument("--docids")
-    p.add_argument("--fold-in-beta", type=float, default=1.0)
+    p.add_argument("--fold-in-beta", type=_flag(float, lambda v: _require(v > 0.0, "> 0")),
+                   default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("topics", help="print the most probable words per factor")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_flag(int, lambda v: _require(v >= 1, ">= 1")), default=10)
     p.set_defaults(func=cmd_topics)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "query" and not 0.0 <= args.lam <= 1.0:
-        parser.error(f"--lambda must be in [0, 1], got {args.lam}")
-    if args.command == "query" and not args.fold_in_beta > 0.0:
-        parser.error(f"--fold-in-beta must be > 0, got {args.fold_in_beta}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DegeneracyError as exc:

@@ -51,17 +51,27 @@ def tokenize(text: str, stopwords=None) -> list[str]:
 def load_stopwords(path) -> set[str]:
     """Read a stop-word list, one word per line (lowercased, blanks skipped)."""
     words = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
+    for _, line in _text_lines(path):
+        word = line.strip().lower()
+        if word:
+            words.add(word)
     return words
+
+
+def _text_lines(path):
+    """Enumerate the lines of a UTF-8 text file from 1.  A file that is not
+    UTF-8 raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield from enumerate(f, 1)
+    except UnicodeDecodeError as exc:  # its offset counts from a read chunk
+        raise ParseError(path, 0, f"not UTF-8 text: {exc.reason}") from None
 
 
 @dataclass
 class Vocabulary:
-    """Term strings with dense 0-based ids assigned in first-seen order."""
+    """Term strings with dense 0-based ids assigned in first-seen order;
+    `index` maps each term to its id."""
 
     terms: list[str]
 
@@ -73,15 +83,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term) -> bool:
-        return term in self.index
-
-    def id_of(self, term: str) -> int:
-        return self.index[term]
-
-    def term_of(self, term_id: int) -> str:
-        return self.terms[term_id]
-
     def save(self, path) -> None:
         """Write one `term_id<TAB>term` line per term."""
         with open(path, "w", encoding="utf-8") as f:
@@ -91,18 +92,20 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         terms = []
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0].isdigit():
-                    raise ParseError(path, line_no, "expected 'term_id<TAB>term'")
-                if int(parts[0]) != len(terms):
-                    raise ParseError(path, line_no, f"term ids must be dense, expected {len(terms)}")
-                terms.append(parts[1])
-        return cls(terms)
+        for line_no, line in _text_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not _INT_RE.fullmatch(parts[0]):
+                raise ParseError(path, line_no, "expected 'term_id<TAB>term', an ASCII decimal id")
+            if int(parts[0]) != len(terms):
+                raise ParseError(path, line_no, f"term ids must be dense, expected {len(terms)}")
+            terms.append(parts[1])
+        try:
+            return cls(terms)
+        except ValueError as exc:
+            raise ParseError(path, 0, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -156,18 +159,6 @@ class CountMatrix:
 
     def col_sums(self) -> np.ndarray:
         return np.bincount(self.term_ids, weights=self.counts, minlength=self.n_terms).astype(np.int64)
-
-    def row(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse view of document d: (term_ids, counts)."""
-        lo = np.searchsorted(self.doc_ids, d, side="left")
-        hi = np.searchsorted(self.doc_ids, d, side="right")
-        return self.term_ids[lo:hi], self.counts[lo:hi]
-
-    def row_dense(self, d: int) -> np.ndarray:
-        term_ids, counts = self.row(d)
-        out = np.zeros(self.n_terms)
-        out[term_ids] = counts
-        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_docs, self.n_terms), dtype=np.int64)
@@ -307,7 +298,7 @@ def _dims_header(path, raw: bytes):
     dims = None
     for m in _DIMS_RE.finditer(raw):
         start = max(raw.rfind(b"\n", 0, m.start()), raw.rfind(b"\r", 0, m.start())) + 1
-        parts = raw[start:m.end()].decode("utf-8").strip().split("\t")
+        parts = raw[start:m.end()].decode("utf-8", "replace").strip().split("\t")
         if parts[0] == "#dims" and len(parts) == 3:
             try:
                 dims = int(parts[1]), int(parts[2])
@@ -320,11 +311,10 @@ def _dims_header(path, raw: bytes):
 
 def _data_lines(path):
     """(line number, stripped text) of each line neither blank nor a comment."""
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield line_no, line
+    for line_no, line in _text_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 def _check_lines(path) -> None:
@@ -390,25 +380,11 @@ class SplitPair:
 
     The two matrices share the source dimensions and their cell-wise sum
     reproduces the source exactly.  For large totals the held-out share
-    concentrates tightly around `fraction`.
+    concentrates tightly around the requested fraction.
     """
 
     train: CountMatrix
     heldout: CountMatrix
-    seed: int
-    fraction: float
-
-    def merged(self) -> CountMatrix:
-        """Cell-wise sum of the two sides."""
-        n_docs, n_terms = self.train.n_docs, self.train.n_terms
-        doc_ids = np.concatenate([self.train.doc_ids, self.heldout.doc_ids])
-        term_ids = np.concatenate([self.train.term_ids, self.heldout.term_ids])
-        counts = np.concatenate([self.train.counts, self.heldout.counts])
-        key = doc_ids * n_terms + term_ids
-        uniq, inverse = np.unique(key, return_inverse=True)
-        merged = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(merged, inverse, counts)
-        return CountMatrix(n_docs, n_terms, uniq // n_terms, uniq % n_terms, merged)
 
 
 def split_heldout(counts: CountMatrix, fraction: float, seed: int) -> SplitPair:
@@ -424,7 +400,7 @@ def split_heldout(counts: CountMatrix, fraction: float, seed: int) -> SplitPair:
     kept = counts.counts - held
     train = _select_entries(counts, kept)
     heldout = _select_entries(counts, held)
-    return SplitPair(train=train, heldout=heldout, seed=seed, fraction=fraction)
+    return SplitPair(train=train, heldout=heldout)
 
 
 def _select_entries(counts: CountMatrix, new_counts: np.ndarray) -> CountMatrix:
@@ -444,7 +420,7 @@ class SmartRecord:
 
 
 def parse_smart_collection(path) -> list[SmartRecord]:
-    """Parse a SMART collection file.
+    """Parse a SMART collection or query file.
 
     Records start at `.I <id>` lines.  The `.W` body plus any `.T`, `.A`
     and `.B` sections are concatenated into the record text; other sections
@@ -489,11 +465,6 @@ def parse_smart_collection(path) -> list[SmartRecord]:
     return records
 
 
-def parse_smart_queries(path) -> list[SmartRecord]:
-    """Parse a SMART query file (same grammar as collections)."""
-    return parse_smart_collection(path)
-
-
 def parse_qrels(path) -> dict[str, set[str]]:
     """Parse relevance judgments into query_id -> set of relevant doc ids.
 
@@ -503,14 +474,13 @@ def parse_qrels(path) -> dict[str, set[str]]:
     taken from the third column.  Duplicate pairs collapse.
     """
     rows: list[list[str]] = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ParseError(path, line_no, "expected at least 'query_id doc_id'")
-            rows.append(parts)
+    for line_no, line in _text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ParseError(path, line_no, "expected at least 'query_id doc_id'")
+        rows.append(parts)
     if not rows:
         raise ParseError(path, 0, "no judgment pairs found")
     trec_layout = all(len(p) >= 4 and p[1] == "0" for p in rows)

@@ -37,11 +37,11 @@ class SvdDecomposition:
         k = self.sigma.size
         if self.u.ndim != 2 or self.v.ndim != 2 or self.u.shape[1] != k or self.v.shape[1] != k:
             raise ValueError("u, sigma and v disagree on the number of components")
-        if (self.sigma < 0).any() or (np.diff(self.sigma) > 0).any():
+        if not ((self.sigma >= 0).all() and (np.diff(self.sigma) <= 0).all()):  # NaN fails too
             raise ValueError("sigma must be nonnegative and sorted descending")
         for name, mat in (("u", self.u), ("v", self.v)):
             gram = mat.T @ mat
-            if np.max(np.abs(gram - np.eye(k))) > _ORTHO_TOL:
+            if not (np.abs(gram - np.eye(k)) <= _ORTHO_TOL).all():
                 raise ValueError(f"{name} columns are not orthonormal within {_ORTHO_TOL}")
 
     @property
@@ -55,8 +55,11 @@ class SvdDecomposition:
 
     @classmethod
     def load(cls, path) -> "SvdDecomposition":
-        arrays, _ = serialize.load_arrays(path, "svd-decomposition", ("u", "sigma", "v"))
-        return cls(arrays["u"], arrays["sigma"], arrays["v"])
+        arrays = serialize.load_arrays(path, "svd-decomposition", ("u", "sigma", "v"))
+        try:
+            return cls(arrays["u"], arrays["sigma"], arrays["v"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,14 +102,11 @@ def lsi_doc_coords(decomp: SvdDecomposition) -> np.ndarray:
     return decomp.u * decomp.sigma[None, :]
 
 
-def lsi_fold_in(decomp: SvdDecomposition, query_counts) -> np.ndarray:
-    """Latent coordinates of an unseen query or document: q @ V.
-
-    At full rank this reproduces a training document's own coordinate row.
-    """
-    q = np.asarray(query_counts, dtype=np.float64).ravel()
-    if q.size != decomp.v.shape[0]:
-        raise ValueError(f"query vector must have length {decomp.v.shape[0]}")
-    if not np.any(q):
-        raise ValueError("cannot fold in an all-zero query vector")
-    return q @ decomp.v
+def lsi_fold_in(decomp: SvdDecomposition, queries: CountMatrix) -> np.ndarray:
+    """Latent coordinates q @ V of unseen queries, one row each; at full rank
+    a training document's row is its own coordinate row.  An all-zero query
+    gets a zero row, which latent_scores marks unscorable."""
+    if queries.n_terms != decomp.v.shape[0]:
+        raise ValueError(f"queries span {queries.n_terms} terms but the decomposition "
+                         f"{decomp.v.shape[0]}")
+    return queries.to_csr() @ decomp.v

@@ -2,9 +2,9 @@
 
 Scorers fill (queries x documents) matrices: raw term-frequency cosine,
 cosine between latent representations, their convex blend, and a uniform
-average of latent scores across several models; the scalar scorers are
-views of them.  Evaluation reports interpolated precision at the nine
-recall levels 10% through 90%, macro-averaged over queries.
+average of latent scores across several models.  Evaluation reports
+interpolated precision at the nine recall levels 10% through 90%,
+macro-averaged over queries.
 """
 
 import warnings
@@ -62,35 +62,6 @@ def plsi_star_scores(pieces):
         raise ValueError("at least one model is required")
     scores, q_ok, d_ok = zip(*pieces)
     return sum(scores) / len(scores), np.logical_and.reduce(q_ok), np.logical_and.reduce(d_ok)
-
-
-def _scalar(scores, q_ok, d_ok) -> float:
-    if not (q_ok[0] and d_ok[0]):
-        raise ValueError("cosine of an all-zero vector is undefined")
-    return float(scores[0, 0])
-
-
-def cosine_score(doc_counts, query_counts) -> float:
-    """Cosine between two raw term-count vectors; in [0, 1] for counts."""
-    return _scalar(*cosine_scores(np.atleast_2d(query_counts), np.atleast_2d(doc_counts)))
-
-
-def latent_score(rep_d, rep_q) -> float:
-    """Cosine between two mixing-weight vectors."""
-    return _scalar(*latent_scores(rep_q, rep_d))
-
-
-def combined_score(lam: float, cos: float, latent: float) -> float:
-    """Convex blend lam * cos + (1 - lam) * latent."""
-    return float(combined_scores(lam, cos, latent))
-
-
-def plsi_star_score(doc_reps, query_reps, lam: float, cos: float) -> float:
-    """Uniform average of per-model latent scores, blended with the cosine
-    score.  `doc_reps` and `query_reps` are aligned lists, one entry per
-    trained model."""
-    pieces = [latent_scores(q, d) for d, q in zip(doc_reps, query_reps, strict=True)]
-    return combined_score(lam, cos, _scalar(*plsi_star_scores(pieces)))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Versioned binary container for parameter blocks.
 
 Layout: a magic line, one JSON header line (container kind, version, array
-manifest, optional metadata), then the arrays' raw little-endian bytes in
-manifest order.  Writing the same data always produces the same bytes, which
-lets reruns of a seeded command be compared file-for-file.
+manifest and an empty "meta" object), then the arrays' raw little-endian
+bytes in manifest order.  Writing the same data always produces the same
+bytes, which lets reruns of a seeded command be compared file-for-file.
 """
 
 import json
@@ -17,7 +17,7 @@ _VERSION = 1
 _DTYPES = ("<f8", "<i8")  # the only dtypes save_arrays writes
 
 
-def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None) -> None:
+def save_arrays(path, kind: str, arrays: dict) -> None:
     """Write named arrays to `path` under the given container kind."""
     entries = []
     blobs = []
@@ -31,7 +31,7 @@ def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None) -> None
             raise TypeError(f"array {name!r} has unsupported dtype {a.dtype}")
         entries.append({"name": name, "dtype": a.dtype.str, "shape": list(a.shape)})
         blobs.append(a.tobytes())
-    header = {"kind": kind, "version": _VERSION, "meta": meta or {}, "arrays": entries}
+    header = {"kind": kind, "version": _VERSION, "meta": {}, "arrays": entries}
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -40,8 +40,8 @@ def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None) -> None
             f.write(blob)
 
 
-def load_arrays(path, kind: str | None = None, names=()) -> tuple[dict, dict]:
-    """Read a container back; returns (arrays, meta).
+def load_arrays(path, kind: str | None = None, names=()) -> dict:
+    """Read a container back as {name: array}.
 
     If `kind` is given, the stored kind must match; every name in `names`
     must be among the stored arrays.  A corrupt file raises ValueError.
@@ -68,7 +68,7 @@ def load_arrays(path, kind: str | None = None, names=()) -> tuple[dict, dict]:
     missing = [name for name in names if name not in arrays]
     if missing:
         raise ValueError(f"{path}: container lacks arrays {missing}")
-    return arrays, header.get("meta", {})
+    return arrays
 
 
 def _parse_header(path, line: bytes) -> dict:

@@ -73,7 +73,7 @@ class TemConfig:
             raise ValueError("eta must be in (0, 1)")
         if not 0.0 < self.beta_min <= 1.0:
             raise ValueError("beta_min must be in (0, 1]")
-        if self.improvement_tol <= 0.0:
+        if not self.improvement_tol > 0.0:
             raise ValueError("improvement_tol must be > 0")
         if self.max_iters_per_beta < 1 or self.max_total_iters < 1:
             raise ValueError("iteration budgets must be >= 1")
@@ -188,9 +188,7 @@ def fit_tem(counts: CountMatrix, k: int, config: TemConfig | None = None
 
 def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
          ) -> tuple[AspectModel, TrainTrace]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if counts.nnz == 0 or counts.total == 0:
+    if counts.nnz == 0:
         raise ValueError("cannot fit a model on empty counts")
     split = internal_split(counts, config)
     train, heldout = split.train, split.heldout

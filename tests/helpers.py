@@ -228,6 +228,19 @@ def brute_fold_in(model, ids, cnt, beta=1.0, max_iters=50, tol=1e-6):
     return weights, sweeps
 
 
+def word_given_doc(model):
+    """P(w|d) = sum_z P(z|d) P(w|z) for every document, shape (N, M), from the
+    library's mixing weights: rows of zero-mass documents are NaN."""
+    return mixing_weight_matrix(model) @ model.word_given_z.T
+
+
+def cosine(a, b):
+    """Cosine of two vectors in plain Python floats; None if either is all zero."""
+    dot = sum(float(x) * float(y) for x, y in zip(a, b, strict=True))
+    norms = math.sqrt(sum(float(x) ** 2 for x in a) * sum(float(y) ** 2 for y in b))
+    return dot / norms if norms else None
+
+
 def _brute_unit_rows(matrix):
     norms = np.linalg.norm(matrix, axis=1)
     valid = norms > 0.0

@@ -22,8 +22,6 @@ from plsa import (
     TemConfig,
     build_counts,
     cell_posteriors,
-    combined_score,
-    cosine_score,
     em_step,
     fit_em,
     fit_tem,
@@ -32,14 +30,11 @@ from plsa import (
     init_model,
     internal_split,
     joint_prob,
-    latent_score,
     log_likelihood,
     mixing_weight_matrix,
     parse_qrels,
     parse_smart_collection,
-    parse_smart_queries,
     perplexity,
-    plsi_star_score,
     posterior,
     precision_recall,
     rank_all,
@@ -49,7 +44,7 @@ from plsa import (
     unigram_baseline,
 )
 from plsa.lsa import lsi_doc_coords
-from plsa.retrieval import latent_scores
+from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 from plsa.retrieval import RankedList
 
 
@@ -250,20 +245,24 @@ def test_svd_correctness():
 
 @criterion("Retrieval arithmetic: scoring and precision-recall match hand oracles")
 def test_retrieval_arithmetic():
-    assert abs(cosine_score([1, 2], [2, 1]) - 0.8) < 1e-12
-    assert cosine_score([1, 0], [0, 2]) == 0.0
-    assert abs(cosine_score([1, 2, 3], [1, 2, 3]) - 1.0) < 1e-12
+    cos, _, _ = cosine_scores([[2, 1], [0, 2]], [[1, 2], [1, 0]])  # queries x documents
+    assert abs(cos[0, 0] - 0.8) < 1e-12
+    assert cos[1, 1] == 0.0
+    cos, _, _ = cosine_scores([[1, 2, 3]], [[1, 2, 3]])
+    assert abs(cos[0, 0] - 1.0) < 1e-12
 
-    assert abs(latent_score([1.0, 0.0], [0.5, 0.5]) - np.sqrt(2) / 2) < 1e-12
-    assert latent_score([1.0, 0.0], [0.0, 1.0]) == 0.0
+    latent, _, _ = latent_scores([[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0]])
+    assert abs(latent[0, 0] - np.sqrt(2) / 2) < 1e-12
+    assert latent[1, 0] == 0.0
 
-    assert abs(combined_score(0.5, 0.4, 0.8) - 0.6) < 1e-12
-    assert combined_score(1.0, 0.4, 0.8) == 0.4
-    assert combined_score(0.0, 0.4, 0.8) == 0.8
+    assert abs(combined_scores(0.5, 0.4, 0.8) - 0.6) < 1e-12
+    assert combined_scores(1.0, 0.4, 0.8) == 0.4
+    assert combined_scores(0.0, 0.4, 0.8) == 0.8
 
     d1, q1 = [1.0, 0.0], [0.2, np.sqrt(1 - 0.04)]
     d2, q2 = [1.0, 0.0], [0.6, np.sqrt(1 - 0.36)]
-    assert abs(plsi_star_score([d1, d2], [q1, q2], 0.0, 0.9) - 0.4) < 1e-12
+    latent, _, _ = plsi_star_scores([latent_scores([q1], [d1]), latent_scores([q2], [d2])])
+    assert abs(combined_scores(0.0, 0.9, latent)[0, 0] - 0.4) < 1e-12
 
     rankings = rank_all(np.ones((1, 4)), True, ["q"])
     assert rankings[0].doc_ids.tolist() == [0, 1, 2, 3]
@@ -295,7 +294,7 @@ requires_med = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def med_collection():
     docs = parse_smart_collection(Path(MED_DIR) / "MED.ALL")
-    queries = parse_smart_queries(Path(MED_DIR) / "MED.QRY")
+    queries = parse_smart_collection(Path(MED_DIR) / "MED.QRY")
     judgments = parse_qrels(Path(MED_DIR) / "MED.REL")
     vocab, counts = build_counts([tokenize(r.text) for r in docs])
     return docs, queries, judgments, vocab, counts

@@ -9,19 +9,15 @@ from plsa import (
     AspectModel,
     DegeneracyError,
     cell_posteriors,
-    doc_marginals,
     free_energy,
     init_model,
-    joint_matrix,
     joint_prob,
     log_likelihood,
     mixing_weight_matrix,
-    mixing_weights,
     perplexity,
     posterior,
     top_words,
     unigram_baseline,
-    word_given_doc,
 )
 from plsa import build_counts
 
@@ -66,6 +62,13 @@ class TestModelValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AspectModel(np.array([1.0]), np.full((2, 2), 0.5), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_nan_rejected(self, block):
+        blocks = [np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.full((2, 2), 0.5)]
+        blocks[block].flat[0] = np.nan
+        with pytest.raises(ValueError, match="sum to 1"):
+            AspectModel(*blocks)
 
 
 class TestPosterior:
@@ -130,18 +133,19 @@ class TestParameterizationEquivalence:
         # P(z) P(d|z) = P(d) P(z|d) cell by cell
         rng = np.random.default_rng(21)
         m = helpers.random_model(rng, 3, 5, 4)
-        pd = doc_marginals(m)
+        pd = m.doc_given_z @ m.prior
+        weights = mixing_weight_matrix(m)
         for d in range(5):
             lhs = m.prior * m.doc_given_z[d]
-            rhs = pd[d] * mixing_weights(m, d)
+            rhs = pd[d] * weights[d]
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_joint_via_conditional_route(self):
         rng = np.random.default_rng(22)
         m = helpers.random_model(rng, 4, 6, 5)
-        pd = doc_marginals(m)
+        pd = m.doc_given_z @ m.prior
         for d in range(6):
-            pw_given_d = word_given_doc(m, d)
+            pw_given_d = helpers.word_given_doc(m)[d]
             for w in range(5):
                 np.testing.assert_allclose(joint_prob(m, d, w), pd[d] * pw_given_d[w],
                                            atol=1e-12)
@@ -150,13 +154,12 @@ class TestParameterizationEquivalence:
 class TestWordGivenDoc:
     def test_single_factor_equals_word_column(self):
         m = init_model(1, 3, 8, seed=4)
-        np.testing.assert_array_equal(word_given_doc(m, 1), m.word_given_z[:, 0])
+        np.testing.assert_array_equal(helpers.word_given_doc(m)[1], m.word_given_z[:, 0])
 
     def test_normalized(self):
         rng = np.random.default_rng(30)
         m = helpers.random_model(rng, 4, 5, 9)
-        for d in range(5):
-            v = word_given_doc(m, d)
+        for v in helpers.word_given_doc(m):
             assert v.min() >= 0.0
             np.testing.assert_allclose(v.sum(), 1.0, atol=1e-10)
 
@@ -165,18 +168,19 @@ class TestWordGivenDoc:
         rng = np.random.default_rng(31)
         for k in (2, 3):
             m = helpers.random_model(rng, k, 4, 7)
-            for d in range(4):
-                target = word_given_doc(m, d)
+            for target in helpers.word_given_doc(m):
                 coeffs, residual, *_ = np.linalg.lstsq(m.word_given_z, target, rcond=None)
                 np.testing.assert_allclose(m.word_given_z @ coeffs, target, atol=1e-10)
                 assert coeffs.min() >= -1e-10
                 np.testing.assert_allclose(coeffs.sum(), 1.0, atol=1e-10)
 
     def test_zero_mass_document(self):
+        # P(z|d) and so P(w|d) of a document without mass are NaN, never a number
         m = AspectModel(np.array([1.0]), np.array([[1.0], [0.0]]),
                         np.array([[0.5], [0.5]]))
-        with pytest.raises(DegeneracyError):
-            word_given_doc(m, 1)
+        table = helpers.word_given_doc(m)
+        np.testing.assert_array_equal(table[0], [0.5, 0.5])
+        assert np.isnan(table[1]).all()
 
     def test_polysemy_resolved_by_dominant_factor(self):
         # one shared word, two documents dominated by different factors:
@@ -188,41 +192,39 @@ class TestWordGivenDoc:
         doc = np.array([[0.98, 0.02],
                         [0.02, 0.98]])
         m = AspectModel(np.array([0.5, 0.5]), doc, word)
-        p_shared_in_d0 = word_given_doc(m, 0)[0]
-        p_shared_in_d1 = word_given_doc(m, 1)[0]
+        p_shared_in_d0, p_shared_in_d1 = helpers.word_given_doc(m)[:, 0]
         assert p_shared_in_d0 > 3 * p_shared_in_d1
         post0 = posterior(m, 0, 0)
         post1 = posterior(m, 1, 0)
         assert post0[0] > 0.9 and post1[1] > 0.9
 
 
+def joint_table(model):
+    """The N x M table of joint_prob over every cell."""
+    return np.array([[joint_prob(model, d, w) for w in range(model.n_terms)]
+                     for d in range(model.n_docs)])
+
+
 class TestJoint:
     def test_all_singleton(self):
         m = AspectModel(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-        np.testing.assert_array_equal(joint_matrix(m), [[1.0]])
+        np.testing.assert_array_equal(joint_table(m), [[1.0]])
 
     def test_grand_sum_one_and_nonnegative(self):
         rng = np.random.default_rng(40)
         for _ in range(5):
             m = helpers.random_model(rng, 3, 6, 7)
-            table = joint_matrix(m)
+            table = joint_table(m)
             assert table.min() >= 0.0
             np.testing.assert_allclose(table.sum(), 1.0, atol=1e-8)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(41)
         m = helpers.random_model(rng, 3, 4, 5)
-        table = joint_matrix(m)
         for d in range(4):
             for w in range(5):
                 expected = helpers.brute_joint(m, d, w)
-                np.testing.assert_allclose(table[d, w], expected, atol=1e-12)
                 np.testing.assert_allclose(joint_prob(m, d, w), expected, atol=1e-12)
-
-    def test_size_guard(self):
-        m = init_model(2, 10, 10, seed=0)
-        with pytest.raises(ValueError, match="joint_prob"):
-            joint_matrix(m, max_cells=50)
 
 
 class TestLogLikelihood:

@@ -1,10 +1,17 @@
 """End-to-end command-line tests on small fixtures."""
 
-import json
+import contextlib
 import hashlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from plsa import (
@@ -12,7 +19,9 @@ from plsa import (
     CountMatrix,
     SvdDecomposition,
     TemConfig,
+    init_model,
     internal_split,
+    serialize,
     unigram_baseline,
 )
 from plsa.cli import main
@@ -78,7 +87,7 @@ class TestIngest:
         assert rc == 0
         from plsa import Vocabulary
         vocab = Vocabulary.load(tmp_path / "ing2" / "vocab.tsv")
-        assert "the" not in vocab
+        assert "the" not in vocab.index
 
     def test_smart_format_preserves_ids(self, tmp_path):
         smart = ".I 101\n.W\nengine fuel pumps\n.I 102\n.W\nwheat soil\n"
@@ -222,7 +231,7 @@ class TestQuery:
                    "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
                    "--baseline-only", "--out", str(tmp_path / "q")])
         assert rc == 0
-        from plsa import build_counts, cosine_score, tokenize
+        from plsa import build_counts, tokenize
         _, counts = build_counts([tokenize(d) for d in DOCS])
         vocab_terms = {}
         for d in DOCS:
@@ -234,7 +243,8 @@ class TestQuery:
         q = np.zeros(counts.n_terms)
         for t in tokenize(QUERIES[0]):
             q[vocab_terms[t]] += 1
-        by_hand = sorted(range(4), key=lambda d: (-cosine_score(counts.row_dense(d), q), d))
+        dense = counts.to_dense()
+        by_hand = sorted(range(4), key=lambda d: (-helpers.cosine(dense[d], q), d))
         assert [int(l[1]) - 1 for l in first_query] == by_hand
 
     def test_lambda_one_with_model_equals_baseline(self, tmp_path):
@@ -327,15 +337,23 @@ class TestQuery:
         run_lines = (tmp_path / "q" / "run.txt").read_text().splitlines()
         assert run_lines[0].startswith("9 201 1 ")  # relevant doc ranked first
 
-    def test_unknown_qrels_document_rejected(self, tmp_path):
+    def _query_with_qrels(self, tmp_path, qrels):
         out_dir = self._prepare(tmp_path)
-        (tmp_path / "bad_qrels.txt").write_text("1 999\n")
-        rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
-                   "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
-                   "--baseline-only", "--qrels", str(tmp_path / "bad_qrels.txt"),
-                   "--out", str(tmp_path / "q")])
-        assert rc == 3
+        (tmp_path / "bad_qrels.txt").write_text(qrels)
+        return main(["query", "--counts", str(out_dir / "counts.tsv"),
+                     "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                     "--baseline-only", "--qrels", str(tmp_path / "bad_qrels.txt"),
+                     "--out", str(tmp_path / "q")])
 
+    def test_unknown_qrels_document_rejected(self, tmp_path, capsys):
+        assert self._query_with_qrels(tmp_path, "1 999\n") == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'bad_qrels.txt'}: unknown document id '999'" in err
+
+    def test_qrels_judging_no_query_rejected(self, tmp_path, capsys):
+        assert self._query_with_qrels(tmp_path, "9 1\n") == 3  # no query 9 in the run
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'bad_qrels.txt'}: no query has relevant documents" in err
 
     def test_threads_flag_is_usage_error(self, tmp_path):
         assert self._query_usage_exit(tmp_path, "--threads", "2") == 2
@@ -565,6 +583,44 @@ class TestExitCodes:
             main(["ingest", "x", "--format", "bogus", "--out", "y"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--k", "0"), ("train", "--k", "-3"),
+        ("train", "--heldout", "1.5"), ("train", "--heldout", "0"),
+        ("train", "--eta", "1"), ("train", "--eta", "0"),
+        ("train", "--beta-min", "0"), ("train", "--beta-min", "1.5"),
+        ("train", "--tol", "0"), ("train", "--tol", "nan"),
+        ("train", "--max-iters-per-beta", "0"), ("train", "--max-total-iters", "0"),
+        ("topics", "--top", "0"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        out_dir = ingest(tmp_path)
+        counts = CountMatrix.load(out_dir / "counts.tsv")
+        init_model(1, counts.n_docs, counts.n_terms).save(tmp_path / "model.bin")
+        argv = {
+            "train": ["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2",
+                      "--out", str(tmp_path / "out")],
+            "topics": ["topics", "--model", str(tmp_path / "model.bin"),
+                       "--vocab", str(out_dir / "vocab.tsv")],
+        }[command]
+        assert main(argv) == 0  # the same command with a valid value runs
+        capsys.readouterr()
+        if command == "train":
+            shutil.rmtree(tmp_path / "out")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [flag, value])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "out").exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}:" in err
+
+    def test_svd_k_beyond_the_data_is_data_error(self, tmp_path, capsys):
+        out_dir = ingest(tmp_path)
+        rc = main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "5",
+                   "--mode", "svd", "--out", str(tmp_path / "t")])
+        assert rc == 3
+        assert "k must be in [1, 4]" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["train", "--counts", str(tmp_path / "nope.tsv"), "--k", "2",
                    "--out", str(tmp_path / "t")])
@@ -580,6 +636,149 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "cmd_topics", boom)
         rc = cli_mod.main(["topics", "--model", "x", "--vocab", "y"])
         assert rc == 4
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A folder with one valid file for every reader the fuzz tests corrupt."""
+    base = tmp_path_factory.mktemp("pristine")
+    out_dir = ingest(base)
+    (base / "stop.txt").write_text("the\nneeds\n")
+    (base / "docs.all").write_text("".join(f".I {i}\n.T\ndoc {i}\n.W\n{d}\n"
+                                           for i, d in enumerate(DOCS, 1)))
+    (base / "queries.qry").write_text("".join(f".I {i}\n.W\n{q}\n"
+                                              for i, q in enumerate(QUERIES, 1)))
+    for mode, k in (("em", "2"), ("svd", "2")):
+        assert main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", k, "--mode", mode,
+                     "--max-total-iters", "3", "--out", str(base / mode)]) == 0
+    return base
+
+
+def reader_argv(base: Path, name: str, path: Path, out: Path) -> list[str]:
+    """The command that reads `path` in place of the pristine file `name`."""
+    counts = str(base / "ing" / "counts.tsv")
+    query = ["query", "--counts", counts, "--queries-format", "raw", "--out", str(out)]
+    queries = ["--queries", str(base / "queries.txt")]
+    return {
+        "vocab.tsv": query + queries + ["--baseline-only", "--vocab", str(path)],
+        "docids.tsv": query + queries + ["--baseline-only", "--docids", str(path)],
+        "qrels.txt": query + queries + ["--baseline-only", "--qrels", str(path)],
+        "queries.txt": query + ["--baseline-only", "--queries", str(path)],
+        "stop.txt": ["ingest", str(base / "docs.txt"), "--stopwords", str(path), "--out", str(out)],
+        "docs.txt": ["ingest", str(path), "--format", "raw", "--out", str(out)],
+        "docs.all": ["ingest", str(path), "--format", "smart", "--out", str(out)],
+        "queries.qry": query + ["--baseline-only", "--queries", str(path),
+                                "--queries-format", "smart"],
+        "model.bin": ["perplexity", "--model", str(path), "--counts", counts],
+        "svd.bin": query + queries + ["--svd", str(path)],
+    }[name]
+
+
+PRISTINE = {"vocab.tsv": "ing/vocab.tsv", "docids.tsv": "ing/docids.tsv", "qrels.txt": "qrels.txt",
+            "queries.txt": "queries.txt", "stop.txt": "stop.txt", "docs.txt": "docs.txt",
+            "docs.all": "docs.all", "queries.qry": "queries.qry",
+            "model.bin": "em/model.bin", "svd.bin": "svd/svd.bin"}
+# SMART files are read with undecodable bytes replaced, so they are not here
+TEXT_READERS = sorted(n for n in PRISTINE if n.endswith((".tsv", ".txt")))
+
+
+def run_reader(base: Path, name: str, content: bytes) -> tuple[int, str, str]:
+    """(exit code, stderr, path) of the reader of `name` run on `content`."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / name
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(reader_argv(base, name, path, Path(work) / "out"))
+        return rc, err.getvalue(), str(path)
+
+
+@st.composite
+def corruptions(draw, data: bytes):
+    """A truncation, 1-3 byte flips, or random bytes in place of `data`."""
+    kind = draw(st.sampled_from(["truncate", "flip", "random"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "random":
+        return draw(st.binary(max_size=2 * len(data)))
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+def draw_shapes(base: Path, data):
+    """Factor counts of the three parameter blocks (all equal about half of the
+    time), row counts of the document and term sides (each the corpus's own
+    half of the time), and the corpus's dimensions."""
+    counts = CountMatrix.load(base / "ing" / "counts.tsv")
+    ks = data.draw(st.one_of(st.sampled_from([[k] * 3 for k in (1, 2, 3)]),
+                             st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+    n, m = (data.draw(st.sampled_from([size, size, size - 1, size + 1]))
+            for size in (counts.n_docs, counts.n_terms))
+    return ks, n, m, counts.n_docs, counts.n_terms
+
+
+class TestCorruptInputsNameTheirFile:
+    """Every reader either accepts a corrupted file or exits 3 (data error)
+    with the file's path in its message; none crashes or stays silent."""
+
+    @pytest.mark.parametrize("name", sorted(PRISTINE))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_corruption_is_accepted_or_named(self, pristine, name, data):
+        content = data.draw(corruptions((pristine / PRISTINE[name]).read_bytes()))
+        rc, err, path = run_reader(pristine, name, content)
+        assert rc in (0, 3), err
+        if rc == 3:
+            assert path in err
+
+    @pytest.mark.parametrize("name", TEXT_READERS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_bytes_that_are_not_utf8_are_named(self, pristine, name, data):
+        content = (pristine / PRISTINE[name]).read_bytes()
+        at = data.draw(st.integers(0, len(content)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xe2\x82"]))
+        rc, err, path = run_reader(pristine, name, content[:at] + bad + content[at:])
+        assert rc == 3
+        assert f"{path}:0: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("name", ["model.bin", "svd.bin"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_truncated_container_is_named(self, pristine, name, data):
+        content = (pristine / PRISTINE[name]).read_bytes()
+        rc, err, path = run_reader(pristine, name, content[:data.draw(st.integers(0, len(content) - 1))])
+        assert rc == 3
+        assert path in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_model_of_other_shapes_is_named(self, pristine, data):
+        ks, n, m, n_docs, n_terms = draw_shapes(pristine, data)
+        blocks = {"prior": np.full(ks[0], 1 / ks[0]), "doc_given_z": np.full((n, ks[1]), 1 / n),
+                  "word_given_z": np.full((m, ks[2]), 1 / m)}
+        with tempfile.TemporaryDirectory() as work:
+            serialize.save_arrays(Path(work) / "model.bin", "aspect-model", blocks)
+            content = (Path(work) / "model.bin").read_bytes()
+        rc, err, path = run_reader(pristine, "model.bin", content)
+        assert rc == (0 if len(set(ks)) == 1 and (n, m) == (n_docs, n_terms) else 3), err
+        if rc == 3:
+            assert path in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_svd_of_other_shapes_is_named(self, pristine, data):
+        ks, n, m, n_docs, n_terms = draw_shapes(pristine, data)
+        blocks = {"u": np.eye(n, ks[0]), "sigma": np.arange(ks[1], 0, -1.0), "v": np.eye(m, ks[2])}
+        with tempfile.TemporaryDirectory() as work:
+            serialize.save_arrays(Path(work) / "svd.bin", "svd-decomposition", blocks)
+            content = (Path(work) / "svd.bin").read_bytes()
+        rc, err, path = run_reader(pristine, "svd.bin", content)
+        assert rc == (0 if len(set(ks)) == 1 and (n, m) == (n_docs, n_terms) else 3), err
+        if rc == 3:
+            assert path in err
 
 
 class TestEnsembleBeatsBestSingle:

@@ -17,8 +17,8 @@ from plsa import (
     build_counts,
     load_stopwords,
     parse_qrels,
+    SmartRecord,
     parse_smart_collection,
-    parse_smart_queries,
     split_heldout,
     tokenize,
 )
@@ -53,7 +53,7 @@ class TestBuildCounts:
         assert counts.n_terms == 2
         entries = set(zip(counts.doc_ids.tolist(), counts.term_ids.tolist(),
                           counts.counts.tolist()))
-        a, b = vocab.id_of("a"), vocab.id_of("b")
+        a, b = vocab.index["a"], vocab.index["b"]
         assert entries == {(0, a, 2), (0, b, 1), (1, b, 1)}
 
     def test_single_token(self):
@@ -73,8 +73,7 @@ class TestBuildCounts:
     def test_empty_docs_keep_rows(self):
         _, counts = build_counts([[], ["a"], []])
         assert counts.n_docs == 3
-        assert counts.row(0)[0].size == 0
-        assert counts.row(2)[0].size == 0
+        assert counts.doc_ids.tolist() == [1]
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(ValueError):
@@ -175,8 +174,6 @@ class TestCountMatrix:
         np.testing.assert_array_equal(m.to_csr().toarray(), dense)
         np.testing.assert_array_equal(m.row_sums(), dense.sum(axis=1))
         np.testing.assert_array_equal(m.col_sums(), dense.sum(axis=0))
-        for d in range(5):
-            np.testing.assert_array_equal(m.row_dense(d), dense[d])
 
     def test_save_load_round_trip(self, tmp_path):
         m = CountMatrix.from_entries(4, 3, [0, 0, 2], [1, 2, 0], [3, 1, 7])
@@ -391,9 +388,9 @@ class TestVocabulary:
     def test_bijection(self):
         v = Vocabulary(["a", "b", "c"])
         for i, t in enumerate(v.terms):
-            assert v.id_of(t) == i
-            assert v.term_of(i) == t
-        assert "b" in v and "x" not in v
+            assert v.index[t] == i
+            assert v.terms[i] == t
+        assert "b" in v.index and "x" not in v.index
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ValueError):
@@ -404,6 +401,30 @@ class TestVocabulary:
         path = tmp_path / "vocab.tsv"
         v.save(path)
         assert Vocabulary.load(path).terms == v.terms
+
+    # digits that str.isdigit() accepts: Arabic-Indic zero and one, superscripts
+    @pytest.mark.parametrize("text, line_no", [
+        ("\u0660\tfoo\n\u0661\tbar\n", 1),
+        ("\u00b9\tfoo\n", 1),
+        ("0\tfoo\n\u00b2\tbar\n", 2),
+    ])
+    def test_ids_must_be_ascii_decimal(self, tmp_path, text, line_no):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="ASCII decimal") as excinfo:
+            Vocabulary.load(path)
+        assert (excinfo.value.path, excinfo.value.line_no) == (str(path), line_no)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"0\tfoo\n1\tfoo\n", "duplicate terms"),
+        (b"0\tfoo\n1\tb\xffr\n", "not UTF-8"),
+    ])
+    def test_rejected_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=message) as excinfo:
+            Vocabulary.load(path)
+        assert excinfo.value.path == str(path)
 
 
 class TestSplitHeldout:
@@ -419,7 +440,8 @@ class TestSplitHeldout:
             6, 9, *(lambda c: (c // 9, c % 9, rng.integers(1, 12, size=c.size)))(
                 rng.choice(54, size=30, replace=False)))
         pair = split_heldout(counts, 0.25, seed=5)
-        np.testing.assert_array_equal(pair.merged().to_dense(), counts.to_dense())
+        np.testing.assert_array_equal(pair.train.to_dense() + pair.heldout.to_dense(),
+                                      counts.to_dense())
         assert pair.train.n_docs == pair.heldout.n_docs == counts.n_docs
         assert pair.train.n_terms == pair.heldout.n_terms == counts.n_terms
 
@@ -503,8 +525,7 @@ class TestSmartParsing:
     def test_queries_same_grammar(self, tmp_path):
         path = tmp_path / "q.qry"
         path.write_text(".I 4\n.W\nwhat about flow\n")
-        records = parse_smart_queries(path)
-        assert records[0] == parse_smart_collection(path)[0]
+        assert parse_smart_collection(path) == [SmartRecord("4", "what about flow")]
 
     def test_content_before_first_record(self, tmp_path):
         path = tmp_path / "c.all"

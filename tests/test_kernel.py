@@ -186,7 +186,8 @@ def assert_folds_like_oracle(model, queries, beta):
     sweep the oracle stops at and not before it unless the oracle's is too."""
     got = fold_in(model, queries, beta)
     for i in range(queries.n_docs):
-        ids, cnt = queries.row(i)
+        row = queries.doc_ids == i
+        ids, cnt = queries.term_ids[row], queries.counts[row]
         want, sweeps = helpers.brute_fold_in(model, ids, cnt, beta)
         if want is None:
             assert np.isnan(got[i]).all()

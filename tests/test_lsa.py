@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plsa import CountMatrix, SvdDecomposition, lsi_doc_coords, lsi_fold_in, truncated_svd
+from plsa.retrieval import latent_scores
 
 
 def counts_from_dense(dense):
@@ -112,9 +113,10 @@ class TestLsiCoordinates:
             counts, dense = random_integer_counts(rng, 5, 7)
             decomp = truncated_svd(counts, 5)
             coords = lsi_doc_coords(decomp)
-            for d in range(5):
-                np.testing.assert_allclose(lsi_fold_in(decomp, dense[d]), coords[d],
-                                           atol=1e-6)
+            np.testing.assert_allclose(lsi_fold_in(decomp, counts), coords, atol=1e-6)
+            for d in range(5):  # each row alone folds in to the same coordinates
+                np.testing.assert_allclose(lsi_fold_in(decomp, counts_from_dense(dense[d:d + 1])),
+                                           coords[d:d + 1], atol=1e-6)
 
     def test_rank_one_coords_proportional_to_row_weights(self):
         dense = np.outer([1.0, 2.0, 4.0], [3.0, 1.0])
@@ -128,18 +130,22 @@ class TestLsiCoordinates:
         # the origin of the latent space
         dense = np.array([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, 0]])
         decomp = truncated_svd(counts_from_dense(dense), 3)
-        query = np.array([0.0, 0.0, 0.0, 5.0])
+        query = counts_from_dense([[0, 0, 0, 5]])
         np.testing.assert_allclose(lsi_fold_in(decomp, query), 0.0, atol=1e-8)
 
     def test_zero_query_rejected(self):
+        # an all-zero query folds in to a zero row, which scoring rejects
         decomp = truncated_svd(counts_from_dense([[1, 2], [3, 4]]), 2)
-        with pytest.raises(ValueError):
-            lsi_fold_in(decomp, np.zeros(2))
+        coords = lsi_fold_in(decomp, counts_from_dense([[0, 0], [1, 0]]))
+        assert coords.shape == (2, 2)
+        np.testing.assert_array_equal(coords[0], 0.0)
+        _, query_ok, _ = latent_scores(coords, lsi_doc_coords(decomp))
+        np.testing.assert_array_equal(query_ok, [False, True])
 
     def test_wrong_length_rejected(self):
         decomp = truncated_svd(counts_from_dense([[1, 2], [3, 4]]), 2)
-        with pytest.raises(ValueError):
-            lsi_fold_in(decomp, np.ones(3))
+        with pytest.raises(ValueError, match="terms"):
+            lsi_fold_in(decomp, counts_from_dense([[1, 1, 1]]))
 
 
 class TestSvdContainer:
@@ -161,3 +167,10 @@ class TestSvdContainer:
             SvdDecomposition(np.eye(3, 2), np.array([1.0, 2.0]), np.eye(3, 2))
         with pytest.raises(ValueError):  # negative sigma
             SvdDecomposition(np.eye(3, 1), np.array([-1.0]), np.eye(3, 1))
+        with pytest.raises(ValueError, match="sigma"):  # NaN sigma
+            SvdDecomposition(np.eye(3, 2), np.array([1.0, np.nan]), np.eye(3, 2))
+        for nan_u in (True, False):  # a NaN in u or v
+            u, v = np.eye(3, 2), np.eye(3, 2)
+            (u if nan_u else v)[2, 0] = np.nan
+            with pytest.raises(ValueError, match="orthonormal"):
+                SvdDecomposition(u, np.array([2.0, 1.0]), v)

@@ -9,115 +9,121 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from plsa import (
-    RankedList,
-    RetrievalRun,
-    combined_score,
-    cosine_score,
-    latent_score,
-    plsi_star_score,
-    precision_recall,
-    rank_all,
-)
+from plsa import RankedList, RetrievalRun, precision_recall, rank_all
 from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 
 
 class TestCosineScore:
     def test_identical_vectors(self):
-        assert cosine_score([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0, abs=1e-12)
+        scores, q_ok, d_ok = cosine_scores([[1, 2, 3]], [[1, 2, 3]])
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert q_ok[0] and d_ok[0]
 
     def test_disjoint_supports(self):
-        assert cosine_score([1, 0], [0, 2]) == 0.0
+        assert cosine_scores([[0, 2]], [[1, 0]])[0][0, 0] == 0.0
 
     def test_hand_value(self):
-        assert cosine_score([1, 2], [2, 1]) == pytest.approx(0.8, abs=1e-12)
+        assert cosine_scores([[2, 1]], [[1, 2]])[0][0, 0] == pytest.approx(0.8, abs=1e-12)
 
     def test_symmetric_and_scale_invariant(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            d = rng.integers(0, 5, size=6).astype(float)
-            q = rng.integers(0, 5, size=6).astype(float)
-            if not d.any() or not q.any():
-                continue
-            assert cosine_score(d, q) == pytest.approx(cosine_score(q, d), abs=1e-12)
-            for alpha in (2.0, 7.5):
-                assert cosine_score(alpha * d, q) == pytest.approx(
-                    cosine_score(d, q), abs=1e-12)
+        docs = rng.integers(0, 5, size=(20, 6)).astype(float)
+        queries = rng.integers(0, 5, size=(20, 6)).astype(float)
+        scores, q_ok, d_ok = cosine_scores(queries, docs)
+        swapped, _, _ = cosine_scores(docs, queries)
+        np.testing.assert_allclose(scores, swapped.T, rtol=0, atol=1e-12)
+        for alpha in (2.0, 7.5):
+            np.testing.assert_allclose(cosine_scores(queries, alpha * docs)[0], scores,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cosine_scores(alpha * queries, docs)[0], scores,
+                                       rtol=0, atol=1e-12)
+        for i, d in np.ndindex(scores.shape):
+            want = helpers.cosine(docs[d], queries[i])
+            assert scores[i, d] == pytest.approx(0.0 if want is None else want, abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_score([0, 0], [1, 1])
-        with pytest.raises(ValueError):
-            cosine_score([1, 1], [0, 0])
+        # an all-zero row is masked out, so rank_all ranks its pairs last
+        scores, q_ok, d_ok = cosine_scores([[1, 0], [0, 0]], [[0, 0], [2, 0]])
+        np.testing.assert_array_equal(q_ok, [True, False])
+        np.testing.assert_array_equal(d_ok, [False, True])
+        np.testing.assert_array_equal(scores, [[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestLatentScore:
     def test_identical(self):
-        assert latent_score([0.2, 0.8], [0.2, 0.8]) == pytest.approx(1.0, abs=1e-12)
+        assert latent_scores([[0.2, 0.8]], [[0.2, 0.8]])[0][0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_corners(self):
-        assert latent_score([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert latent_scores([[0.0, 1.0]], [[1.0, 0.0]])[0][0, 0] == 0.0
 
     def test_hand_value(self):
-        assert latent_score([1.0, 0.0], [0.5, 0.5]) == pytest.approx(
+        assert latent_scores([[0.5, 0.5]], [[1.0, 0.0]])[0][0, 0] == pytest.approx(
             np.sqrt(2) / 2, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            latent_score([1.0], [0.5, 0.5])
+            latent_scores([[0.5, 0.5]], [[1.0]])
 
 
 class TestCombinedScore:
     def test_endpoints(self):
-        assert combined_score(1.0, 0.3, 0.9) == 0.3
-        assert combined_score(0.0, 0.3, 0.9) == 0.9
+        assert combined_scores(1.0, 0.3, 0.9) == 0.3
+        assert combined_scores(0.0, 0.3, 0.9) == 0.9
 
     def test_midpoint(self):
-        assert combined_score(0.5, 0.4, 0.8) == pytest.approx(0.6, abs=1e-15)
+        assert combined_scores(0.5, 0.4, 0.8) == pytest.approx(0.6, abs=1e-15)
 
     def test_monotone_in_both_inputs(self):
         lam = 0.3
-        assert combined_score(lam, 0.5, 0.5) < combined_score(lam, 0.6, 0.5)
-        assert combined_score(lam, 0.5, 0.5) < combined_score(lam, 0.5, 0.6)
+        assert combined_scores(lam, 0.5, 0.5) < combined_scores(lam, 0.6, 0.5)
+        assert combined_scores(lam, 0.5, 0.5) < combined_scores(lam, 0.5, 0.6)
 
     def test_lambda_range(self):
         with pytest.raises(ValueError):
-            combined_score(1.5, 0.5, 0.5)
+            combined_scores(1.5, 0.5, 0.5)
+
+
+def plsi_star(doc_reps, query_reps, lam, cos):
+    """The PLSI* blend of one query/document pair, one representation each
+    per model, through the matrix scorers."""
+    pieces = [latent_scores([q], [d]) for d, q in zip(doc_reps, query_reps, strict=True)]
+    return combined_scores(lam, cos, plsi_star_scores(pieces)[0])[0, 0]
 
 
 class TestPlsiStarScore:
     def test_single_model_equals_combined(self):
         d, q = [0.7, 0.3], [0.4, 0.6]
-        expected = combined_score(0.5, 0.2, latent_score(d, q))
-        assert plsi_star_score([d], [q], 0.5, 0.2) == pytest.approx(expected, abs=1e-15)
+        expected = combined_scores(0.5, 0.2, helpers.cosine(d, q))
+        assert plsi_star([d], [q], 0.5, 0.2) == pytest.approx(expected, abs=1e-15)
 
     def test_uniform_average(self):
         # scores 0.2 and 0.6 at lambda 0 average to 0.4; engineer reps with
         # those cosines via 2-vectors at known angles
         d1, q1 = [1.0, 0.0], [0.2, np.sqrt(1 - 0.04)]
         d2, q2 = [1.0, 0.0], [0.6, np.sqrt(1 - 0.36)]
-        value = plsi_star_score([d1, d2], [q1, q2], 0.0, 0.9)
-        assert value == pytest.approx(0.4, abs=1e-12)
+        assert plsi_star([d1, d2], [q1, q2], 0.0, 0.9) == pytest.approx(0.4, abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         doc_reps = [rng.dirichlet(np.ones(3)) for _ in range(4)]
         query_reps = [rng.dirichlet(np.ones(3)) for _ in range(4)]
-        a = plsi_star_score(doc_reps, query_reps, 0.4, 0.5)
-        b = plsi_star_score(doc_reps[::-1], query_reps[::-1], 0.4, 0.5)
+        a = plsi_star(doc_reps, query_reps, 0.4, 0.5)
+        b = plsi_star(doc_reps[::-1], query_reps[::-1], 0.4, 0.5)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_duplicated_model_idempotent(self):
         d, q = [0.7, 0.3], [0.4, 0.6]
-        one = plsi_star_score([d], [q], 0.3, 0.5)
-        many = plsi_star_score([d] * 5, [q] * 5, 0.3, 0.5)
+        one = plsi_star([d], [q], 0.3, 0.5)
+        many = plsi_star([d] * 5, [q] * 5, 0.3, 0.5)
         assert many == pytest.approx(one, abs=1e-12)
 
     def test_empty_and_misaligned(self):
         with pytest.raises(ValueError):
-            plsi_star_score([], [], 0.5, 0.5)
+            plsi_star_scores([])
+        # models that disagree on the number of queries cannot be averaged
         with pytest.raises(ValueError):
-            plsi_star_score([[1.0]], [], 0.5, 0.5)
+            plsi_star_scores([latent_scores([[1.0]], [[1.0]]),
+                              latent_scores([[1.0], [1.0]], [[1.0]])])
 
 
 class TestRankAll:
@@ -134,7 +140,7 @@ class TestRankAll:
         query = np.array([1.0, 0.0, 1.0])
         scores, q_ok, d_ok = cosine_scores(query[None, :], docs)
         rankings = rank_all(scores, q_ok[:, None] & d_ok[None, :], [0])
-        by_hand = sorted(range(3), key=lambda d: (-cosine_score(docs[d], query), d))
+        by_hand = sorted(range(3), key=lambda d: (-helpers.cosine(docs[d], query), d))
         assert rankings[0].doc_ids.tolist() == by_hand
 
     def test_scorer_error_ranks_last_with_warning(self):
@@ -293,7 +299,7 @@ class TestMatrixScorers:
         np.testing.assert_array_equal(d_ok, docs.any(axis=1))
         for i, q in enumerate(queries):
             for d, doc in enumerate(docs):
-                want = (cosine_score(doc, q) if q_ok[i] and d_ok[d] else 0.0)
+                want = (helpers.cosine(doc, q) if q_ok[i] and d_ok[d] else 0.0)
                 assert scores[i, d] == pytest.approx(want, abs=1e-15)
                 with np.errstate(invalid="ignore"):
                     dense = np.dot(doc, q) / (np.linalg.norm(doc) * np.linalg.norm(q))

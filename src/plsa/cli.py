@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical degeneracy.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -31,6 +32,7 @@ from .corpus import (
     ParseError,
     Vocabulary,
     _count_cells,
+    _decimal_table,
     _text_lines,
     build_counts,
     load_stopwords,
@@ -54,6 +56,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
+_RUN_BLOCK = 1 << 14  # run.txt lines formatted per write
+_PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of run.txt's byte tables
 
 
 def _sha256(path: Path) -> str:
@@ -93,9 +97,12 @@ def _load_ids(path: Path) -> list[str]:
     for line_no, line in _text_lines(path):
         line = line.rstrip("\n")
         if line:
-            _, tab, ext_id = line.partition("\t")
+            row, tab, ext_id = line.partition("\t")
             if not tab:
                 raise ParseError(path, line_no, "expected 'row<TAB>document id'")
+            if row != str(len(ids)):
+                raise ParseError(path, line_no, f"rows must run 0, 1, 2, ... in order; "
+                                                f"expected {len(ids)}")
             ids.append(ext_id)
     return ids
 
@@ -273,17 +280,44 @@ def _query_counts(texts: list[str], vocab: Vocabulary, stopwords) -> CountMatrix
                         np.fromiter(chain.from_iterable(ids), np.int64))
 
 
+def _text_table(texts: list[str]) -> np.ndarray:
+    """The UTF-8 bytes of `texts`, one row each followed by a space and
+    padded with _PAD."""
+    raw = [t.encode("utf-8") + b" " for t in texts]
+    width = max(map(len, raw), default=1)
+    return np.frombuffer(b"".join(r.ljust(width, bytes([_PAD])) for r in raw),
+                         np.uint8).reshape(len(raw), width)
+
+
 def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> None:
-    """`query_id doc_id rank score` lines, one %-format call per query."""
-    doc_ext = np.array(doc_ext_ids, dtype=object)
-    with open(path, "w", encoding="utf-8") as f:
-        for ranking in rankings:
-            n = ranking.doc_ids.size
-            fields = [ranking.query_id] * (4 * n)
-            fields[1::4] = doc_ext[ranking.doc_ids].tolist()
-            fields[2::4] = range(1, n + 1)
-            fields[3::4] = ranking.scores.tolist()
-            f.write(("%s %s %d %.10g\n" * n) % tuple(fields))
+    """`query_id doc_id rank score` lines, one row of a byte table each.
+    Ids and ranks are gathered from tables built once; scores are formatted
+    by one C-level `%.10g` call per block of lines, right-aligned in 17 bytes
+    (the longest `%.10g`), and every padding byte is dropped on writing."""
+    n_docs = rankings.doc_ids.shape[1]
+    queries = _text_table([str(q) for q in rankings.query_ids])
+    docs = _text_table(doc_ext_ids)
+    ranks, digits = _decimal_table([np.arange(1, n_docs + 1)], b" ")
+    ranks[~digits] = _PAD
+    step = max(1, _RUN_BLOCK // n_docs)
+    with open(path, "wb") as f:
+        for lo in range(0, len(rankings.query_ids), step):
+            ids = rankings.doc_ids[lo:lo + step]
+            text = ("%17.10g\n" * ids.size) % tuple(rankings.scores[lo:lo + step].ravel().tolist())
+            scores = np.frombuffer(text.encode("ascii").replace(b" ", bytes([_PAD])), np.uint8)
+            fields = (queries[lo:lo + step, None], docs[ids], ranks[None],
+                      scores.reshape(*ids.shape, -1))
+            table = np.concatenate([np.broadcast_to(a, ids.shape + a.shape[2:]) for a in fields],
+                                   axis=-1)
+            f.write(table[table != _PAD])
+
+
+def _parameter_digest(model: AspectModel) -> bytes:
+    """SHA-256 of the model's three parameter blocks, hashed in place."""
+    h = hashlib.sha256()
+    for block in (model.prior, model.doc_given_z, model.word_given_z):
+        h.update(block)
+    return h.digest()
 
 
 def cmd_query(args) -> int:
@@ -318,8 +352,7 @@ def cmd_query(args) -> int:
         if args.model:
             models = [_load_model(p, counts) for p in args.model]
             # fixed reduction order so permuting --model files cannot change a bit
-            models.sort(key=lambda m: hashlib.sha256(m.prior.tobytes() + m.doc_given_z.tobytes()
-                                                     + m.word_given_z.tobytes()).digest())
+            models.sort(key=_parameter_digest)
             for model in models:
                 pieces.append(latent_scores(fold_in(model, queries, beta=args.fold_in_beta),
                                             mixing_weight_matrix(model)))
@@ -431,6 +464,9 @@ def _require(ok: bool, rule: str) -> None:
         raise ValueError(f"must be {rule}")
 
 
+# Built once per process: a parser is a web of reference cycles, and one per
+# call of main() would wait for a full garbage collection to be freed.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plsa",
@@ -445,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="stop-word list, one word per line")
     p.add_argument("--vocab", help="vocabulary sidecar for --format triples")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit an aspect model (or an SVD) on a count matrix")
     p.add_argument("--counts", required=True)
@@ -465,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total-iters", default=1000,
                    type=_flag(int, lambda v: TemConfig(max_total_iters=v)))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("perplexity", help="evaluate a model's perplexity on counts")
     p.add_argument("--model", required=True)
@@ -474,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score P(w|d) instead of the joint P(d,w)")
     p.add_argument("--baseline", help="second model; also report the reduction factor")
     p.add_argument("--out", help="optional output directory for the report")
-    p.set_defaults(func=cmd_perplexity)
 
     p = sub.add_parser("query", help="rank documents for queries and evaluate")
     p.add_argument("--counts", required=True)
@@ -494,13 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold-in-beta", type=_flag(float, lambda v: _require(v > 0.0, "> 0")),
                    default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("topics", help="print the most probable words per factor")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--top", type=_flag(int, lambda v: _require(v >= 1, ">= 1")), default=10)
-    p.set_defaults(func=cmd_topics)
 
     return parser
 
@@ -508,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call: cmd_<subcommand>
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

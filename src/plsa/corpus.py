@@ -248,7 +248,14 @@ class CountMatrix:
 
 def _decimal_rows(columns, ends: bytes) -> np.ndarray:
     """Decimal text of rows of non-negative int64 `columns`, each value followed
-    by its byte of `ends`: right-aligned digits with leading zeros masked out."""
+    by its byte of `ends`."""
+    table, keep = _decimal_table(columns, ends)
+    return table[keep]
+
+
+def _decimal_table(columns, ends: bytes):
+    """The bytes of _decimal_rows as a table, one row per row of `columns`, with
+    right-aligned digits, and the mask of bytes that are not leading zeros."""
     widths = [len(str(int(values.max()))) for values in columns]
     table = np.empty((columns[0].size, sum(widths) + len(columns)), dtype=np.uint8)
     keep = np.ones(table.shape, dtype=bool)
@@ -260,7 +267,7 @@ def _decimal_rows(columns, ends: bytes) -> np.ndarray:
         table[:, start:start + width] += ord("0")
         table[:, start + width] = end
         start += width + 1
-    return table[keep]
+    return table, keep
 
 
 def _scan_comments(path):
@@ -424,7 +431,8 @@ def parse_smart_collection(path) -> list[SmartRecord]:
 
     Records start at `.I <id>` lines.  The `.W` body plus any `.T`, `.A`
     and `.B` sections are concatenated into the record text; other sections
-    are skipped.  Records appear in file order.
+    are skipped.  Records appear in file order.  A file that is not UTF-8
+    raises ParseError.
     """
     records: list[SmartRecord] = []
     cur_id = None
@@ -435,32 +443,31 @@ def parse_smart_collection(path) -> list[SmartRecord]:
         if cur_id is not None:
             records.append(SmartRecord(cur_id, "\n".join(cur_parts).strip()))
 
-    with open(path, encoding="utf-8", errors="replace") as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            m = _SECTION_RE.match(line)
-            if m:
-                tag, rest = m.group(1), m.group(2)
-                if tag == "I":
-                    flush()
-                    if rest is None or not rest.strip():
-                        raise ParseError(path, line_no, "'.I' marker without an id")
-                    cur_id = rest.strip()
-                    cur_parts = []
-                    in_text = False
-                else:
-                    if cur_id is None:
-                        raise ParseError(path, line_no, f"section '.{tag}' before any '.I' record")
-                    in_text = tag in _TEXT_SECTIONS
-                    if in_text and rest and rest.strip():
-                        cur_parts.append(rest.strip())
+    for line_no, raw in _text_lines(path):
+        line = raw.rstrip("\n")
+        m = _SECTION_RE.match(line)
+        if m:
+            tag, rest = m.group(1), m.group(2)
+            if tag == "I":
+                flush()
+                if rest is None or not rest.strip():
+                    raise ParseError(path, line_no, "'.I' marker without an id")
+                cur_id = rest.strip()
+                cur_parts = []
+                in_text = False
             else:
                 if cur_id is None:
-                    if line.strip():
-                        raise ParseError(path, line_no, "content before the first '.I' marker")
-                    continue
-                if in_text:
-                    cur_parts.append(line)
+                    raise ParseError(path, line_no, f"section '.{tag}' before any '.I' record")
+                in_text = tag in _TEXT_SECTIONS
+                if in_text and rest and rest.strip():
+                    cur_parts.append(rest.strip())
+        else:
+            if cur_id is None:
+                if line.strip():
+                    raise ParseError(path, line_no, "content before the first '.I' marker")
+                continue
+            if in_text:
+                cur_parts.append(line)
     flush()
     return records
 

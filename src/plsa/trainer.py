@@ -154,18 +154,23 @@ def _spmm(counts: CountMatrix, a, w, s, beta: float, log_terms):
     below 1e-200 adds n(d,w) q(z) from its log-domain posterior instead;
     `log_terms(cells)` yields (selector, lp) chunks of the untempered log
     joint terms of those entries."""
-    low = s < _UNDERFLOW
-    ratio = np.divide(counts.counts, s, out=np.zeros(counts.nnz), where=~low)
+    ratio, cells = _cell_ratios(counts.counts, s)
     r = scipy.sparse.csr_matrix((ratio, counts.term_ids, _row_starts(counts)),
                                 shape=(counts.n_docs, counts.n_terms))
     row_acc = a * (r @ w)
     col_acc = w * (r.T @ a)
-    cells = np.flatnonzero(low)
     for sel, lp in log_terms(cells) if cells.size else ():
         weighted = _tempered_softmax(lp, beta) * counts.counts[sel, None]
         np.add.at(row_acc, counts.doc_ids[sel], weighted)
         np.add.at(col_acc, counts.term_ids[sel], weighted)
     return row_acc, col_acc
+
+
+def _cell_ratios(n: np.ndarray, s: np.ndarray):
+    """R = n / s per cell, 0 where s is below 1e-200, and the indices of
+    those cells, which the log-domain path accumulates instead."""
+    low = s < _UNDERFLOW
+    return np.divide(n, s, out=np.zeros(n.size), where=~low), np.flatnonzero(low)
 
 
 def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:
@@ -273,27 +278,44 @@ def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
     if queries.n_terms != model.n_terms:
         raise ValueError(f"queries span {queries.n_terms} terms but the model {model.n_terms}")
     keep = model.word_given_z[queries.term_ids].sum(axis=1) > 0.0
-    # columns renumbered over the terms in use: the kernel's column-side
-    # SpMM, which fold-in discards, then costs no more than the batch
-    terms = np.unique(queries.term_ids[keep])
-    cell_term = np.searchsorted(terms, queries.term_ids)
+    # columns renumbered over the terms in use, so that W^beta is only as
+    # large as the batch
+    terms, cell_term = np.unique(queries.term_ids[keep], return_inverse=True)
+    cell_row, cell_count = queries.doc_ids[keep], queries.counts[keep]
     lword = _safe_log(model.word_given_z[terms])
     w_beta = model.word_given_z[terms] if beta == 1.0 else np.exp(beta * lword)
     theta = np.full((queries.n_docs, model.k), 1.0 / model.k)
-    active = np.bincount(queries.doc_ids[keep], minlength=queries.n_docs) > 0
+    row_cells = np.bincount(cell_row, minlength=queries.n_docs)
+    active = row_cells > 0
     theta[~active] = np.nan
     for _ in range(max_iters):
-        if not active.any():
-            break
         rows = np.flatnonzero(active)
-        sel = keep & active[queries.doc_ids]
-        running = CountMatrix(rows.size, terms.size, (np.cumsum(active) - 1)[queries.doc_ids[sel]],
-                              cell_term[sel], queries.counts[sel])
+        if not rows.size:
+            break
+        sel = active[cell_row]
         old = theta[rows]
-        old_beta = old if beta == 1.0 else np.exp(beta * _safe_log(old))
-        acc, _ = _spmm(running, old_beta, w_beta, _sddmm(old_beta, w_beta, running), beta,
-                       lambda cells: [(cells, _safe_log(old)[running.doc_ids[cells]]
-                                       + lword[running.term_ids[cells]])])
-        theta[rows] = acc / acc.sum(axis=1, keepdims=True)
-        active[rows] = ~(np.abs(theta[rows] - old).max(axis=1) < tol)
+        cell_block_row = np.repeat(np.arange(rows.size), row_cells[rows])
+        theta[rows] = new = _fold_in_sweep(old, w_beta, lword, cell_block_row, cell_term[sel],
+                                           cell_count[sel], beta)
+        active[rows] = np.abs(new - old).max(axis=1) >= tol
     return theta
+
+
+def _fold_in_sweep(theta, w_beta, lword, rows, cols, counts, beta: float) -> np.ndarray:
+    """One fold-in EM sweep: the next mixing weights of the queries `theta`,
+    whose cells (rows[i], cols[i]) are sorted by row and cover every row.
+
+    E-step as in em_step, with theta in place of A; the row-side SpMM is a
+    segment sum over each row's cells, one bincount over (row, factor) keys
+    that adds them in cell order.  A cell with S_beta below 1e-200 adds its
+    log-domain posterior; one with S_beta = 0 raises DegeneracyError."""
+    theta_beta = theta if beta == 1.0 else np.exp(beta * _safe_log(theta))
+    ratio, low = _cell_ratios(counts, _sddmm(theta_beta, w_beta, rows, cols))
+    k = theta.shape[1]
+    keys = (rows[:, None] * k + np.arange(k)).ravel()
+    acc = theta_beta * np.bincount(keys, weights=(ratio[:, None] * w_beta[cols]).ravel(),
+                                   minlength=theta.size).reshape(theta.shape)
+    if low.size:
+        lp = _safe_log(theta)[rows[low]] + lword[cols[low]]
+        np.add.at(acc, rows[low], _tempered_softmax(lp, beta) * counts[low, None])
+    return acc / acc.sum(axis=1, keepdims=True)

@@ -304,6 +304,18 @@ def brute_rank(scores):
     return sorted(range(len(scores)), key=lambda d: (-scores[d], d))
 
 
+def brute_interpolated_precision(hits, n_relevant):
+    """Interpolated precision at recall 0.1 .. 0.9 of one ranking, from its
+    per-rank relevance flags: the best precision at or after the first rank
+    whose recall reaches each level."""
+    cum = np.cumsum(hits)
+    precision = cum / np.arange(1, hits.size + 1)
+    recall = cum / n_relevant
+    best_ahead = np.maximum.accumulate(precision[::-1])[::-1]
+    levels = np.arange(1, 10) / 10.0
+    return best_ahead[np.searchsorted(recall, levels, side="left")]
+
+
 def brute_run_and_pr(scores, scorable, query_ids, doc_ids, judgments):
     """run.txt, and pr.txt when `judgments` (external query id -> set of
     external doc ids) is given, written one f-string per line from
@@ -317,13 +329,8 @@ def brute_run_and_pr(scores, scorable, query_ids, doc_ids, judgments):
         relevant = (judgments or {}).get(qid, set())
         if not relevant:
             continue
-        hits = np.array([doc_ids[d] in relevant for d in order])
-        cum = np.cumsum(hits)
-        precision = cum / np.arange(1, hits.size + 1)
-        recall = cum / len(relevant)
-        best_ahead = np.maximum.accumulate(precision[::-1])[::-1]
-        levels = np.arange(1, 10) / 10.0
-        table.append(best_ahead[np.searchsorted(recall, levels, side="left")])
+        table.append(brute_interpolated_precision(
+            np.array([doc_ids[d] in relevant for d in order]), len(relevant)))
     if judgments is None:
         return "".join(run), None
     table = np.vstack(table)

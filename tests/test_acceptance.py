@@ -18,6 +18,7 @@ import pytest
 import helpers
 from plsa import (
     CountMatrix,
+    Rankings,
     RetrievalRun,
     TemConfig,
     build_counts,
@@ -45,7 +46,6 @@ from plsa import (
 )
 from plsa.lsa import lsi_doc_coords
 from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
-from plsa.retrieval import RankedList
 
 
 def criterion(name):
@@ -265,11 +265,11 @@ def test_retrieval_arithmetic():
     assert abs(combined_scores(0.0, 0.9, latent)[0, 0] - 0.4) < 1e-12
 
     rankings = rank_all(np.ones((1, 4)), True, ["q"])
-    assert rankings[0].doc_ids.tolist() == [0, 1, 2, 3]
+    assert rankings.doc_ids.tolist() == [[0, 1, 2, 3]]
 
     def run_for(order, relevant):
-        ranking = RankedList("q", order, np.linspace(1.0, 0.1, len(order)))
-        return RetrievalRun([ranking], {"q": relevant})
+        ranking = Rankings(["q"], [order], [np.linspace(1.0, 0.1, len(order))])
+        return RetrievalRun(ranking, {"q": relevant})
 
     summary = precision_recall(run_for(list(range(10)), {0, 1, 2}))
     assert summary.average_precision == 1.0
@@ -315,14 +315,12 @@ def _med_query_vectors(queries, vocab):
 def _med_average_precision(score_matrix, docs, queries, judgments):
     doc_index = {r.id: i for i, r in enumerate(docs)}
     internal = {}
-    rankings = []
     for qi, record in enumerate(queries):
         relevant = {doc_index[d] for d in judgments.get(record.id, ()) if d in doc_index}
-        if not relevant:
-            continue
-        internal[qi] = relevant
-        order = np.lexsort((np.arange(score_matrix.shape[1]), -score_matrix[qi]))
-        rankings.append(RankedList(qi, order, score_matrix[qi][order]))
+        if relevant:
+            internal[qi] = relevant
+    judged = list(internal)
+    rankings = rank_all(score_matrix[judged], True, judged)
     return precision_recall(RetrievalRun(rankings, internal)).average_precision
 
 

@@ -6,7 +6,9 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -491,6 +493,42 @@ class TestQueryOracle:
             assert got_run == run
 
 
+# values around each switch of %g's notation and rounding: zeros of both
+# signs, infinities, subnormals, 1e-5 and 1e10, and carries into a new digit
+EDGE_SCORES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-5, 9.99999999995e-6, 9.999999999949999e-6, 1e10, 9999999999.5,
+               9999999999.4, 9.9999999995, 9.99999999949, 0.99999999995, -9.9999999995,
+               1e16, 1.7976931348623157e308, 0.1, 1 / 3]
+IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from("%é中 "),
+              max_size=5)
+
+
+class TestWriteRun:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_per_line_f_strings(self, tmp_path_factory, data):
+        """_write_run's byte tables give the bytes of helpers.brute_run_and_pr's
+        f-string lines, across several write blocks."""
+        import plsa.cli as cli_mod
+        from plsa import rank_all
+
+        n_queries, n_docs = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
+        values = st.sampled_from(EDGE_SCORES) | st.floats(allow_nan=False)
+        scores = np.array(data.draw(st.lists(values, min_size=n_queries * n_docs,
+                                             max_size=n_queries * n_docs))).reshape(n_queries, -1)
+        scorable = np.array(data.draw(st.lists(st.booleans(), min_size=scores.size,
+                                               max_size=scores.size))).reshape(scores.shape)
+        query_ids = data.draw(st.lists(IDS, min_size=n_queries, max_size=n_queries))
+        doc_ids = data.draw(st.lists(IDS, min_size=n_docs, max_size=n_docs))
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        with warnings.catch_warnings(), mock.patch.object(cli_mod, "_RUN_BLOCK",
+                                                          data.draw(st.integers(1, 30))):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cli_mod._write_run(path, rank_all(scores, scorable, query_ids), doc_ids)
+        want, _ = helpers.brute_run_and_pr(scores, scorable, query_ids, doc_ids, None)
+        assert path.read_bytes() == want.encode("utf-8")
+
+
 class TestTopics:
     def test_table_shape_and_order(self, tmp_path, capsys):
         out_dir = ingest(tmp_path)
@@ -555,6 +593,8 @@ CORRUPT_INPUTS = {
         "model.bin", container(model_header(shape=[2**40])), "model.bin: truncated container"),
     "missing array": ("model.bin", container(model_header()), "container lacks arrays"),
     "docids line without a tab": ("docids.tsv", b"0\t1\n1 2\n", "docids.tsv:2:"),
+    "docids rows out of order": (
+        "docids.tsv", b"0\ta\n2\tc\n1\tb\n3\td\n", "docids.tsv:2: rows must run 0, 1, 2"),
 }
 
 
@@ -621,6 +661,26 @@ class TestExitCodes:
         assert rc == 3
         assert "k must be in [1, 4]" in capsys.readouterr().err
 
+    def test_svd_of_a_wide_table_builds_no_dense_table(self, tmp_path, monkeypatch, capsys):
+        # 2 x 4,000,000 cells: a dense copy would take 64 MB, and the old
+        # rule (smaller side <= 512) built two of them
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("#dims\t2\t4000000\n0\t5\t3\n0\t3999999\t1\n1\t5\t1\n1\t17\t2\n")
+
+        def no_dense_table(self):
+            raise AssertionError("the dense N x M table was built")
+
+        monkeypatch.setattr(CountMatrix, "to_dense", no_dense_table)
+        argv = ["train", "--counts", str(counts), "--mode", "svd", "--out", str(tmp_path / "t")]
+        assert main(argv + ["--k", "1"]) == 0
+        svd = SvdDecomposition.load(tmp_path / "t" / "svd.bin")
+        gram = np.array([[3 * 3 + 1 * 1, 3 * 1], [3 * 1, 1 * 1 + 2 * 2]], dtype=float)
+        np.testing.assert_allclose(svd.sigma, [np.sqrt(np.linalg.eigvalsh(gram)[-1])], rtol=1e-10)
+        capsys.readouterr()
+        # k = min(N, M) needs the full spectrum, which only the dense path gives
+        assert main(argv + ["--k", "2"]) == 3
+        assert "needs a dense SVD" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["train", "--counts", str(tmp_path / "nope.tsv"), "--k", "2",
                    "--out", str(tmp_path / "t")])
@@ -678,8 +738,7 @@ PRISTINE = {"vocab.tsv": "ing/vocab.tsv", "docids.tsv": "ing/docids.tsv", "qrels
             "queries.txt": "queries.txt", "stop.txt": "stop.txt", "docs.txt": "docs.txt",
             "docs.all": "docs.all", "queries.qry": "queries.qry",
             "model.bin": "em/model.bin", "svd.bin": "svd/svd.bin"}
-# SMART files are read with undecodable bytes replaced, so they are not here
-TEXT_READERS = sorted(n for n in PRISTINE if n.endswith((".tsv", ".txt")))
+TEXT_READERS = sorted(n for n in PRISTINE if not n.endswith(".bin"))
 
 
 def run_reader(base: Path, name: str, content: bytes) -> tuple[int, str, str]:

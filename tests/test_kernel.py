@@ -2,9 +2,12 @@
 the log-joint scan and the batched fold_in against the brute-force oracles
 in helpers, over random shapes, tempering levels, dead factors, parameters
 near PROB_FLOOR, cells whose factor products underflow, and
-zero-probability cells."""
+zero-probability cells.  The SDDMM gathers short rows and loops over long
+ones: the random shapes cover short rows, rows at the switch and long
+rows, and the fixed cases run on each path in turn."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +24,35 @@ from plsa import (
     fold_in,
     log_likelihood,
 )
-from plsa.aspect_model import _UNDERFLOW, _scan_log_joint, _sddmm, _tempered_joint
-from plsa.trainer import _spmm
+from plsa import aspect_model
+from plsa.aspect_model import _SHORT_ROW, _UNDERFLOW, _scan_log_joint, _sddmm, _tempered_joint
+from plsa.trainer import _fold_in_sweep
 
 RTOL = 1e-12
 BETAS = (1.0, 0.9, TemConfig().beta_min)
+LONG_SHAPES = ("crossover", "long")
+
+
+def forced_paths():
+    """Patches that force the SDDMM's path rule to the gather path and to the
+    loop path, for use one after the other."""
+    return [mock.patch.object(aspect_model, "_SHORT_ROW", limit) for limit in (2**62, 0)]
+
+
+def long_rows(draw, rng, n_rows, shape):
+    """(k, mask) of rows with equal numbers of cells: cells times k just
+    below, at or just above _SHORT_ROW ("crossover"), or well above it
+    ("long"), so that the rule's choice is known."""
+    if shape == "crossover":
+        k = draw(st.sampled_from([16, 32]))
+        length = _SHORT_ROW // k + draw(st.integers(-1, 1))
+    else:
+        k = draw(st.integers(2, 8))
+        length = _SHORT_ROW // k + draw(st.integers(1, 150))
+    n_terms = length + draw(st.integers(0, 8))
+    mask = np.zeros((n_rows, n_terms), dtype=bool)
+    np.put_along_axis(mask, np.argsort(rng.random(mask.shape), axis=1)[:, :length], True, axis=1)
+    return k, mask
 
 
 def assert_models_close(got, want):
@@ -39,18 +66,25 @@ def normalized(prior, doc, word):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, shape="short"):
     """(model, counts, beta) with random shapes; some documents without
-    entries, some terms unused, and optionally entries near PROB_FLOOR."""
+    entries, some terms unused, and optionally entries near PROB_FLOOR.
+    Other shapes than "short" have rows of equal length, see long_rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_docs, n_terms, k = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
-    mask = rng.random((n_docs, n_terms)) < draw(st.floats(0.1, 1.0))
-    if draw(st.booleans()):
-        mask[rng.integers(n_docs)] = False  # an empty document row
-    if draw(st.booleans()):
-        mask[:, rng.integers(n_terms)] = False  # an unused term column
-    if not mask.any():
-        mask[rng.integers(n_docs), rng.integers(n_terms)] = True
+    if shape == "short":
+        n_docs, n_terms, k = (draw(st.integers(1, 7)), draw(st.integers(1, 7)),
+                              draw(st.integers(1, 4)))
+        mask = rng.random((n_docs, n_terms)) < draw(st.floats(0.1, 1.0))
+        if draw(st.booleans()):
+            mask[rng.integers(n_docs)] = False  # an empty document row
+        if draw(st.booleans()):
+            mask[:, rng.integers(n_terms)] = False  # an unused term column
+        if not mask.any():
+            mask[rng.integers(n_docs), rng.integers(n_terms)] = True
+    else:
+        n_docs = draw(st.integers(1, 3))
+        k, mask = long_rows(draw, rng, n_docs, shape)
+        n_terms = mask.shape[1]
     d, w = np.nonzero(mask)
     counts = CountMatrix(n_docs, n_terms, d, w, rng.integers(1, 6, size=d.size))
     blocks = [0.05 + rng.random(k), 0.05 + rng.random((n_docs, k)), 0.05 + rng.random((n_terms, k))]
@@ -71,6 +105,14 @@ class TestEmStep:
         assert_models_close(stepped, helpers.brute_em_step(model, counts, beta,
                                                            posterior=helpers.brute_posterior))
 
+    @pytest.mark.parametrize("shape", LONG_SHAPES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_long_rows_match_oracle(self, shape, data):
+        model, counts, beta = data.draw(cases(shape))
+        assert_models_close(em_step(model, counts, beta),
+                            helpers.brute_em_step(model, counts, beta))
+
     @settings(max_examples=20, deadline=None)
     @given(cases())
     def test_supplied_joint_changes_no_bit(self, case):
@@ -85,10 +127,12 @@ class TestEmStep:
         rng = np.random.default_rng(3)
         counts = helpers.random_counts(rng, 6, 7, 20)
         model = normalized(np.array([0.6, 0.0, 0.4]), rng.random((6, 3)), rng.random((7, 3)))
-        with pytest.warns(RuntimeWarning, match="no posterior mass"):
-            stepped = em_step(model, counts, beta)
-        assert_models_close(stepped, helpers.brute_em_step(model, counts, beta))
-        np.testing.assert_allclose(stepped.word_given_z[:, 1], 1.0 / 7, rtol=RTOL)
+        for forced in forced_paths():
+            with forced:
+                with pytest.warns(RuntimeWarning, match="no posterior mass"):
+                    stepped = em_step(model, counts, beta)
+                assert_models_close(stepped, helpers.brute_em_step(model, counts, beta))
+                np.testing.assert_allclose(stepped.word_given_z[:, 1], 1.0 / 7, rtol=RTOL)
 
     @staticmethod
     def underflow_case():
@@ -103,10 +147,12 @@ class TestEmStep:
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
         model, counts = self.underflow_case()
-        if beta == 1.0:  # the cell is below the threshold, so the fallback runs
-            assert _tempered_joint(model, counts, beta)[2][0] < _UNDERFLOW
-        assert_models_close(em_step(model, counts, beta),
-                            helpers.brute_em_step(model, counts, beta))
+        for forced in forced_paths():
+            with forced:
+                if beta == 1.0:  # the cell is below the threshold, so the fallback runs
+                    assert _tempered_joint(model, counts, beta)[2][0] < _UNDERFLOW
+                assert_models_close(em_step(model, counts, beta),
+                                    helpers.brute_em_step(model, counts, beta))
 
     @pytest.mark.parametrize("beta", [0.9, 0.5])
     def test_tempering_keeps_subnormal_factor_products_exact(self, beta):
@@ -116,8 +162,10 @@ class TestEmStep:
         counts = helpers.random_counts(rng, 4, 5, 12)
         model = normalized(np.array([1e-318, 1.0]), 0.1 + rng.random((4, 2)),
                            0.1 + rng.random((5, 2)))
-        assert_models_close(em_step(model, counts, beta),
-                            helpers.brute_em_step(model, counts, beta))
+        for forced in forced_paths():
+            with forced:
+                assert_models_close(em_step(model, counts, beta),
+                                    helpers.brute_em_step(model, counts, beta))
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_zero_probability_cell_raises(self, beta):
@@ -125,47 +173,71 @@ class TestEmStep:
         word = np.random.default_rng(6).random((5, 2))
         word[counts.term_ids[0]] = 0.0  # no factor can emit this observed term
         model = normalized(np.array([0.5, 0.5]), np.ones((4, 2)), word)
-        with pytest.raises(DegeneracyError):
-            em_step(model, counts, beta)
+        for forced in forced_paths():
+            with forced:
+                with pytest.raises(DegeneracyError):
+                    em_step(model, counts, beta)
 
 
 class TestScan:
     @settings(max_examples=80, deadline=None)
     @given(cases())
     def test_matches_log_domain_oracle(self, case):
-        model, counts, beta = case
+        self.assert_scan_like_oracle(*case)
+
+    @pytest.mark.parametrize("shape", LONG_SHAPES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_long_rows_match_oracle(self, shape, data):
+        self.assert_scan_like_oracle(*data.draw(cases(shape)))
+
+    @staticmethod
+    def assert_scan_like_oracle(model, counts, beta):
         expected = [helpers.log_domain_joint(model, int(d), int(w), beta)
                     for d, w in zip(counts.doc_ids, counts.term_ids)]
         # an absolute 1e-12 on the log is a relative 1e-12 on S_beta
         np.testing.assert_allclose(_scan_log_joint(model, counts, beta), expected,
                                    rtol=RTOL, atol=RTOL)
-        if beta == 1.0:
+        if beta == 1.0:  # relative RTOL on every S_beta, so absolute RTOL * total on the sum
             np.testing.assert_allclose(log_likelihood(model, counts),
-                                       helpers.brute_log_likelihood(model, counts), rtol=RTOL)
+                                       helpers.brute_log_likelihood(model, counts), rtol=RTOL,
+                                       atol=RTOL * counts.total)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
         model, counts = TestEmStep.underflow_case()
-        if beta == 1.0:
-            assert _tempered_joint(model, counts, beta)[2][0] < _UNDERFLOW
-        np.testing.assert_allclose(_scan_log_joint(model, counts, beta)[0],
-                                   helpers.log_domain_joint(model, 0, 0, beta), rtol=RTOL)
+        for forced in forced_paths():
+            with forced:
+                if beta == 1.0:
+                    assert _tempered_joint(model, counts, beta)[2][0] < _UNDERFLOW
+                np.testing.assert_allclose(_scan_log_joint(model, counts, beta)[0],
+                                           helpers.log_domain_joint(model, 0, 0, beta), rtol=RTOL)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_zero_probability_cell_is_minus_infinity(self, beta):
         model = AspectModel(np.array([1.0]), np.array([[0.5], [0.5]]), np.array([[1.0], [0.0]]))
         counts = CountMatrix(2, 2, [0, 0], [0, 1], [1, 1])
-        got = _scan_log_joint(model, counts, beta)
-        assert got[1] == -math.inf
-        np.testing.assert_allclose(got[0], beta * math.log(0.5), rtol=RTOL)
+        for forced in forced_paths():
+            with forced:
+                got = _scan_log_joint(model, counts, beta)
+                assert got[1] == -math.inf
+                np.testing.assert_allclose(got[0], beta * math.log(0.5), rtol=RTOL)
 
 
 @st.composite
-def fold_cases(draw):
+def fold_cases(draw, shape="short"):
     """(model, queries, beta): random shapes, some empty query rows, some
-    terms no factor generates, and optionally P(w|z) entries near PROB_FLOOR."""
+    terms no factor generates, and optionally P(w|z) entries near PROB_FLOOR.
+    Other shapes than "short" start from rows of equal length, see long_rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_queries, n_terms, k = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    if shape == "short":
+        n_queries, n_terms, k = (draw(st.integers(1, 6)), draw(st.integers(1, 8)),
+                                 draw(st.integers(1, 4)))
+        mask = rng.random((n_queries, n_terms)) < draw(st.floats(0.1, 1.0))
+    else:
+        n_queries = draw(st.integers(1, 3))
+        k, mask = long_rows(draw, rng, n_queries, shape)
+        n_terms = mask.shape[1]
     word = 0.05 + rng.random((n_terms, k))
     if n_terms > 1 and draw(st.booleans()):
         word[rng.integers(n_terms)] = 0.0  # a term no factor generates
@@ -173,7 +245,6 @@ def fold_cases(draw):
         low = (rng.random(word.shape) < 0.4) & (word > 0)
         word[low] = helpers.PROB_FLOOR * (0.5 + rng.random(int(low.sum())))
     model = normalized(0.1 + rng.random(k), 0.1 + rng.random((2, k)), word)
-    mask = rng.random((n_queries, n_terms)) < draw(st.floats(0.1, 1.0))
     if draw(st.booleans()):
         mask[rng.integers(n_queries)] = False  # a query without terms
     d, t = np.nonzero(mask)
@@ -207,6 +278,12 @@ class TestFoldIn:
     def test_matches_per_query_oracle(self, case):
         assert_folds_like_oracle(*case)
 
+    @pytest.mark.parametrize("shape", LONG_SHAPES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_long_rows_match_oracle(self, shape, data):
+        assert_folds_like_oracle(*data.draw(fold_cases(shape)))
+
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
         # term 0 has P(w|z) ~ 1e-250 under every factor, so its cell's
@@ -216,17 +293,19 @@ class TestFoldIn:
         queries = CountMatrix(3, 3, [0, 0, 1, 2, 2], [0, 1, 0, 0, 2], [2, 1, 1, 1, 3])
         if beta == 1.0:
             assert model.word_given_z[0] @ np.full(2, 0.5) < _UNDERFLOW
-        assert_folds_like_oracle(model, queries, beta)
+        for forced in forced_paths():
+            with forced:
+                assert_folds_like_oracle(model, queries, beta)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_zero_probability_cell_raises(self, beta):
         # fold_in's uniform start keeps weight on every factor that can emit
         # a query term, so a true zero reaches its sweep only from other
         # weights: here P(z|q) = (1, 0) and the term only factor 1 emits
-        queries = CountMatrix(1, 2, [0], [1], [1])
         theta, word = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
-        s = _sddmm(theta, word, queries)
-        assert s[0] == 0.0
-        with pytest.raises(DegeneracyError), np.errstate(divide="ignore"):
-            _spmm(queries, theta, word, s, beta, lambda cells: [
-                (cells, np.log(theta)[queries.doc_ids[cells]] + np.log(word)[queries.term_ids[cells]])])
+        rows, cols, counts = np.array([0]), np.array([1]), np.array([1])
+        for forced in forced_paths():
+            with forced:
+                assert _sddmm(theta, word, rows, cols)[0] == 0.0
+                with pytest.raises(DegeneracyError), np.errstate(divide="ignore"):
+                    _fold_in_sweep(theta, word, np.log(word), rows, cols, counts, beta)

@@ -26,6 +26,6 @@ def test_python_example_runs(capsys):
     assert namespace["weights"].shape == (1, 32)
     np.testing.assert_allclose(namespace["weights"].sum(), 1.0)
     assert namespace["coords"].shape == (1, 2)
-    ranking = namespace["rankings"][0]
-    assert sorted(ranking.doc_ids.tolist()) == list(range(len(TEXTS)))
-    assert set(ranking.doc_ids[:3].tolist()) == {0, 1, 2}  # the engine documents
+    ranking = namespace["rankings"].doc_ids[0]
+    assert sorted(ranking.tolist()) == list(range(len(TEXTS)))
+    assert set(ranking[:3].tolist()) == {0, 1, 2}  # the engine documents

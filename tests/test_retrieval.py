@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from plsa import RankedList, RetrievalRun, precision_recall, rank_all
+from plsa import Rankings, RetrievalRun, precision_recall, rank_all
 from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 
 
@@ -129,11 +129,11 @@ class TestPlsiStarScore:
 class TestRankAll:
     def test_sorts_descending(self):
         rankings = rank_all(np.array([[0.1, 0.9, 0.5]]), True, ["q1"])
-        assert rankings[0].doc_ids.tolist() == [1, 2, 0]
+        assert rankings.doc_ids.tolist() == [[1, 2, 0]]
 
     def test_ties_by_ascending_doc_id(self):
         rankings = rank_all(np.ones((1, 4)), True, ["q1"])
-        assert rankings[0].doc_ids.tolist() == [0, 1, 2, 3]
+        assert rankings.doc_ids.tolist() == [[0, 1, 2, 3]]
 
     def test_matches_exhaustive_cosine(self):
         docs = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
@@ -141,21 +141,21 @@ class TestRankAll:
         scores, q_ok, d_ok = cosine_scores(query[None, :], docs)
         rankings = rank_all(scores, q_ok[:, None] & d_ok[None, :], [0])
         by_hand = sorted(range(3), key=lambda d: (-helpers.cosine(docs[d], query), d))
-        assert rankings[0].doc_ids.tolist() == by_hand
+        assert rankings.doc_ids[0].tolist() == by_hand
 
     def test_scorer_error_ranks_last_with_warning(self):
         with pytest.warns(RuntimeWarning, match="could not be scored"):
             rankings = rank_all(np.array([[0.0, 1.0, 2.0]]), np.array([True, False, True]), ["q"])
-        assert rankings[0].doc_ids.tolist()[-1] == 1
-        assert rankings[0].scores[-1] == -np.inf
+        assert rankings.doc_ids[0, -1] == 1
+        assert rankings.scores[0, -1] == -np.inf
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8))
     def test_matches_sorted_oracle(self, seed, n_queries, n_docs):
-        # scores from a few values give exact ties; whole rows and columns
-        # may be unscorable
+        # scores from a few values give exact ties, -0.0 and 0.0 among them;
+        # whole rows and columns may be unscorable
         rng = np.random.default_rng(seed)
-        scores = rng.choice([-0.5, 0.0, 0.25, 1.0], size=(n_queries, n_docs))
+        scores = rng.choice([-0.5, -0.0, 0.0, 0.25, 1.0, np.inf], size=(n_queries, n_docs))
         scorable = rng.random((n_queries, n_docs)) < 0.8
         scorable[rng.integers(n_queries)] = rng.random() < 0.5
         scorable[:, rng.integers(n_docs)] &= rng.random() < 0.5
@@ -163,10 +163,10 @@ class TestRankAll:
             warnings.simplefilter("always")
             rankings = rank_all(scores, scorable, [f"q{i}" for i in range(n_queries)])
         masked = np.where(scorable, scores, -np.inf)
-        for i, ranking in enumerate(rankings):
-            assert ranking.query_id == f"q{i}"
-            assert ranking.doc_ids.tolist() == helpers.brute_rank(masked[i].tolist())
-            np.testing.assert_array_equal(ranking.scores, masked[i, ranking.doc_ids])
+        assert rankings.query_ids == [f"q{i}" for i in range(n_queries)]
+        for i, (doc_ids, ranked) in enumerate(zip(rankings.doc_ids, rankings.scores)):
+            assert doc_ids.tolist() == helpers.brute_rank(masked[i].tolist())
+            assert ranked.tobytes() == masked[i, doc_ids].tobytes()  # -0.0 stays -0.0
         expected = [f"query 'q{i}': {n} document(s) could not be scored and rank last"
                     for i, n in enumerate((~scorable).sum(axis=1)) if n]
         assert [str(w.message) for w in caught] == expected
@@ -178,36 +178,60 @@ class TestRankAll:
 
 
 class TestRankedListValidation:
-    def test_rejects_increasing_scores(self):
+    """Each case is rejected as a one-row Rankings and as the second row of a
+    matrix whose first row is valid: the checks run over the whole matrix."""
+
+    @staticmethod
+    def assert_rejected(doc_ids, scores):
         with pytest.raises(ValueError):
-            RankedList("q", [0, 1], [0.1, 0.9])
+            Rankings(["q"], [doc_ids], [scores])
+        n = len(doc_ids)
+        with pytest.raises(ValueError):
+            Rankings(["ok", "q"], [list(range(n)), doc_ids], [np.linspace(1.0, 0.0, n), scores])
+
+    def test_rejects_increasing_scores(self):
+        self.assert_rejected([0, 1], [0.1, 0.9])
 
     def test_rejects_tie_order_violation(self):
-        with pytest.raises(ValueError):
-            RankedList("q", [1, 0], [0.5, 0.5])
+        self.assert_rejected([1, 0], [0.5, 0.5])
 
     def test_rejects_tie_order_violation_at_minus_infinity(self):
-        with pytest.raises(ValueError):
-            RankedList("q", [0, 2, 1], [0.5, -np.inf, -np.inf])
+        self.assert_rejected([0, 2, 1], [0.5, -np.inf, -np.inf])
 
     def test_rejects_duplicates(self):
+        self.assert_rejected([0, 0], [0.9, 0.1])
+
+    def test_rejects_ids_outside_the_documents(self):
+        self.assert_rejected([0, 2], [0.9, 0.1])
+        self.assert_rejected([-1, 0], [0.9, 0.1])
+
+    def test_rejects_misshapen_input(self):
         with pytest.raises(ValueError):
-            RankedList("q", [0, 0], [0.9, 0.1])
+            Rankings(["q", "r"], [[0, 1]], [[0.9, 0.1]])  # one query id per row
+        with pytest.raises(ValueError):
+            Rankings(["q"], [[0, 1]], [[0.9, 0.1, 0.0]])
+        with pytest.raises(ValueError):
+            Rankings(["q"], [0, 1], [0.9, 0.1])  # a vector, not a matrix
+
+    def test_accepts_what_rank_all_returns(self):
+        ranked = rank_all(np.array([[0.5, 0.5, 1.0], [0.0, -0.0, 0.0]]), True, ["a", "b"])
+        again = Rankings(ranked.query_ids, ranked.doc_ids, ranked.scores)
+        assert again.doc_ids.tolist() == [[2, 0, 1], [0, 1, 2]]
 
 
 class TestRetrievalRun:
     def test_requires_judgments_for_every_query(self):
-        ranking = RankedList("q1", [0, 1], [0.9, 0.1])
+        ranking = Rankings(["q1"], [[0, 1]], [[0.9, 0.1]])
         with pytest.raises(ValueError):
-            RetrievalRun([ranking], {})
+            RetrievalRun(ranking, {})
 
 
 def make_run(rank_orders, judgments):
-    rankings = []
-    for qid, order in rank_orders.items():
-        n = len(order)
-        rankings.append(RankedList(qid, order, np.linspace(1.0, 0.1, n)))
-    return RetrievalRun(rankings, judgments)
+    """A run of the given per-query document orders, which must have equal
+    lengths, with linearly decreasing scores."""
+    orders = list(rank_orders.values())
+    scores = [np.linspace(1.0, 0.1, len(order)) for order in orders]
+    return RetrievalRun(Rankings(list(rank_orders), orders, scores), judgments)
 
 
 class TestPrecisionRecall:
@@ -236,7 +260,7 @@ class TestPrecisionRecall:
     def test_hand_oracle_two_relevant(self):
         # relevant docs at ranks 1 and 4: precision 1.0 until recall 0.5,
         # then 2/4 from recall 0.6 up
-        run = make_run({"q": [7, 3, 5, 8, 1]}, {"q": {7, 8}})
+        run = make_run({"q": [4, 1, 2, 3, 0]}, {"q": {4, 3}})
         summary = precision_recall(run)
         expected = [1.0] * 5 + [0.5] * 4
         np.testing.assert_allclose(summary.per_query["q"], expected, atol=1e-15)
@@ -264,6 +288,35 @@ class TestPrecisionRecall:
             with pytest.raises(ValueError):
                 precision_recall(run)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12))
+    def test_matches_per_query_oracle(self, seed, n_queries, n_docs):
+        # every query at once gives each query's curve and the macro
+        # averages bit for bit; some queries have no relevant documents
+        rng = np.random.default_rng(seed)
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n_queries, n_docs))
+        qids = [f"q{i}" for i in range(n_queries)]
+        judgments = {q: set(rng.choice(n_docs, size=rng.integers(0, n_docs + 1),
+                                       replace=False).tolist()) for q in qids}
+        judgments[qids[rng.integers(n_queries)]].add(int(rng.integers(n_docs)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            summary = precision_recall(RetrievalRun(rank_all(scores, True, qids), judgments))
+        table = []
+        for i, q in enumerate(qids):
+            if not judgments[q]:
+                assert q not in summary.per_query
+                continue
+            order = helpers.brute_rank(scores[i].tolist())
+            want = helpers.brute_interpolated_precision(
+                np.array([d in judgments[q] for d in order]), len(judgments[q]))
+            assert summary.per_query[q].tobytes() == want.tobytes()
+            table.append(want)
+        table = np.vstack(table)
+        assert summary.n_queries == len(table)
+        assert summary.precision_at_level.tobytes() == table.mean(axis=0).tobytes()
+        assert summary.average_precision == table.mean(axis=1).mean()
+
     def test_missing_relevant_document_detected(self):
         # judgments reference a document absent from the ranking
         run = make_run({"a": [0, 1, 2]}, {"a": {5}})
@@ -281,8 +334,8 @@ class TestBaselineEquivalence:
         latent_query = rng.dirichlet(np.ones(3))
         cos, _, _ = cosine_scores(query[None, :], docs)
         latent, _, _ = latent_scores(latent_query[None, :], latent_doc)
-        a = rank_all(combined_scores(1.0, cos, latent), True, ["q"])[0]
-        b = rank_all(cos, True, ["q"])[0]
+        a = rank_all(combined_scores(1.0, cos, latent), True, ["q"])
+        b = rank_all(cos, True, ["q"])
         np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
         np.testing.assert_array_equal(a.scores, b.scores)
 

@@ -481,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", help="stop-word list, one word per line")
     p.add_argument("--vocab", help="vocabulary sidecar for --format triples")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit an aspect model (or an SVD) on a count matrix")
     p.add_argument("--counts", required=True)
@@ -500,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total-iters", default=1000,
                    type=_flag(int, lambda v: TemConfig(max_total_iters=v)))
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("perplexity", help="evaluate a model's perplexity on counts")
     p.add_argument("--model", required=True)
@@ -508,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="score P(w|d) instead of the joint P(d,w)")
     p.add_argument("--baseline", help="second model; also report the reduction factor")
     p.add_argument("--out", help="optional output directory for the report")
+    p.set_defaults(func=cmd_perplexity)
 
     p = sub.add_parser("query", help="rank documents for queries and evaluate")
     p.add_argument("--counts", required=True)
@@ -527,11 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold-in-beta", type=_flag(float, lambda v: _require(v > 0.0, "> 0")),
                    default=1.0)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("topics", help="print the most probable words per factor")
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--top", type=_flag(int, lambda v: _require(v >= 1, ">= 1")), default=10)
+    p.set_defaults(func=cmd_topics)
 
     return parser
 
@@ -539,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)  # looked up per call: cmd_<subcommand>
+        return args.func(args)
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

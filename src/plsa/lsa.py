@@ -14,10 +14,12 @@ from . import serialize
 from .corpus import CountMatrix
 
 _ORTHO_TOL = 1e-8
-# A dense LAPACK decomposition is exact and, while the smaller side is at
-# most _DENSE_LIMIT or K is near it, cheaper than the iterative solver; it
-# builds the whole N x M table, so only up to _DENSE_CELLS cells (64 MB as
-# int64 and float64 copies).  The iterative path needs k < min(N, M).
+# A dense LAPACK decomposition is exact and builds the whole N x M table.
+# It is cheaper than the iterative solver on small problems: smaller side at
+# most _DENSE_LIMIT and at most _DENSE_CELLS cells (32 MB as float64).  Near
+# full rank the iterative solver is slow, and it cannot give k = min(N, M) at
+# all; there the table is no larger than the (N + M) x K singular vectors
+# returned, and the dense path is taken.
 _DENSE_LIMIT = 512
 _DENSE_CELLS = 1 << 22
 
@@ -79,28 +81,24 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def truncated_svd(counts: CountMatrix, k: int) -> SvdDecomposition:
     """Top-K singular triplets of the count matrix.
 
-    Uses dense LAPACK for small problems or near-full rank when the N x M
-    table has at most _DENSE_CELLS cells, and an iterative Lanczos-style
-    solver otherwise.  A K that only the dense path can compute on a larger
-    table raises ValueError.
+    Uses dense LAPACK for small problems and whenever the N x M table holds
+    no more cells than the N x K and M x K singular vectors, which covers
+    K near min(N, M); an iterative Lanczos-style solver otherwise.
     """
     n, m = counts.n_docs, counts.n_terms
     if not 1 <= k <= min(n, m):
         raise ValueError(f"k must be in [1, {min(n, m)}], got {k}")
-    if n * m <= _DENSE_CELLS and (min(n, m) <= _DENSE_LIMIT or k >= min(n, m) - 1):
+    if (min(n, m) <= _DENSE_LIMIT and n * m <= _DENSE_CELLS) or n * m <= (n + m) * k:
         u_full, s_full, vt_full = np.linalg.svd(counts.to_dense().astype(np.float64),
                                                 full_matrices=False)
         u, s, v = u_full[:, :k], s_full[:k], vt_full[:k].T
-    elif k < min(n, m):
+    else:
         # fixed starting vector: the default is drawn from global random
         # state, which would break run-to-run determinism
         v0 = np.random.default_rng(0x5EED).random(min(n, m))
         u, s, vt = scipy.sparse.linalg.svds(counts.to_csr(), k=k, v0=v0)
         order = np.argsort(-s)
         u, s, v = u[:, order], s[order], vt[order].T
-    else:
-        raise ValueError(f"k = {k} = min(N, M) needs a dense SVD, but the {n} x {m} table "
-                         f"has more than {_DENSE_CELLS} cells")
     u, v = _fix_signs(u.copy(), v.copy())
     return SvdDecomposition(u, s, v)
 

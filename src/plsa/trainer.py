@@ -277,10 +277,12 @@ def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
         raise ValueError("beta must be > 0")
     if queries.n_terms != model.n_terms:
         raise ValueError(f"queries span {queries.n_terms} terms but the model {model.n_terms}")
-    keep = model.word_given_z[queries.term_ids].sum(axis=1) > 0.0
     # columns renumbered over the terms in use, so that W^beta is only as
     # large as the batch
-    terms, cell_term = np.unique(queries.term_ids[keep], return_inverse=True)
+    terms, cell_term = np.unique(queries.term_ids, return_inverse=True)
+    live = model.word_given_z[terms].sum(axis=1) > 0.0
+    keep = live[cell_term]
+    terms, cell_term = terms[live], (np.cumsum(live) - 1)[cell_term[keep]]
     cell_row, cell_count = queries.doc_ids[keep], queries.counts[keep]
     lword = _safe_log(model.word_given_z[terms])
     w_beta = model.word_given_z[terms] if beta == 1.0 else np.exp(beta * lword)
@@ -305,16 +307,14 @@ def _fold_in_sweep(theta, w_beta, lword, rows, cols, counts, beta: float) -> np.
     """One fold-in EM sweep: the next mixing weights of the queries `theta`,
     whose cells (rows[i], cols[i]) are sorted by row and cover every row.
 
-    E-step as in em_step, with theta in place of A; the row-side SpMM is a
-    segment sum over each row's cells, one bincount over (row, factor) keys
-    that adds them in cell order.  A cell with S_beta below 1e-200 adds its
-    log-domain posterior; one with S_beta = 0 raises DegeneracyError."""
+    E-step as in em_step, with theta in place of A; only the row-side SpMM
+    is needed.  A cell with S_beta below 1e-200 adds its log-domain
+    posterior; one with S_beta = 0 raises DegeneracyError."""
     theta_beta = theta if beta == 1.0 else np.exp(beta * _safe_log(theta))
     ratio, low = _cell_ratios(counts, _sddmm(theta_beta, w_beta, rows, cols))
-    k = theta.shape[1]
-    keys = (rows[:, None] * k + np.arange(k)).ravel()
-    acc = theta_beta * np.bincount(keys, weights=(ratio[:, None] * w_beta[cols]).ravel(),
-                                   minlength=theta.size).reshape(theta.shape)
+    r = scipy.sparse.csr_matrix((ratio, cols, np.searchsorted(rows, np.arange(len(theta) + 1))),
+                                shape=(len(theta), len(w_beta)))
+    acc = theta_beta * (r @ w_beta)
     if low.size:
         lp = _safe_log(theta)[rows[low]] + lword[cols[low]]
         np.add.at(acc, rows[low], _tempered_softmax(lp, beta) * counts[low, None])

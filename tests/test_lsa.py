@@ -92,6 +92,17 @@ class TestTruncatedSvd:
             residual = dense @ decomp.v[:, j] - decomp.sigma[j] * decomp.u[:, j]
             assert np.linalg.norm(residual) < 1e-8 * max(1.0, decomp.sigma[j])
 
+    def test_full_rank_of_a_table_over_the_dense_cell_limit(self):
+        # 2 x (2^21 + 1) cells is beyond the small-problem limit, but k = 2 is
+        # the full spectrum, which only the dense path gives
+        m = (1 << 21) + 1
+        counts = CountMatrix.from_entries(2, m, [0, 0, 1, 1], [5, m - 1, 5, 17], [3, 1, 1, 2])
+        decomp = truncated_svd(counts, 2)
+        gram = np.array([[3 * 3 + 1 * 1, 3 * 1], [3 * 1, 1 * 1 + 2 * 2]], dtype=float)
+        np.testing.assert_allclose(decomp.sigma ** 2, np.linalg.eigvalsh(gram)[::-1], rtol=1e-10)
+        np.testing.assert_allclose((decomp.u * decomp.sigma) @ decomp.v[[5, 17, m - 1]].T,
+                                   [[3, 0, 1], [1, 2, 0]], atol=1e-10)
+
     def test_k_out_of_range(self):
         counts = counts_from_dense([[1, 2], [3, 4]])
         for k in (0, 3):

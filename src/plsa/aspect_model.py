@@ -159,10 +159,6 @@ def _log_joint_terms(model: AspectModel, counts: CountMatrix, cells=None):
         yield sel, lprior[None, :] + ldoc[counts.doc_ids[sel]] + lword[counts.term_ids[sel]]
 
 
-def _row_starts(counts: CountMatrix) -> np.ndarray:
-    return np.searchsorted(counts.doc_ids, np.arange(counts.n_docs + 1))
-
-
 def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
     """The E-step's SDDMM: (A^beta, W^beta, S_beta) with A = P(z)P(d|z), W = P(w|z)
     and S_beta[i] = A^beta[d_i] . W^beta[w_i] per nonzero cell.  Below beta = 1

@@ -103,6 +103,9 @@ def _load_ids(path: Path) -> list[str]:
             if row != str(len(ids)):
                 raise ParseError(path, line_no, f"rows must run 0, 1, 2, ... in order; "
                                                 f"expected {len(ids)}")
+            if ext_id.split() != [ext_id]:  # run.txt splits its lines at whitespace
+                raise ParseError(path, line_no, f"document id {ext_id!r} is empty or holds "
+                                                "whitespace")
             ids.append(ext_id)
     return ids
 

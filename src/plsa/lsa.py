@@ -89,8 +89,7 @@ def truncated_svd(counts: CountMatrix, k: int) -> SvdDecomposition:
     if not 1 <= k <= min(n, m):
         raise ValueError(f"k must be in [1, {min(n, m)}], got {k}")
     if (min(n, m) <= _DENSE_LIMIT and n * m <= _DENSE_CELLS) or n * m <= (n + m) * k:
-        u_full, s_full, vt_full = np.linalg.svd(counts.to_dense().astype(np.float64),
-                                                full_matrices=False)
+        u_full, s_full, vt_full = np.linalg.svd(counts.to_dense(np.float64), full_matrices=False)
         u, s, v = u_full[:, :k], s_full[:k], vt_full[:k].T
     else:
         # fixed starting vector: the default is drawn from global random

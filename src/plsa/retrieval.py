@@ -26,7 +26,9 @@ def cosine_scores(queries, docs):
     d = scipy.sparse.csr_matrix(docs, dtype=np.float64)
     q_norms, d_norms = (np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel()) for m in (q, d))
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = (q @ d.T).toarray() / (q_norms[:, None] * d_norms[None, :])
+        # d @ q.T: scipy turns the small q.T into CSR, where q @ d.T would
+        # turn the whole collection's d.T back into CSR
+        scores = (d @ q.T).T.toarray() / (q_norms[:, None] * d_norms[None, :])
     return np.nan_to_num(scores, nan=0.0, posinf=0.0, neginf=0.0), q_norms > 0.0, d_norms > 0.0
 
 

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from ._util import subseed
 from .aspect_model import (
@@ -29,7 +28,6 @@ from .aspect_model import (
     LOG_FLOOR,
     AspectModel,
     _log_joint_terms,
-    _row_starts,
     _safe_log,
     _scan_log_joint,
     _sddmm,
@@ -38,7 +36,7 @@ from .aspect_model import (
     init_model,
     perplexity,
 )
-from .corpus import CountMatrix, SplitPair, split_heldout
+from .corpus import CountMatrix, SplitPair, _csr, split_heldout
 
 
 class StoppingReason(enum.Enum):
@@ -155,8 +153,7 @@ def _spmm(counts: CountMatrix, a, w, s, beta: float, log_terms):
     `log_terms(cells)` yields (selector, lp) chunks of the untempered log
     joint terms of those entries."""
     ratio, cells = _cell_ratios(counts.counts, s)
-    r = scipy.sparse.csr_matrix((ratio, counts.term_ids, _row_starts(counts)),
-                                shape=(counts.n_docs, counts.n_terms))
+    r = _csr(counts.doc_ids, counts.term_ids, ratio, (counts.n_docs, counts.n_terms))
     row_acc = a * (r @ w)
     col_acc = w * (r.T @ a)
     for sel, lp in log_terms(cells) if cells.size else ():
@@ -312,8 +309,7 @@ def _fold_in_sweep(theta, w_beta, lword, rows, cols, counts, beta: float) -> np.
     posterior; one with S_beta = 0 raises DegeneracyError."""
     theta_beta = theta if beta == 1.0 else np.exp(beta * _safe_log(theta))
     ratio, low = _cell_ratios(counts, _sddmm(theta_beta, w_beta, rows, cols))
-    r = scipy.sparse.csr_matrix((ratio, cols, np.searchsorted(rows, np.arange(len(theta) + 1))),
-                                shape=(len(theta), len(w_beta)))
+    r = _csr(rows, cols, ratio, (len(theta), len(w_beta)))
     acc = theta_beta * (r @ w_beta)
     if low.size:
         lp = _safe_log(theta)[rows[low]] + lword[cols[low]]

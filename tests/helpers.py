@@ -3,13 +3,15 @@ of the library's vectorized paths, plus random/synthetic data generators."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 
 from plsa import (AspectModel, CountMatrix, ParseError, Vocabulary, lsi_doc_coords,
-                  mixing_weight_matrix, tokenize)
+                  mixing_weight_matrix)
 
 PROB_FLOOR = 1e-12
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 # ----------------------------------------------------------- brute oracles
@@ -106,6 +108,15 @@ def brute_free_energy(model, counts, posteriors, beta):
                      * float(model.word_given_z[int(w), z]))
             result += int(c) * (-beta * q * math.log(joint) + q * math.log(q))
     return result
+
+
+def brute_tokenize(text: str, stopwords=None) -> list[str]:
+    """tokenize as one regex pass over the lowered text, whatever its
+    characters: the reference for the ASCII translate path."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    if stopwords:
+        tokens = [t for t in tokens if t not in stopwords]
+    return tokens
 
 
 def brute_build_counts(docs: list[list[str]]) -> tuple[Vocabulary, CountMatrix]:
@@ -259,7 +270,7 @@ def brute_query_scores(counts, vocab, query_texts, models=(), svd=None, lam=0.5,
     n_queries = len(query_texts)
     query_dense = np.zeros((n_queries, counts.n_terms))
     for i, text in enumerate(query_texts):
-        for token in tokenize(text, stopwords):
+        for token in brute_tokenize(text, stopwords):
             if token in vocab.index:
                 query_dense[i, vocab.index[token]] += 1
     doc_csr = counts.to_csr()

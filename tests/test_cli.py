@@ -132,6 +132,34 @@ class TestIngest:
         for name in ("counts.tsv", "vocab.tsv"):
             assert (tmp_path / "ing" / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_mixed_ascii_and_other_text_matches_regex_oracle(self, tmp_path, stop):
+        # ASCII lines take tokenize's translate path, the rest its regex;
+        # words spelt both ways ('KELVIN' and '\u212aelvin') share a term
+        rng = np.random.default_rng(9)
+        words = ["kelvin", "\u212aELVIN", "KELVIN", "Stra\u00dfe", "STRA\u1e9eE", "\u0130stanbul",
+                 "istanbul", "\u65e5\u672c", "caf\u00e9", "cafe", "x_y", "a1", "\u0661\u0662",
+                 "don't", "e-mail", "w7", "\u2163", "\u00bd", "\u03c9\u03bc\u03ad\u03b3\u03b1"]
+        seps = [" ", "  ", ", ", ".", "\t", "--", "\u00a0", "\u3000"]
+        texts = []
+        for d in range(300):
+            pool = words + seps if d % 2 else [w for w in words + seps if w.isascii()]
+            texts.append("".join(rng.choice(pool, size=rng.integers(0, 20))))
+        assert sum(t.isascii() for t in texts) > 100 and sum(not t.isascii() for t in texts) > 100
+        (tmp_path / "docs").write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        (tmp_path / "stop").write_text("cafe\nkelvin\n\u65e5\u672c\n", encoding="utf-8")
+        stop_args = ["--stopwords", str(tmp_path / "stop")] if stop else []
+        assert main(["ingest", str(tmp_path / "docs"), "--format", "raw", *stop_args,
+                     "--out", str(tmp_path / "ing")]) == 0
+
+        stopwords = {"cafe", "kelvin", "\u65e5\u672c"} if stop else None
+        vocab, counts = helpers.brute_build_counts(
+            [helpers.brute_tokenize(t, stopwords) for t in texts])
+        helpers.brute_save_counts(counts, tmp_path / "counts.tsv")
+        vocab.save(tmp_path / "vocab.tsv")
+        for name in ("counts.tsv", "vocab.tsv"):
+            assert (tmp_path / "ing" / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_triples_round_trip(self, tmp_path):
         out_dir = ingest(tmp_path)
         rc = main(["ingest", str(out_dir / "counts.tsv"), "--format", "triples",
@@ -401,6 +429,39 @@ class TestQuery:
                    "--out", str(tmp_path / "q")])
         assert rc == 3
         assert "query id '7' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "q" / "run.txt").exists()
+
+    # run.txt is split at whitespace into 4 columns: an id holding whitespace
+    # would write a line of more, so its reader names its line and exits 3
+    def test_collection_id_holding_whitespace_is_data_error(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        (tmp_path / "c.all").write_text(".I 1\n.W\nengine fuel\n.I 2 b\n.W\nwheat\n")
+        rc = main(["ingest", str(tmp_path / "c.all"), "--format", "smart",
+                   "--out", str(tmp_path / "ing")])
+        assert rc == 3
+        assert f"{tmp_path / 'c.all'}:4: id '2 b' holds whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "ing" / "docids.tsv").exists()
+
+    def test_query_id_holding_whitespace_is_data_error(self, tmp_path, capsys):
+        out_dir = self._prepare(tmp_path)
+        (tmp_path / "q.qry").write_text(".I 1 x\n.W\nengine fuel\n")
+        rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
+                   "--queries", str(tmp_path / "q.qry"), "--baseline-only",
+                   "--out", str(tmp_path / "q")])
+        assert rc == 3
+        assert f"{tmp_path / 'q.qry'}:1: id '1 x' holds whitespace" in capsys.readouterr().err
+        assert not (tmp_path / "q" / "run.txt").exists()
+
+    @pytest.mark.parametrize("ext_id", ["2 b", "2\tb", "", " 2"])
+    def test_docids_id_holding_whitespace_is_data_error(self, tmp_path, capsys, ext_id):
+        out_dir = self._prepare(tmp_path)
+        (out_dir / "docids.tsv").write_text(f"0\t1\n1\t{ext_id}\n2\t3\n3\t4\n")
+        rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
+                   "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                   "--baseline-only", "--out", str(tmp_path / "q")])
+        assert rc == 3
+        assert (f"{out_dir / 'docids.tsv'}:2: document id {ext_id!r} is empty or holds whitespace"
+                in capsys.readouterr().err)
         assert not (tmp_path / "q" / "run.txt").exists()
 
 

@@ -1,10 +1,12 @@
 """Ingestion tests: tokenization, count matrices, splits, SMART parsing."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +46,53 @@ class TestTokenize:
             text = "".join(rng.choice(alphabet, size=40))
             tokens = tokenize(text)
             assert tokenize(" ".join(tokens)) == tokens
+
+
+def contexts(chars):
+    """Each character between letters, beside a space and doubled, as written
+    and upper-cased: uppercase 'ı' and 'ſ' are ASCII 'I' and 'S'."""
+    for c in chars:
+        text = f"a{c}b {c}{c}"
+        yield text
+        yield text.upper()
+
+
+class TestTokenizeOracle:
+    """tokenize against the regex it runs on non-ASCII text, on both paths."""
+
+    def test_every_code_point_in_context(self):
+        texts = list(contexts(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF))
+        # one call for each text that lowers to ASCII, which the translate
+        # path takes; the rest in blocks joined by a space, which separates
+        # tokens for both: tokenize must give each text the oracle's tokens
+        ascii_texts = [t for t in texts if t.lower().isascii()]
+        assert len(ascii_texts) > 2 * 128
+        assert list(map(tokenize, ascii_texts)) == list(map(helpers.brute_tokenize, ascii_texts))
+        for lo in range(0, len(texts), 1024):
+            block = " ".join(texts[lo:lo + 1024])
+            assert tokenize(block) == helpers.brute_tokenize(block)
+
+    def test_every_pair_of_ascii_characters(self):
+        for a, b in itertools.product(map(chr, range(128)), repeat=2):
+            assert tokenize(a + b) == helpers.brute_tokenize(a + b), (a, b)
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("\u212aelvin \u212a", ["kelvin", "k"]),  # KELVIN SIGN lowers to ASCII 'k'
+        ("\u0130stanbul x", ["i", "stanbul", "x"]),  # 'İ' lowers to 'i' + U+0307, not alnum
+        ("STRA\u1e9eE, Stra\u00dfe", ["straße", "straße"]),  # 'ẞ' lowers to 'ß'
+    ])
+    def test_lowering_that_changes_class(self, text, tokens):
+        assert tokenize(text) == helpers.brute_tokenize(text) == tokens
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.one_of(st.characters(max_codepoint=127),
+                                  st.characters(exclude_categories=()))),
+           data=st.data())
+    def test_text_over_all_categories(self, text, data):
+        want = helpers.brute_tokenize(text)
+        stopwords = data.draw(st.sets(st.sampled_from(want))) if want else set()
+        assert tokenize(text) == want
+        assert tokenize(text, stopwords) == helpers.brute_tokenize(text, stopwords)
 
 
 class TestBuildCounts:
@@ -174,6 +223,22 @@ class TestCountMatrix:
         np.testing.assert_array_equal(m.to_csr().toarray(), dense)
         np.testing.assert_array_equal(m.row_sums(), dense.sum(axis=1))
         np.testing.assert_array_equal(m.col_sums(), dense.sum(axis=0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 40),
+           n_terms=st.integers(1, 40), density=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    def test_csr_matches_coo_construction(self, seed, n_docs, n_terms, density):
+        rng = np.random.default_rng(seed)
+        cells = np.flatnonzero(rng.random(n_docs * n_terms) < density)
+        m = CountMatrix(n_docs, n_terms, cells // n_terms, cells % n_terms,
+                        rng.integers(1, 1000, size=cells.size))
+        want = scipy.sparse.csr_matrix((m.counts.astype(np.float64), (m.doc_ids, m.term_ids)),
+                                       shape=(n_docs, n_terms))
+        got = m.to_csr()
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
 
     def test_save_load_round_trip(self, tmp_path):
         m = CountMatrix.from_entries(4, 3, [0, 0, 2], [1, 2, 0], [3, 1, 7])
@@ -415,6 +480,34 @@ class TestVocabulary:
             Vocabulary.load(path)
         assert (excinfo.value.path, excinfo.value.line_no) == (str(path), line_no)
 
+    @pytest.mark.parametrize("content, terms", [
+        ("", []),
+        ("\n\n0\ta\n\n1\tb c\n", ["a", "b c"]),  # blank lines do not count
+        ("0\ta\r\n1\tb\r2\tc", ["a", "b", "c"]),  # any newline; none at the end
+        ("+0\ta\n01\tb\n", ["a", "b"]),  # ids that only the line reader accepts
+        ("0\t\n1\tb\n", ["", "b"]),
+    ])
+    def test_accepts_what_the_line_reader_accepts(self, tmp_path, content, terms):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(content.encode())
+        assert Vocabulary.load(path).terms == terms
+
+    @pytest.mark.parametrize("content, line_no", [
+        ("0\ta\t1\nx\n", 1),  # two tabs, then none: ids and terms still alternate
+        ("0\ta\tb\n", 1),
+        ("0\ta\n1\n", 2),  # a line that is an id alone
+        ("0\ta\nx\n", 2),
+        ("0\ta\n2\tb\n", 2),
+        ("1\ta\n", 1),
+        ("0\ta\n \n", 2),
+    ])
+    def test_rejects_what_the_line_reader_rejects(self, tmp_path, content, line_no):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            Vocabulary.load(path)
+        assert excinfo.value.line_no == line_no
+
     @pytest.mark.parametrize("content, message", [
         (b"0\tfoo\n1\tfoo\n", "duplicate terms"),
         (b"0\tfoo\n1\tb\xffr\n", "not UTF-8"),
@@ -539,6 +632,18 @@ class TestSmartParsing:
         with pytest.raises(ParseError, match=r":4:"):
             parse_smart_collection(path)
 
+    @pytest.mark.parametrize("marker", [".I 2 b", ".I 2\tb", ".I  2 b  "])
+    def test_id_holding_whitespace_names_its_line(self, tmp_path, marker):
+        path = tmp_path / "c.all"
+        path.write_text(f".I 1\n.W\nx\n{marker}\n.W\ny\n")
+        with pytest.raises(ParseError, match=r":4: id '2.+b' holds whitespace"):
+            parse_smart_collection(path)
+
+    def test_id_padding_is_stripped(self, tmp_path):
+        path = tmp_path / "c.all"
+        path.write_text(".I   7 \t\n.W\nx\n")
+        assert parse_smart_collection(path) == [SmartRecord("7", "x")]
+
     def test_section_before_record(self, tmp_path):
         path = tmp_path / "c.all"
         path.write_text(".W\nx\n")
@@ -567,6 +672,23 @@ class TestQrels:
         path = tmp_path / "qrels"
         path.write_text("1 10\njustone\n")
         with pytest.raises(ParseError, match=r":2:"):
+            parse_qrels(path)
+
+    def test_blank_lines_do_not_hide_the_trec_layout(self, tmp_path):
+        path = tmp_path / "qrels"
+        path.write_text("\n1 0 13 1\n\n  \n2 0 14 1\n\n")
+        assert parse_qrels(path) == {"1": {"13"}, "2": {"14"}}
+
+    def test_malformed_line_after_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "qrels"
+        path.write_bytes(b"1 10\r\n\r\n2 11\r3\n")
+        with pytest.raises(ParseError, match=r":4:"):
+            parse_qrels(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "qrels"
+        path.write_text("\n \n")
+        with pytest.raises(ParseError, match="no judgment pairs"):
             parse_qrels(path)
 
 

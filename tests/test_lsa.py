@@ -1,5 +1,7 @@
 """Truncated-SVD baseline tests: hand oracles, orthonormality, optimality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,33 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(decomp.sigma ** 2, np.linalg.eigvalsh(gram)[::-1], rtol=1e-10)
         np.testing.assert_allclose((decomp.u * decomp.sigma) @ decomp.v[[5, 17, m - 1]].T,
                                    [[3, 0, 1], [1, 2, 0]], atol=1e-10)
+
+    @pytest.mark.parametrize("n, m", [(2, 1 << 18), (300, 700), (700, 300)])
+    def test_dense_path_builds_one_table(self, monkeypatch, n, m):
+        # the float64 table handed to LAPACK is the only N x M array built
+        # before it: the traced peak up to that call stays near its size
+        rng = np.random.default_rng(n)
+        cells = rng.choice(n * m, size=5000, replace=False)
+        counts = CountMatrix.from_entries(n, m, cells // m, cells % m,
+                                          rng.integers(1, 9, size=cells.size))
+        svd, peaks = np.linalg.svd, []
+
+        def traced_svd(table, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            np.testing.assert_array_equal(table, counts.to_dense())
+            return svd(table, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", traced_svd)
+        tracemalloc.start()
+        try:
+            decomp = truncated_svd(counts, min(n, m))
+        finally:
+            tracemalloc.stop()
+        assert peaks and peaks[0] < 1.25 * n * m * 8
+        want = svd(counts.to_dense().astype(np.float64), full_matrices=False)
+        np.testing.assert_array_equal(np.abs(decomp.u), np.abs(want[0]))
+        np.testing.assert_array_equal(decomp.sigma, want[1])
+        np.testing.assert_array_equal(np.abs(decomp.v), np.abs(want[2].T))
 
     def test_k_out_of_range(self):
         counts = counts_from_dense([[1, 2], [3, 4]])

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import serialize
-from .corpus import CountMatrix
+from .corpus import CountMatrix, _csr
 
 PROB_FLOOR = 1e-12
 LOG_FLOOR = float(np.log(PROB_FLOOR))
@@ -146,17 +146,18 @@ def _check_dims(model: AspectModel, counts: CountMatrix) -> None:
         )
 
 
-def _log_joint_terms(model: AspectModel, counts: CountMatrix, cells=None):
-    """Yield (selector, lp) over chunks of the nonzero cells (all, or the
-    entry indices `cells`): lp[i, z] = log[P(z)P(d_i|z)P(w_i|z)]."""
-    _check_dims(model, counts)
-    lprior = _safe_log(model.prior)
-    ldoc = _safe_log(model.doc_given_z)
-    lword = _safe_log(model.word_given_z)
-    step = max(1, _CHUNK_CELLS // model.k)
-    for lo in range(0, counts.nnz if cells is None else cells.size, step):
+def _log_blocks(model: AspectModel):
+    """(log A, log W) with A = P(z)P(d|z) and W = P(w|z), untempered."""
+    return _safe_log(model.prior) + _safe_log(model.doc_given_z), _safe_log(model.word_given_z)
+
+
+def _log_joint_terms(log_a, log_w, rows, cols, cells=None):
+    """Yield (selector, lp) over chunks of the cells (rows[i], cols[i]) (all,
+    or the entry indices `cells`): lp[i, z] = log A[rows[i], z] + log W[cols[i], z]."""
+    step = max(1, _CHUNK_CELLS // log_a.shape[1])
+    for lo in range(0, rows.size if cells is None else cells.size, step):
         sel = slice(lo, lo + step) if cells is None else cells[lo:lo + step]
-        yield sel, lprior[None, :] + ldoc[counts.doc_ids[sel]] + lword[counts.term_ids[sel]]
+        yield sel, log_a[rows[sel]] + log_w[cols[sel]]
 
 
 def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
@@ -191,6 +192,24 @@ def _sddmm(a: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
     return s
 
 
+def _e_step(rows, cols, n, a, w, beta: float, log_blocks, s=None):
+    """The E-step on the cells (rows[i], cols[i]), sorted by row, with counts
+    n, a = A^beta, w = W^beta and S_beta as `s` if the caller has it: R = n /
+    S_beta as CSR, 0 where S_beta < 1e-200, and (cells, n q) chunks for those
+    cells, with q their log-domain posteriors from log_blocks() = (log A,
+    log W), called only then.  The row side of the M-step is a * (R @ w) plus
+    the chunks.  Iterating them raises DegeneracyError where S_beta = 0."""
+    if s is None:
+        s = _sddmm(a, w, rows, cols)
+    low = s < _UNDERFLOW
+    r = _csr(rows, cols, np.divide(n, s, out=np.zeros(n.size), where=~low), (len(a), len(w)))
+    cells = np.flatnonzero(low)
+    if not cells.size:
+        return r, ()
+    chunks = _log_joint_terms(*log_blocks(), rows, cols, cells)
+    return r, ((sel, _tempered_softmax(lp, beta) * n[sel, None]) for sel, lp in chunks)
+
+
 def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, s=None) -> np.ndarray:
     """Per nonzero cell, log S_beta = logsumexp_z of beta * log[P(z)P(d|z)P(w|z)],
     from `s` when the caller already has S_beta.  No floor is applied."""
@@ -198,8 +217,9 @@ def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, 
         s = _tempered_joint(model, counts, beta)[2]
     out = _safe_log(s)
     low = np.flatnonzero(s < _UNDERFLOW)
-    for sel, lp in _log_joint_terms(model, counts, low) if low.size else ():
-        out[sel] = logsumexp(_scale_log(lp, beta), axis=1)
+    if low.size:
+        for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids, low):
+            out[sel] = logsumexp(_scale_log(lp, beta), axis=1)
     return out
 
 
@@ -222,8 +242,9 @@ def cell_posteriors(model: AspectModel, counts: CountMatrix, beta: float = 1.0) 
     with the counts' entry order."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
+    _check_dims(model, counts)
     out = np.empty((counts.nnz, model.k))
-    for sel, lp in _log_joint_terms(model, counts):
+    for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids):
         out[sel] = _tempered_softmax(lp, beta)
     return out
 
@@ -303,8 +324,9 @@ def free_energy(model: AspectModel, counts: CountMatrix, posteriors: np.ndarray,
     q = np.asarray(posteriors, dtype=np.float64)
     if q.shape != (counts.nnz, model.k):
         raise ValueError(f"posteriors must have shape ({counts.nnz}, {model.k}), got {q.shape}")
+    _check_dims(model, counts)
     result = 0.0
-    for sel, lp in _log_joint_terms(model, counts):
+    for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids):
         qc = q[sel]
         positive = qc > 0.0
         if np.any(positive & np.isneginf(lp)):

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import sys
-from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -92,8 +91,21 @@ def _save_ids(path: Path, ids: list[str]) -> None:
             f.write(f"{i}\t{ext}\n")
 
 
+def _require_unique(path, ids: list[str], kind: str, line_nos=None) -> None:
+    """Raise ParseError at the first of `ids` that repeats an earlier one,
+    naming `path` and, from `line_nos` if given, its line: run.txt and qrels
+    tell rows apart by their ids."""
+    seen = set()
+    for i, ext_id in enumerate(ids):
+        if ext_id in seen:
+            raise ParseError(path, line_nos[i] if line_nos else 0,
+                             f"{kind} id {ext_id!r} appears more than once; "
+                             "run.txt could not tell them apart")
+        seen.add(ext_id)
+
+
 def _load_ids(path: Path) -> list[str]:
-    ids = []
+    ids, line_nos = [], []
     for line_no, line in _text_lines(path):
         line = line.rstrip("\n")
         if line:
@@ -107,6 +119,8 @@ def _load_ids(path: Path) -> list[str]:
                 raise ParseError(path, line_no, f"document id {ext_id!r} is empty or holds "
                                                 "whitespace")
             ids.append(ext_id)
+            line_nos.append(line_no)
+    _require_unique(path, ids, "document", line_nos)
     return ids
 
 
@@ -151,6 +165,7 @@ def cmd_ingest(args) -> int:
                 for record in parse_smart_collection(path):
                     doc_ids.append(record.id)
                     texts.append(record.text)
+                _require_unique(path, doc_ids, "document")  # within the file or with earlier ones
         else:  # raw: one document per line
             for path in args.inputs:
                 for _, line in _text_lines(path):
@@ -268,10 +283,7 @@ def _load_queries(args) -> tuple[list[str], list[str]]:
         ids = [str(i) for i in range(1, len(texts) + 1)]
     if not texts:
         raise ParseError(args.queries, 0, "no queries found")
-    repeated = [qid for qid, n in Counter(ids).items() if n > 1]
-    if repeated:
-        raise ParseError(args.queries, 0, f"query id {repeated[0]!r} appears more than once;"
-                         " run.txt could not tell the queries apart")
+    _require_unique(args.queries, ids, "query")
     return ids, texts
 
 
@@ -487,21 +499,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit an aspect model (or an SVD) on a count matrix")
+    schedule = TemConfig()  # the defaults of the schedule's flags
     p.add_argument("--counts", required=True)
     p.add_argument("--k", type=_flag(int, lambda k: _require(k >= 1, ">= 1")), required=True,
                    help="number of factors / components")
     p.add_argument("--mode", choices=["em", "tem", "svd"], default="tem")
-    p.add_argument("--eta", type=_flag(float, lambda v: TemConfig(eta=v)), default=0.9,
-                   help="beta decay factor")
-    p.add_argument("--beta-min", type=_flag(float, lambda v: TemConfig(beta_min=v)), default=0.5)
+    p.add_argument("--eta", type=_flag(float, lambda v: TemConfig(eta=v)),
+                   default=schedule.eta, help="beta decay factor")
+    p.add_argument("--beta-min", type=_flag(float, lambda v: TemConfig(beta_min=v)),
+                   default=schedule.beta_min)
     p.add_argument("--tol", type=_flag(float, lambda v: TemConfig(improvement_tol=v)),
-                   default=1e-4, help="relative held-out improvement counting as progress")
+                   default=schedule.improvement_tol,
+                   help="relative held-out improvement counting as progress")
     p.add_argument("--heldout", type=_flag(float, lambda v: TemConfig(heldout_fraction=v)),
-                   default=0.1, help="fraction of occurrences split off for early stopping")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters-per-beta", default=100,
+                   default=schedule.heldout_fraction,
+                   help="fraction of occurrences split off for early stopping")
+    p.add_argument("--seed", type=int, default=schedule.seed)
+    p.add_argument("--max-iters-per-beta", default=schedule.max_iters_per_beta,
                    type=_flag(int, lambda v: TemConfig(max_iters_per_beta=v)))
-    p.add_argument("--max-total-iters", default=1000,
+    p.add_argument("--max-total-iters", default=schedule.max_total_iters,
                    type=_flag(int, lambda v: TemConfig(max_total_iters=v)))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -228,18 +228,16 @@ class CountMatrix:
                 f.write(_decimal_rows(columns, b"\t\t\n"))
 
     @classmethod
-    def load(cls, path, n_docs=None, n_terms=None) -> "CountMatrix":
+    def load(cls, path) -> "CountMatrix":
         """Read sparse triples; duplicate cells are merged by summation.
 
-        Dimensions come from the `#dims` header when present, else from
-        explicit arguments, else from the largest ids seen.  Data lines hold
-        three whitespace-separated ASCII decimal integers with count >= 1;
-        blank lines and lines starting with `#` are skipped.  A rejected
-        file raises ParseError naming its first bad line.
+        Dimensions come from the `#dims` header when present, else from the
+        largest ids seen.  Data lines hold three whitespace-separated ASCII
+        decimal integers with count >= 1; blank lines and lines starting with
+        `#` are skipped.  A rejected file raises ParseError naming its first
+        bad line.
         """
         dims, stray_hash = _scan_comments(path)
-        if dims is not None:
-            n_docs, n_terms = dims
         columns = _read_columns(path)
         if (columns is None or stray_hash
                 or (columns.size and (len(columns) != 3 or columns[2].min() < 1))):
@@ -249,10 +247,9 @@ class CountMatrix:
         if not columns.size:
             raise ParseError(path, 0, "no count entries found")
         doc_ids, term_ids, counts = columns
-        if n_docs is None:
-            n_docs = int(doc_ids.max()) + 1
-        if n_terms is None:
-            n_terms = int(term_ids.max()) + 1
+        if dims is None:
+            dims = int(doc_ids.max()) + 1, int(term_ids.max()) + 1
+        n_docs, n_terms = dims
         ascending = (doc_ids[1:] > doc_ids[:-1]) | (
             (doc_ids[1:] == doc_ids[:-1]) & (term_ids[1:] > term_ids[:-1]))
         if ascending.all():  # what `save` writes: no sort, no merge

@@ -2,17 +2,18 @@
 annealing schedule, and fold-in of unseen queries against a frozen model.
 
 Tempered EM raises the per-cell factor posteriors to a power beta <= 1
-before the re-estimation step, which dampens them toward uniform.  The
-schedule starts at beta = 1 (plain EM), then repeatedly shrinks beta by a
-factor eta while performance on an internal held-out split keeps improving.
-Training always returns the parameter snapshot that scored best on the
-held-out data, not the last iterate.
+before the re-estimation step, which dampens them toward uniform.  A fit
+runs stages of sweeps at one beta, from beta = 1 (plain EM), each until
+perplexity on an internal held-out split stalls or for max_iters_per_beta
+sweeps; tempered EM then shrinks beta by a factor eta while each stage
+brings a new best and beta stays at or above beta_min.  max_total_iters caps
+the sweeps of a fit.  Training always returns the parameter snapshot that
+scored best on the held-out data, not the last iterate.
 
-A sweep is KL-NMF's multiplicative update.  The tempered posterior factorises
-as A^beta[d,z] W^beta[w,z] / S_beta(d,w) with A = P(z)P(d|z), W = P(w|z), so
-E and M steps are one SDDMM for S_beta on the nonzero cells and two sparse
-times dense products with R = n / S_beta.  A cell with S_beta below 1e-200
-(_UNDERFLOW) is accumulated from log-domain posteriors; if zero, it raises.
+A sweep is KL-NMF's multiplicative update: aspect_model._e_step gives
+R = n / S_beta on the nonzero cells, S_beta being the tempered joint, and the
+log-domain posteriors of the cells where S_beta underflows; the M-step is
+two sparse times dense products with R.
 """
 
 import enum
@@ -24,19 +25,17 @@ import numpy as np
 
 from ._util import subseed
 from .aspect_model import (
-    _UNDERFLOW,
     LOG_FLOOR,
     AspectModel,
-    _log_joint_terms,
+    _e_step,
+    _log_blocks,
     _safe_log,
     _scan_log_joint,
-    _sddmm,
     _tempered_joint,
-    _tempered_softmax,
     init_model,
     perplexity,
 )
-from .corpus import CountMatrix, SplitPair, _csr, split_heldout
+from .corpus import CountMatrix, SplitPair, split_heldout
 
 
 class StoppingReason(enum.Enum):
@@ -127,8 +126,13 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
     if counts.nnz == 0:
         raise ValueError("cannot run an EM sweep on empty counts")
     a, w, s = _tempered_joint(model, counts, beta) if _joint is None else _joint
-    doc_acc, word_acc = _spmm(counts, a, w, s, beta,
-                              lambda cells: _log_joint_terms(model, counts, cells))
+    r, tail = _e_step(counts.doc_ids, counts.term_ids, counts.counts, a, w, beta,
+                      lambda: _log_blocks(model), s)
+    doc_acc, word_acc = a * (r @ w), w * (r.T @ a)
+    for cells, weighted in tail:
+        np.add.at(doc_acc, counts.doc_ids[cells], weighted)
+        np.add.at(word_acc, counts.term_ids[cells], weighted)
+    del r  # freed before the blocks are normalised: holding it raised the peak RSS of a fit
     prior_acc = doc_acc.sum(axis=0)
     dead = prior_acc == 0.0
     if dead.any():
@@ -144,30 +148,6 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
         doc_acc / doc_acc.sum(axis=0),
         word_acc / word_acc.sum(axis=0),
     )
-
-
-def _spmm(counts: CountMatrix, a, w, s, beta: float, log_terms):
-    """The E-step's two SpMMs over the nonzero cells of `counts`, given their
-    SDDMM `s`: a * (R @ w) and w * (R^T @ a) with R = n / s.  A cell with s
-    below 1e-200 adds n(d,w) q(z) from its log-domain posterior instead;
-    `log_terms(cells)` yields (selector, lp) chunks of the untempered log
-    joint terms of those entries."""
-    ratio, cells = _cell_ratios(counts.counts, s)
-    r = _csr(counts.doc_ids, counts.term_ids, ratio, (counts.n_docs, counts.n_terms))
-    row_acc = a * (r @ w)
-    col_acc = w * (r.T @ a)
-    for sel, lp in log_terms(cells) if cells.size else ():
-        weighted = _tempered_softmax(lp, beta) * counts.counts[sel, None]
-        np.add.at(row_acc, counts.doc_ids[sel], weighted)
-        np.add.at(col_acc, counts.term_ids[sel], weighted)
-    return row_acc, col_acc
-
-
-def _cell_ratios(n: np.ndarray, s: np.ndarray):
-    """R = n / s per cell, 0 where s is below 1e-200, and the indices of
-    those cells, which the log-domain path accumulates instead."""
-    low = s < _UNDERFLOW
-    return np.divide(n, s, out=np.zeros(n.size), where=~low), np.flatnonzero(low)
 
 
 def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:
@@ -196,66 +176,50 @@ def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
     train, heldout = split.train, split.heldout
     if train.nnz == 0:
         raise ValueError("held-out split left no training occurrences; lower heldout_fraction")
-    stop_on_train = heldout.total == 0
-    if stop_on_train:
+    if heldout.total == 0:
         warnings.warn(
             "internal held-out split is empty; stopping will track training perplexity",
             RuntimeWarning,
         )
+        heldout = train
 
     model = init_model(k, counts.n_docs, counts.n_terms, subseed(config.seed, "init"))
     records: list[TraceRecord] = []
     best_model, best_ppx = model, math.inf
-    beta = 1.0
-    iteration = 0
-    prev_ppx = None
-    stopping = None
-
-    while stopping is None:
-        best_before_stage = best_ppx
-        stage_iters = 0
-        stage_end = None
+    beta, prev_ppx = 1.0, math.inf  # inf - x < tol * inf is false: sweep 1 never stalls
+    while True:
+        best_before_stage, stalled = best_ppx, False
         joint = None  # _tempered_joint of the current model at this stage's beta
-        while stage_end is None:
-            if iteration >= config.max_total_iters:
-                stage_end = "total-cap"
-                break
-            if stage_iters >= config.max_iters_per_beta:
-                stage_end = "stage-cap"
+        for _ in range(config.max_iters_per_beta):
+            if len(records) == config.max_total_iters:
                 break
             model = em_step(model, train, beta, _joint=joint)
-            iteration += 1
-            stage_iters += 1
             joint = _tempered_joint(model, train, beta)
             tempered = _scan_log_joint(model, train, beta, joint[2])
             log_joint = tempered if beta == 1.0 else _scan_log_joint(model, train)
             train_ll = float(np.dot(train.counts, np.maximum(log_joint, LOG_FLOOR)))
             train_ppx = math.exp(-train_ll / train.total)
             free = -float(np.dot(train.counts, tempered))
-            if stop_on_train:
-                held_ppx = perplexity(model, train, conditional=True)
-            else:
-                held_ppx = perplexity(model, heldout, conditional=True)
-            records.append(TraceRecord(iteration, beta, train_ppx, held_ppx, free))
+            held_ppx = perplexity(model, heldout, conditional=True)
+            records.append(TraceRecord(len(records) + 1, beta, train_ppx, held_ppx, free))
             if held_ppx < best_ppx:
                 best_ppx, best_model = held_ppx, model
-            if prev_ppx is not None and (prev_ppx - held_ppx) < config.improvement_tol * prev_ppx:
-                stage_end = "stalled"
+            stalled = prev_ppx - held_ppx < config.improvement_tol * prev_ppx
             prev_ppx = held_ppx
-        if stage_end == "total-cap":
-            stopping = StoppingReason.ITERATION_CAP
-        elif not temper:
-            stopping = (StoppingReason.HELDOUT_DETERIORATION if stage_end == "stalled"
-                        else StoppingReason.ITERATION_CAP)
-        elif beta < 1.0 and not best_ppx < best_before_stage:
-            stopping = StoppingReason.HELDOUT_DETERIORATION
+            if stalled:
+                break
+        # a stall on the last sweep the budget allows is judged as a stall;
+        # the budget then ends the run at the next stage's start
+        if not stalled and (len(records) == config.max_total_iters or not temper):
+            reason = StoppingReason.ITERATION_CAP
+        elif not temper or (beta < 1.0 and not best_ppx < best_before_stage):
+            reason = StoppingReason.HELDOUT_DETERIORATION
+        elif config.eta * beta < config.beta_min:
+            reason = StoppingReason.BETA_FLOOR
         else:
-            next_beta = config.eta * beta
-            if next_beta < config.beta_min:
-                stopping = StoppingReason.BETA_FLOOR
-            else:
-                beta = next_beta
-    return best_model, TrainTrace(records=records, stopping_reason=stopping)
+            beta *= config.eta
+            continue
+        return best_model, TrainTrace(records=records, stopping_reason=reason)
 
 
 def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
@@ -308,10 +272,9 @@ def _fold_in_sweep(theta, w_beta, lword, rows, cols, counts, beta: float) -> np.
     is needed.  A cell with S_beta below 1e-200 adds its log-domain
     posterior; one with S_beta = 0 raises DegeneracyError."""
     theta_beta = theta if beta == 1.0 else np.exp(beta * _safe_log(theta))
-    ratio, low = _cell_ratios(counts, _sddmm(theta_beta, w_beta, rows, cols))
-    r = _csr(rows, cols, ratio, (len(theta), len(w_beta)))
+    r, tail = _e_step(rows, cols, counts, theta_beta, w_beta, beta,
+                      lambda: (_safe_log(theta), lword))
     acc = theta_beta * (r @ w_beta)
-    if low.size:
-        lp = _safe_log(theta)[rows[low]] + lword[cols[low]]
-        np.add.at(acc, rows[low], _tempered_softmax(lp, beta) * counts[low, None])
+    for cells, weighted in tail:
+        np.add.at(acc, rows[cells], weighted)
     return acc / acc.sum(axis=1, keepdims=True)

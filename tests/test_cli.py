@@ -1,6 +1,7 @@
 """End-to-end command-line tests on small fixtures."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -204,6 +205,15 @@ class TestTrain:
         np.testing.assert_allclose(model.prior, baseline.prior, atol=1e-10)
         np.testing.assert_allclose(model.doc_given_z, baseline.doc_given_z, atol=1e-10)
         np.testing.assert_allclose(model.word_given_z, baseline.word_given_z, atol=1e-10)
+
+    def test_schedule_flags_default_to_tem_config(self, tmp_path):
+        out_dir = ingest(tmp_path)
+        assert main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2",
+                     "--out", str(tmp_path / "t")]) == 0
+        parameters = json.loads((tmp_path / "t" / "manifest.json").read_text())["parameters"]
+        manifest_key = {"improvement_tol": "tol", "heldout_fraction": "heldout"}
+        defaults = dataclasses.asdict(TemConfig())
+        assert {name: parameters[manifest_key.get(name, name)] for name in defaults} == defaults
 
     def test_svd_mode(self, tmp_path):
         out_dir = ingest(tmp_path)
@@ -429,6 +439,33 @@ class TestQuery:
                    "--out", str(tmp_path / "q")])
         assert rc == 3
         assert "query id '7' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "q" / "run.txt").exists()
+
+    # a repeated document id would put two documents under one name in
+    # run.txt, and qrels could judge only one of them
+    @pytest.mark.parametrize("files", [
+        [".I 1\n.W\nengine fuel\n.I 1\n.W\nfuel pumps\n.I 2\n.W\nwheat harvest\n"],
+        [".I 1\n.W\nengine fuel\n.I 2\n.W\nwheat harvest\n", ".I 3\n.W\nsoil\n.I 1\n.W\nbarn\n"],
+    ], ids=["within-a-file", "across-files"])
+    def test_repeated_document_id_in_collection_is_data_error(self, tmp_path, capsys, files):
+        paths = [tmp_path / f"c{i}.all" for i in range(len(files))]
+        for path, text in zip(paths, files):
+            path.write_text(text)
+        rc = main(["ingest", *map(str, paths), "--format", "smart", "--out", str(tmp_path / "ing")])
+        assert rc == 3
+        assert f"{paths[-1]}:0: document id '1' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "ing" / "docids.tsv").exists()
+
+    def test_repeated_docids_id_is_data_error(self, tmp_path, capsys):
+        out_dir = self._prepare(tmp_path)
+        (out_dir / "docids.tsv").write_text("0\t1\n1\t2\n\n2\t1\n3\t4\n")
+        rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
+                   "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                   "--baseline-only", "--qrels", str(tmp_path / "qrels.txt"),
+                   "--out", str(tmp_path / "q")])
+        assert rc == 3
+        assert (f"{out_dir / 'docids.tsv'}:4: document id '1' appears more than once"
+                in capsys.readouterr().err)
         assert not (tmp_path / "q" / "run.txt").exists()
 
     # run.txt is split at whitespace into 4 columns: an id holding whitespace

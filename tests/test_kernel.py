@@ -40,6 +40,14 @@ def forced_paths():
     return [mock.patch.object(aspect_model, "_SHORT_ROW", limit) for limit in (2**62, 0)]
 
 
+def underflow_settings():
+    """Pairs of patches for the underflow cases: each forced SDDMM path, with
+    the default _CHUNK_CELLS, which takes their log-domain cells in one
+    chunk, and with one that splits those cells into chunks of two at K = 2."""
+    return [(path, mock.patch.object(aspect_model, "_CHUNK_CELLS", cells))
+            for cells in (aspect_model._CHUNK_CELLS, 4) for path in forced_paths()]
+
+
 def long_rows(draw, rng, n_rows, shape):
     """(k, mask) of rows with equal numbers of cells: cells times k just
     below, at or just above _SHORT_ROW ("crossover"), or well above it
@@ -137,21 +145,29 @@ class TestEmStep:
 
     @staticmethod
     def underflow_case():
-        """Document 0 and term 0 carry ~1e-160 under both factors, so cell
-        (0, 0) has factor products near 1e-320, below the normal range."""
-        doc = np.array([[1e-160, 3e-160], [0.5, 0.2], [0.5, 0.8]])
-        word = np.array([[2e-160, 1e-160], [0.3, 0.6], [0.7, 0.4]])
-        counts = CountMatrix.from_entries(3, 3, [0, 0, 1, 1, 2, 2, 1], [0, 1, 1, 2, 1, 2, 0],
-                                          [2, 1, 3, 1, 2, 4, 1])
+        """Documents 0-2 and terms 0-2 carry ~1e-160 under both factors, so
+        the 9 cells they share have factor products near 1e-320, below the
+        normal range; the other 27 cells of the 6 x 6 table are normal."""
+        tiny = np.array([[1e-160, 3e-160], [2e-160, 1e-160], [3e-160, 2e-160]])
+        doc = np.vstack([tiny, [[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]]])
+        word = np.vstack([tiny[::-1], [[0.3, 0.6], [0.3, 0.1], [0.4, 0.3]]])
+        d, w = np.divmod(np.arange(36), 6)
+        counts = CountMatrix(6, 6, d, w, 1 + np.arange(36) % 4)
         return normalized(np.array([0.3, 0.7]), doc, word), counts
+
+    @staticmethod
+    def assert_cells_underflow(model, counts):
+        """At beta = 1 the 9 shared cells are below the threshold, so the
+        fallback runs, in several chunks at underflow_settings' small one."""
+        low = _tempered_joint(model, counts, 1.0)[2] < _UNDERFLOW
+        np.testing.assert_array_equal(low, (counts.doc_ids < 3) & (counts.term_ids < 3))
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
         model, counts = self.underflow_case()
-        for forced in forced_paths():
-            with forced:
-                if beta == 1.0:  # the cell is below the threshold, so the fallback runs
-                    assert _tempered_joint(model, counts, beta)[2][0] < _UNDERFLOW
+        self.assert_cells_underflow(model, counts)
+        for forced, chunks in underflow_settings():
+            with forced, chunks:
                 assert_models_close(em_step(model, counts, beta),
                                     helpers.brute_em_step(model, counts, beta))
 
@@ -207,12 +223,13 @@ class TestScan:
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
         model, counts = TestEmStep.underflow_case()
-        for forced in forced_paths():
-            with forced:
-                if beta == 1.0:
-                    assert _tempered_joint(model, counts, beta)[2][0] < _UNDERFLOW
-                np.testing.assert_allclose(_scan_log_joint(model, counts, beta)[0],
-                                           helpers.log_domain_joint(model, 0, 0, beta), rtol=RTOL)
+        TestEmStep.assert_cells_underflow(model, counts)
+        expected = [helpers.log_domain_joint(model, int(d), int(w), beta)
+                    for d, w in zip(counts.doc_ids, counts.term_ids)]
+        for forced, chunks in underflow_settings():
+            with forced, chunks:
+                np.testing.assert_allclose(_scan_log_joint(model, counts, beta), expected,
+                                           rtol=RTOL)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_zero_probability_cell_is_minus_infinity(self, beta):
@@ -305,15 +322,18 @@ class TestFoldIn:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
-        # term 0 has P(w|z) ~ 1e-250 under every factor, so its cell's
-        # S_beta at the uniform start is below the threshold at beta = 1
-        word = np.array([[1e-250, 3e-250], [0.3, 0.6], [0.7, 0.4]])
+        # terms 0-2 have P(w|z) ~ 1e-250 under every factor, so the S_beta of
+        # their 8 cells is below the threshold at beta = 1 and 0.9 whatever
+        # the weights; query 1 holds no other term
+        word = np.array([[1e-250, 3e-250], [2e-250, 1e-250], [3e-250, 2e-250], [0.3, 0.6],
+                         [0.7, 0.4]])
         model = normalized(np.array([0.3, 0.7]), np.ones((2, 2)), word)
-        queries = CountMatrix(3, 3, [0, 0, 1, 2, 2], [0, 1, 0, 0, 2], [2, 1, 1, 1, 3])
-        if beta == 1.0:
-            assert model.word_given_z[0] @ np.full(2, 0.5) < _UNDERFLOW
-        for forced in forced_paths():
-            with forced:
+        queries = CountMatrix(4, 5, [0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3],
+                              [0, 1, 3, 0, 2, 0, 1, 2, 4, 2, 3, 4],
+                              [2, 1, 1, 1, 3, 1, 2, 1, 3, 2, 1, 1])
+        assert (model.word_given_z[:3].max(axis=1) < _UNDERFLOW).all()
+        for forced, chunks in underflow_settings():
+            with forced, chunks:
                 assert_folds_like_oracle(model, queries, beta)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])

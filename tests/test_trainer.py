@@ -239,6 +239,34 @@ class TestFitTem:
             TemConfig(improvement_tol=0.0)
 
 
+STALL, NO_STALL = 2e-2, 1e-12  # improvement_tol values that stall at sweep 2, and never
+
+
+@pytest.mark.parametrize("fit, schedule, reason, n_records", [
+    # the beta = 1 stage ends on a stall at its second sweep
+    (fit_em, dict(improvement_tol=STALL), StoppingReason.HELDOUT_DETERIORATION, 2),
+    (fit_em, dict(improvement_tol=NO_STALL, max_iters_per_beta=3), StoppingReason.ITERATION_CAP,
+     3),
+    # stages at beta = 0.9, 0.81, ... stall at their first sweep; the one at
+    # 0.59 brings no new best held-out perplexity
+    (fit_tem, dict(improvement_tol=STALL), StoppingReason.HELDOUT_DETERIORATION, 7),
+    (fit_tem, dict(improvement_tol=NO_STALL, max_iters_per_beta=2, beta_min=0.85),
+     StoppingReason.BETA_FLOOR, 4),
+    # the run's budget runs out where the beta = 0.9 stage ends
+    (fit_tem, dict(improvement_tol=NO_STALL, max_iters_per_beta=2, beta_min=0.85,
+                   max_total_iters=4), StoppingReason.ITERATION_CAP, 4),
+    # a stall on the last sweep the budget allows is judged as a stall
+    (fit_em, dict(improvement_tol=STALL, max_total_iters=2), StoppingReason.HELDOUT_DETERIORATION,
+     2),
+    (fit_tem, dict(improvement_tol=STALL, max_total_iters=7), StoppingReason.HELDOUT_DETERIORATION,
+     7),
+])
+def test_every_exit_of_the_schedule(fit, schedule, reason, n_records):
+    counts = helpers.random_counts(np.random.default_rng(21), 15, 20, 120, max_count=4)
+    _, trace = fit(counts, 3, TemConfig(seed=3, **schedule))
+    assert (trace.stopping_reason, len(trace.records)) == (reason, n_records)
+
+
 class TestTrace:
     def test_save_format(self, tmp_path):
         counts = small_corpus(31, n_docs=10, n_terms=12, nnz=60)

@@ -8,14 +8,10 @@ from .aspect_model import (
     PROB_FLOOR,
     AspectModel,
     DegeneracyError,
-    cell_posteriors,
-    free_energy,
     init_model,
-    joint_prob,
     log_likelihood,
     mixing_weight_matrix,
     perplexity,
-    posterior,
     top_words,
     unigram_baseline,
 )
@@ -72,15 +68,12 @@ __all__ = [
     "TrainTrace",
     "Vocabulary",
     "build_counts",
-    "cell_posteriors",
     "em_step",
     "fit_em",
     "fit_tem",
     "fold_in",
-    "free_energy",
     "init_model",
     "internal_split",
-    "joint_prob",
     "load_stopwords",
     "log_likelihood",
     "lsi_doc_coords",
@@ -89,7 +82,6 @@ __all__ = [
     "parse_qrels",
     "parse_smart_collection",
     "perplexity",
-    "posterior",
     "precision_recall",
     "rank_all",
     "split_heldout",

@@ -118,18 +118,9 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def _scale_log(lp: np.ndarray, beta: float) -> np.ndarray:
-    """beta * lp with the convention that zero probabilities stay zero
-    (log -inf) for every beta >= 0."""
-    if beta == 1.0:
-        return lp
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isneginf(lp), -np.inf, beta * lp)
-
-
 def _tempered_softmax(lp: np.ndarray, beta: float) -> np.ndarray:
-    """Row-normalize exp(beta * lp) stably; lp rows are log joint terms."""
-    scaled = _scale_log(lp, beta)
+    """Row-normalize exp(beta * lp) stably, beta > 0; lp rows are log joint terms."""
+    scaled = beta * lp
     peak = scaled.max(axis=1)
     if np.isneginf(peak).any():
         raise DegeneracyError("observation has zero probability under every factor")
@@ -151,12 +142,12 @@ def _log_blocks(model: AspectModel):
     return _safe_log(model.prior) + _safe_log(model.doc_given_z), _safe_log(model.word_given_z)
 
 
-def _log_joint_terms(log_a, log_w, rows, cols, cells=None):
-    """Yield (selector, lp) over chunks of the cells (rows[i], cols[i]) (all,
-    or the entry indices `cells`): lp[i, z] = log A[rows[i], z] + log W[cols[i], z]."""
+def _log_joint_terms(log_a, log_w, rows, cols, cells):
+    """Yield (selector, lp) over chunks of the cells (rows[i], cols[i]) at the
+    entry indices `cells`: lp[i, z] = log A[rows[i], z] + log W[cols[i], z]."""
     step = max(1, _CHUNK_CELLS // log_a.shape[1])
-    for lo in range(0, rows.size if cells is None else cells.size, step):
-        sel = slice(lo, lo + step) if cells is None else cells[lo:lo + step]
+    for lo in range(0, cells.size, step):
+        sel = cells[lo:lo + step]
         yield sel, log_a[rows[sel]] + log_w[cols[sel]]
 
 
@@ -219,33 +210,7 @@ def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, 
     low = np.flatnonzero(s < _UNDERFLOW)
     if low.size:
         for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids, low):
-            out[sel] = logsumexp(_scale_log(lp, beta), axis=1)
-    return out
-
-
-def posterior(model: AspectModel, d: int, w: int, beta: float = 1.0) -> np.ndarray:
-    """Tempered factor posterior for one cell:
-    P(z; d, w) proportional to [P(z)P(d|z)P(w|z)]^beta.
-
-    beta = 1 is the exact posterior; beta = 0 is uniform over the factors
-    that give the cell nonzero probability.  Computed in the log domain with
-    common-scale subtraction.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    lp = _safe_log(model.prior) + _safe_log(model.doc_given_z[d]) + _safe_log(model.word_given_z[w])
-    return _tempered_softmax(lp[None, :], beta)[0]
-
-
-def cell_posteriors(model: AspectModel, counts: CountMatrix, beta: float = 1.0) -> np.ndarray:
-    """Tempered posteriors for every nonzero cell, shape (nnz, K), aligned
-    with the counts' entry order."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    _check_dims(model, counts)
-    out = np.empty((counts.nnz, model.k))
-    for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids):
-        out[sel] = _tempered_softmax(lp, beta)
+            out[sel] = logsumexp(beta * lp, axis=1)
     return out
 
 
@@ -261,11 +226,6 @@ def mixing_weight_matrix(model: AspectModel) -> np.ndarray:
         out = joint / totals[:, None]
     out[totals <= 0.0] = np.nan
     return out
-
-
-def joint_prob(model: AspectModel, d: int, w: int) -> float:
-    """P(d, w) = sum_z P(z) P(d|z) P(w|z) for one cell."""
-    return float(np.dot(model.prior * model.doc_given_z[d], model.word_given_z[w]))
 
 
 def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:
@@ -307,35 +267,6 @@ def unigram_baseline(counts: CountMatrix) -> AspectModel:
     doc = (counts.row_sums() / total)[:, None]
     word = (counts.col_sums() / total)[:, None]
     return AspectModel(np.array([1.0]), doc, word)
-
-
-def free_energy(model: AspectModel, counts: CountMatrix, posteriors: np.ndarray,
-                beta: float) -> float:
-    """Variational objective at inverse temperature beta:
-
-        F = -beta * sum n(d,w) sum_z q(z) log[P(z)P(d|z)P(w|z)]
-            + sum n(d,w) sum_z q(z) log q(z)
-
-    where q are the supplied per-cell distributions over factors (shape
-    (nnz, K), aligned with the counts' entry order) and 0 log 0 = 0.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    q = np.asarray(posteriors, dtype=np.float64)
-    if q.shape != (counts.nnz, model.k):
-        raise ValueError(f"posteriors must have shape ({counts.nnz}, {model.k}), got {q.shape}")
-    _check_dims(model, counts)
-    result = 0.0
-    for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids):
-        qc = q[sel]
-        positive = qc > 0.0
-        if np.any(positive & np.isneginf(lp)):
-            raise DegeneracyError("posterior mass on a zero-probability factor; log undefined")
-        with np.errstate(invalid="ignore"):
-            expected = np.where(positive, qc * lp, 0.0).sum(axis=1)
-            entropy = np.where(positive, qc * np.log(np.where(positive, qc, 1.0)), 0.0).sum(axis=1)
-        result += float(np.dot(counts.counts[sel], -beta * expected + entropy))
-    return result
 
 
 def top_words(model: AspectModel, z: int, count: int) -> list[tuple[int, float]]:

@@ -59,6 +59,10 @@ _RUN_BLOCK = 1 << 14  # run.txt lines formatted per write
 _PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of run.txt's byte tables
 
 
+class UsageError(Exception):
+    """Flags that parse but do not fit together."""
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -142,6 +146,10 @@ def _load_model(path, counts: CountMatrix) -> AspectModel:
 
 
 def cmd_ingest(args) -> int:
+    if args.format == "triples" and len(args.inputs) > 1:
+        raise UsageError(f"--format triples reads one counts file, got {len(args.inputs)}")
+    if args.format == "triples" and args.stopwords:
+        raise UsageError("--stopwords does not apply to --format triples")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
@@ -535,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--queries-format", choices=["smart", "raw"], default="smart")
-    p.add_argument("--model", nargs="*", default=[],
-                   help="aspect model file(s); several trigger uniform averaging")
+    p.add_argument("--model", nargs="*", action="extend", default=[],
+                   help="aspect model file(s), the flag may repeat; several trigger "
+                        "uniform averaging")
     p.add_argument("--svd", help="svd decomposition file for latent-space scoring")
     p.add_argument("--baseline-only", action="store_true",
                    help="rank by the raw term cosine only")
@@ -564,6 +573,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

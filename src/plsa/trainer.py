@@ -94,7 +94,11 @@ class TrainTrace:
     train_perplexity is the joint perplexity of the training occurrences
     (monotone under EM at beta = 1); heldout_perplexity is the conditional
     perplexity used for stopping; free_energy is the variational objective
-    at that iteration's beta, evaluated with the model's own posteriors.
+    F_beta at that iteration's beta, evaluated with the model's own tempered
+    posteriors, where it is -sum n log S_beta over the internal training
+    split, S_beta being the tempered joint.  Unlike train_perplexity it has
+    no PROB_FLOOR clamp.  At beta = 1 it is the negative training
+    log-likelihood.
     """
 
     records: list[TraceRecord] = field(default_factory=list)

@@ -1,14 +1,17 @@
 """Shared test utilities: brute-force oracles kept deliberately independent
-of the library's vectorized paths, plus random/synthetic data generators."""
+of the library's vectorized paths, readers of the per-cell quantities the
+production paths compute, and random/synthetic data generators."""
 
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 
 from plsa import (AspectModel, CountMatrix, ParseError, Vocabulary, lsi_doc_coords,
-                  mixing_weight_matrix)
+                  mixing_weight_matrix, trainer)
+from plsa.aspect_model import _e_step, _log_blocks, _tempered_joint
 
 PROB_FLOOR = 1e-12
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -88,6 +91,12 @@ def brute_em_step(model, counts, beta, posterior=log_domain_posterior):
     word[:, dead] = 1.0
     prior[dead] = prior.sum() / k
     return AspectModel(prior / prior.sum(), doc / doc.sum(axis=0), word / word.sum(axis=0))
+
+
+def brute_cell_posteriors(model, counts, beta, posterior=brute_posterior):
+    """posterior() of every nonzero cell, shape (nnz, K), in entry order."""
+    return np.array([posterior(model, int(d), int(w), beta)
+                     for d, w in zip(counts.doc_ids, counts.term_ids)])
 
 
 def brute_log_likelihood(model, counts, floor=PROB_FLOOR):
@@ -353,6 +362,50 @@ def brute_run_and_pr(scores, scorable, query_ids, doc_ids, judgments):
 
 def entropy(p):
     return float(-sum(x * math.log(x) for x in np.asarray(p).ravel() if x > 0.0))
+
+
+# ------------------------------------------------- production-path readers
+
+
+def e_step_posteriors(model, counts, beta):
+    """The tempered posteriors q(z; d, w) of the nonzero cells, shape (nnz, K),
+    as aspect_model._e_step hands them to the M-step: a[d] w[w] R / n on the
+    normal cells, and the tail's n q / n on the cells where S_beta underflows.
+    Raises DegeneracyError where S_beta = 0."""
+    rows, cols, n = counts.doc_ids, counts.term_ids, counts.counts
+    a, w, s = _tempered_joint(model, counts, beta)
+    r, tail = _e_step(rows, cols, n, a, w, beta, lambda: _log_blocks(model), s)
+    q = a[rows] * w[cols] * (np.asarray(r[rows, cols]).ravel() / n)[:, None]
+    for cells, weighted in tail:
+        q[cells] = weighted / n[cells, None]
+    return q
+
+
+def cell_posterior(model, d, w, beta):
+    """e_step_posteriors of the single cell (d, w)."""
+    cell = CountMatrix(model.n_docs, model.n_terms, [d], [w], [1])
+    return e_step_posteriors(model, cell, beta)[0]
+
+
+def full_table(n_docs, n_terms):
+    """Counts of 1 in every cell, in row-major order."""
+    d, w = np.divmod(np.arange(n_docs * n_terms), n_terms)
+    return CountMatrix(n_docs, n_terms, d, w, np.ones(d.size, dtype=np.int64))
+
+
+def fit_with_models(fit, counts, k, config):
+    """fit(counts, k, config)'s trace, and the model after each of its sweeps:
+    models[i] is the one that trace.records[i] scores."""
+    models = []
+    sweep = trainer.em_step
+
+    def recorded(*args, **kwargs):
+        models.append(sweep(*args, **kwargs))
+        return models[-1]
+
+    with mock.patch.object(trainer, "em_step", recorded):
+        _, trace = fit(counts, k, config)
+    return trace, models
 
 
 # ------------------------------------------------------------- generators

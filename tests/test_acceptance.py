@@ -22,21 +22,17 @@ from plsa import (
     RetrievalRun,
     TemConfig,
     build_counts,
-    cell_posteriors,
     em_step,
     fit_em,
     fit_tem,
     fold_in,
-    free_energy,
     init_model,
     internal_split,
-    joint_prob,
     log_likelihood,
     mixing_weight_matrix,
     parse_qrels,
     parse_smart_collection,
     perplexity,
-    posterior,
     precision_recall,
     rank_all,
     split_heldout,
@@ -44,6 +40,7 @@ from plsa import (
     truncated_svd,
     unigram_baseline,
 )
+from plsa.aspect_model import _scan_log_joint, _tempered_joint
 from plsa.lsa import lsi_doc_coords
 from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 
@@ -128,36 +125,37 @@ def test_brute_force_equivalence():
         m = int(rng.integers(2, 8))
         model = helpers.random_model(rng, k, n, m)
         counts = helpers.random_counts(rng, n, m, int(rng.integers(3, 16)))
+        joint = _tempered_joint(model, helpers.full_table(n, m), 1.0)[2].reshape(n, m)
         for d in range(n):
             for w in range(m):
-                assert abs(joint_prob(model, d, w) - helpers.brute_joint(model, d, w)) < 1e-12
-        d = int(rng.integers(n))
-        w = int(rng.integers(m))
+                assert abs(joint[d, w] - helpers.brute_joint(model, d, w)) < 1e-12
         for beta in (0.5, 1.0):
-            np.testing.assert_allclose(posterior(model, d, w, beta),
-                                       helpers.brute_posterior(model, d, w, beta),
+            np.testing.assert_allclose(helpers.e_step_posteriors(model, counts, beta),
+                                       helpers.brute_cell_posteriors(model, counts, beta),
                                        atol=1e-12)
         assert abs(log_likelihood(model, counts)
                    - helpers.brute_log_likelihood(model, counts)) < 1e-12 * max(
                        1.0, abs(helpers.brute_log_likelihood(model, counts)))
-        q = cell_posteriors(model, counts, beta=0.8)
-        lib = free_energy(model, counts, q, beta=0.8)
+        # the trace's free energy, -sum n log S_beta, is F_beta at the exact posteriors
+        q = helpers.brute_cell_posteriors(model, counts, 0.8)
+        lib = -float(np.dot(counts.counts, _scan_log_joint(model, counts, 0.8)))
         ref = helpers.brute_free_energy(model, counts, q, beta=0.8)
         assert abs(lib - ref) < 1e-12 * max(1.0, abs(ref))
     elapsed = time.time() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
-@criterion("Free-energy identity: F_1 with exact posteriors equals -log-likelihood at 1e-9")
+@criterion("Free-energy identity: trace F_1 (exact posteriors) equals -log-likelihood at 1e-9")
 def test_free_energy_identity():
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        model = helpers.random_model(rng, int(rng.integers(1, 5)), 5, 6)
-        counts = helpers.random_counts(rng, 5, 6, 12)
-        q = cell_posteriors(model, counts, beta=1.0)
-        f_value = free_energy(model, counts, q, beta=1.0)
-        ll = log_likelihood(model, counts)
-        assert abs(f_value + ll) <= 1e-9 * max(1.0, abs(ll))
+    for seed in range(10):
+        counts = helpers.random_counts(rng, 8, 10, 40)
+        config = TemConfig(seed=seed, max_total_iters=10)
+        trace, models = helpers.fit_with_models(fit_em, counts, int(rng.integers(1, 5)), config)
+        train = internal_split(counts, config).train
+        for record, model in zip(trace.records, models):
+            ll = log_likelihood(model, train)
+            assert abs(record.free_energy + ll) <= 1e-9 * max(1.0, abs(ll))
 
 
 @criterion("K=1 collapse: fitted model equals the unigram baseline at 1e-10")
@@ -174,16 +172,14 @@ def test_k1_collapse():
     np.testing.assert_allclose(fitted_ppx, unigram_ppx, rtol=1e-8)
 
 
-@criterion("Tempering limit: beta=0 posterior exactly uniform; entropy monotone in beta")
-def test_tempering_limit():
+@criterion("Tempering flattens: E-step posterior entropy never rises with beta in 0.25..1")
+def test_tempering_flattens_posteriors():
     rng = np.random.default_rng(4)
     for _ in range(10):
         k = int(rng.integers(2, 6))
         model = helpers.random_model(rng, k, 5, 5)
         d, w = int(rng.integers(5)), int(rng.integers(5))
-        flat = posterior(model, d, w, beta=0.0)
-        assert np.array_equal(flat, np.full(k, 1.0 / k))
-        entropies = [helpers.entropy(posterior(model, d, w, beta))
+        entropies = [helpers.entropy(helpers.cell_posterior(model, d, w, beta))
                      for beta in (0.25, 0.5, 0.75, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
 

@@ -1,5 +1,7 @@
 """Aspect-model tests: posteriors, likelihood, perplexity, free energy and
-the simplex geometry of the parameterization."""
+the simplex geometry of the parameterization.  The posteriors are the
+E-step's, the joint is the E-step's S_beta at beta = 1, and the free energy
+is the column a fit writes to its trace."""
 
 import numpy as np
 import pytest
@@ -7,19 +9,20 @@ import pytest
 import helpers
 from plsa import (
     AspectModel,
+    CountMatrix,
     DegeneracyError,
-    cell_posteriors,
-    free_energy,
+    TemConfig,
+    fit_tem,
     init_model,
-    joint_prob,
+    internal_split,
     log_likelihood,
     mixing_weight_matrix,
     perplexity,
-    posterior,
     top_words,
     unigram_baseline,
 )
 from plsa import build_counts
+from plsa.aspect_model import _UNDERFLOW, _tempered_joint
 
 
 class TestInitModel:
@@ -74,28 +77,41 @@ class TestModelValidation:
 class TestPosterior:
     def test_single_factor(self):
         m = init_model(1, 3, 3, seed=0)
-        np.testing.assert_array_equal(posterior(m, 1, 2, beta=0.7), [1.0])
-
-    def test_beta_zero_is_uniform(self):
-        m = init_model(4, 5, 5, seed=2)
-        np.testing.assert_allclose(posterior(m, 0, 0, beta=0.0), 0.25, atol=1e-15)
+        np.testing.assert_allclose(helpers.cell_posterior(m, 1, 2, beta=0.7), [1.0],
+                                   rtol=1e-15)
 
     def test_hand_example(self):
         m = AspectModel(np.array([0.5, 0.5]),
                         np.array([[1.0, 1.0]]),
                         np.array([[0.9, 0.1], [0.1, 0.9]]))
-        np.testing.assert_allclose(posterior(m, 0, 0, beta=1.0), [0.9, 0.1], atol=1e-12)
+        np.testing.assert_allclose(helpers.cell_posterior(m, 0, 0, beta=1.0), [0.9, 0.1],
+                                   atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             m = helpers.random_model(rng, 3, 4, 6)
+            counts = helpers.random_counts(rng, 4, 6, 10)
             for beta in (0.3, 0.75, 1.0, 2.0):
-                d = int(rng.integers(4))
-                w = int(rng.integers(6))
-                np.testing.assert_allclose(
-                    posterior(m, d, w, beta), helpers.brute_posterior(m, d, w, beta),
-                    atol=1e-12)
+                np.testing.assert_allclose(helpers.e_step_posteriors(m, counts, beta),
+                                           helpers.brute_cell_posteriors(m, counts, beta),
+                                           atol=1e-12)
+        # documents 0-1 and terms 0-1 carry ~1e-160: the factor products of
+        # the cells they share fall below the float range, and the E-step
+        # takes those cells' posteriors from its log-domain tail
+        doc, word = 0.05 + rng.random((4, 3)), 0.05 + rng.random((6, 3))
+        doc[:2] *= 1e-160
+        word[:2] *= 1e-160
+        m = AspectModel(np.array([0.2, 0.3, 0.5]), doc / doc.sum(axis=0),
+                        word / word.sum(axis=0))
+        counts = helpers.full_table(4, 6)
+        for beta in (0.75, 1.0, 2.0):
+            low = _tempered_joint(m, counts, beta)[2] < _UNDERFLOW
+            assert low.any() and not low.all()
+            expected = helpers.brute_cell_posteriors(m, counts, beta,
+                                                     helpers.log_domain_posterior)
+            np.testing.assert_allclose(helpers.e_step_posteriors(m, counts, beta),
+                                       expected, atol=1e-12)
 
     def test_entropy_dampening(self):
         # posteriors move toward uniform as beta decreases
@@ -103,29 +119,15 @@ class TestPosterior:
         for _ in range(10):
             m = helpers.random_model(rng, 5, 4, 4)
             d, w = int(rng.integers(4)), int(rng.integers(4))
-            entropies = [helpers.entropy(posterior(m, d, w, beta))
-                         for beta in (0.0, 0.25, 0.5, 0.75, 1.0)]
+            entropies = [helpers.entropy(helpers.cell_posterior(m, d, w, beta))
+                         for beta in (0.25, 0.5, 0.75, 1.0)]
             assert all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
 
     def test_unreachable_observation(self):
         m = AspectModel(np.array([1.0]), np.array([[1.0], [0.0]]),
                         np.array([[1.0], [0.0]]))
         with pytest.raises(DegeneracyError):
-            posterior(m, 0, 1, beta=1.0)
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            posterior(init_model(2, 2, 2, seed=0), 0, 0, beta=-0.1)
-
-    def test_cell_posteriors_match_scalar_path(self):
-        rng = np.random.default_rng(10)
-        m = helpers.random_model(rng, 3, 5, 6)
-        counts = helpers.random_counts(rng, 5, 6, 14)
-        for beta in (0.5, 1.0):
-            table = cell_posteriors(m, counts, beta)
-            for i, (d, w) in enumerate(zip(counts.doc_ids, counts.term_ids)):
-                np.testing.assert_allclose(table[i], posterior(m, int(d), int(w), beta),
-                                           atol=1e-15)
+            helpers.cell_posterior(m, 0, 1, beta=1.0)
 
 
 class TestParameterizationEquivalence:
@@ -144,11 +146,8 @@ class TestParameterizationEquivalence:
         rng = np.random.default_rng(22)
         m = helpers.random_model(rng, 4, 6, 5)
         pd = m.doc_given_z @ m.prior
-        for d in range(6):
-            pw_given_d = helpers.word_given_doc(m)[d]
-            for w in range(5):
-                np.testing.assert_allclose(joint_prob(m, d, w), pd[d] * pw_given_d[w],
-                                           atol=1e-12)
+        np.testing.assert_allclose(joint_table(m), pd[:, None] * helpers.word_given_doc(m),
+                                   atol=1e-12)
 
 
 class TestWordGivenDoc:
@@ -194,15 +193,15 @@ class TestWordGivenDoc:
         m = AspectModel(np.array([0.5, 0.5]), doc, word)
         p_shared_in_d0, p_shared_in_d1 = helpers.word_given_doc(m)[:, 0]
         assert p_shared_in_d0 > 3 * p_shared_in_d1
-        post0 = posterior(m, 0, 0)
-        post1 = posterior(m, 1, 0)
+        post0 = helpers.cell_posterior(m, 0, 0, beta=1.0)
+        post1 = helpers.cell_posterior(m, 1, 0, beta=1.0)
         assert post0[0] > 0.9 and post1[1] > 0.9
 
 
 def joint_table(model):
-    """The N x M table of joint_prob over every cell."""
-    return np.array([[joint_prob(model, d, w) for w in range(model.n_terms)]
-                     for d in range(model.n_docs)])
+    """The N x M table of P(d, w): the E-step's S_beta at beta = 1 over every cell."""
+    table = helpers.full_table(model.n_docs, model.n_terms)
+    return _tempered_joint(model, table, 1.0)[2].reshape(model.n_docs, model.n_terms)
 
 
 class TestJoint:
@@ -221,10 +220,8 @@ class TestJoint:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(41)
         m = helpers.random_model(rng, 3, 4, 5)
-        for d in range(4):
-            for w in range(5):
-                expected = helpers.brute_joint(m, d, w)
-                np.testing.assert_allclose(joint_prob(m, d, w), expected, atol=1e-12)
+        expected = [[helpers.brute_joint(m, d, w) for w in range(5)] for d in range(4)]
+        np.testing.assert_allclose(joint_table(m), expected, atol=1e-12)
 
 
 class TestLogLikelihood:
@@ -316,59 +313,53 @@ class TestUnigramBaseline:
 
 
 class TestFreeEnergy:
-    def test_identity_with_exact_posteriors(self):
-        rng = np.random.default_rng(70)
-        for _ in range(5):
-            m = helpers.random_model(rng, 3, 4, 5)
-            counts = helpers.random_counts(rng, 4, 5, 10)
-            q = cell_posteriors(m, counts, beta=1.0)
-            np.testing.assert_allclose(free_energy(m, counts, q, beta=1.0),
-                                       -log_likelihood(m, counts), rtol=1e-9)
+    """The free_energy column of a fit's trace: F_beta at each sweep's model
+    and beta, over the fit's internal training split."""
 
-    def test_exact_posterior_minimizes(self):
+    @pytest.fixture(scope="class")
+    def fit(self):
+        """A TEM fit whose sweeps run at beta = 1, 0.7 and 0.49, with the
+        model that each trace record scores."""
+        counts = helpers.random_counts(np.random.default_rng(70), 8, 10, 50)
+        config = TemConfig(seed=2, eta=0.7, beta_min=0.45)
+        trace, models = helpers.fit_with_models(fit_tem, counts, 3, config)
+        assert len({r.beta for r in trace.records}) == 3
+        return internal_split(counts, config).train, trace.records, models
+
+    def test_matches_brute_force(self, fit):
+        train, records, models = fit
+        for record, m in zip(records, models):
+            q = helpers.brute_cell_posteriors(m, train, record.beta)
+            expected = helpers.brute_free_energy(m, train, q, record.beta)
+            np.testing.assert_allclose(record.free_energy, expected, rtol=1e-12)
+
+    def test_exact_posterior_minimizes(self, fit):
+        train, records, models = fit
         rng = np.random.default_rng(71)
-        m = helpers.random_model(rng, 3, 4, 5)
-        counts = helpers.random_counts(rng, 4, 5, 10)
-        q = cell_posteriors(m, counts, beta=1.0)
-        best = free_energy(m, counts, q, beta=1.0)
-        for _ in range(20):
-            other = rng.random(q.shape) + 1e-3
-            other /= other.sum(axis=1, keepdims=True)
-            assert free_energy(m, counts, other, beta=1.0) >= best - 1e-9
+        for record, m in zip(records, models):
+            for _ in range(20):
+                other = rng.random((train.nnz, m.k)) + 1e-3
+                other /= other.sum(axis=1, keepdims=True)
+                assert helpers.brute_free_energy(m, train, other, record.beta) >= record.free_energy
+
+    def test_identity_with_exact_posteriors(self, fit):
+        # at beta = 1, F with the exact posteriors is the negative log-likelihood
+        train, records, models = fit
+        at_one = [(r, m) for r, m in zip(records, models) if r.beta == 1.0]
+        assert at_one
+        for record, m in at_one:
+            np.testing.assert_allclose(record.free_energy, -log_likelihood(m, train),
+                                       rtol=1e-12)
 
     def test_single_cell_single_factor(self):
-        m = AspectModel(np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-        _, counts = build_counts([["x", "x", "x"]])
-        q = np.ones((1, 1))
-        for beta in (0.5, 1.0):
-            expected = -beta * 3 * np.log(joint_prob(m, 0, 0))
-            np.testing.assert_allclose(free_energy(m, counts, q, beta), expected,
-                                       atol=1e-12)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(72)
-        m = helpers.random_model(rng, 2, 3, 4)
-        counts = helpers.random_counts(rng, 3, 4, 8)
-        for beta in (0.6, 1.0):
-            q = cell_posteriors(m, counts, beta=beta)
-            np.testing.assert_allclose(
-                free_energy(m, counts, q, beta),
-                helpers.brute_free_energy(m, counts, q, beta), rtol=1e-12)
-
-    def test_mass_on_impossible_factor_rejected(self):
-        m = AspectModel(np.array([0.5, 0.5]),
-                        np.array([[1.0, 1.0]]),
-                        np.array([[1.0, 0.0], [0.0, 1.0]]))
-        _, counts = build_counts([["a", "b"]])
-        bad = np.full((2, 2), 0.5)  # puts mass on the zero-probability factor
-        with pytest.raises(DegeneracyError):
-            free_energy(m, counts, bad, beta=1.0)
-
-    def test_shape_checked(self):
-        m = init_model(2, 2, 2, seed=0)
-        _, counts = build_counts([["a"], ["b"]])
-        with pytest.raises(ValueError):
-            free_energy(m, counts, np.ones((1, 2)), beta=1.0)
+        counts = CountMatrix(1, 1, [0], [0], [40])
+        config = TemConfig(seed=1)
+        trace, models = helpers.fit_with_models(fit_tem, counts, 1, config)
+        train = internal_split(counts, config).train
+        assert {r.beta for r in trace.records} == {1.0, config.eta}
+        for record, m in zip(trace.records, models):
+            expected = -record.beta * train.total * np.log(helpers.brute_joint(m, 0, 0))
+            np.testing.assert_allclose(record.free_energy, expected, atol=1e-12)
 
 
 class TestTopWords:

@@ -170,6 +170,23 @@ class TestIngest:
         assert ((tmp_path / "ing4" / "counts.tsv").read_bytes()
                 == (out_dir / "counts.tsv").read_bytes())
 
+    def test_triples_with_two_inputs_is_usage_error(self, tmp_path, capsys):
+        out_dir = ingest(tmp_path)
+        rc = main(["ingest", str(out_dir / "counts.tsv"), str(out_dir / "counts.tsv"),
+                   "--format", "triples", "--out", str(tmp_path / "ing4")])
+        assert rc == 2
+        assert "--format triples" in capsys.readouterr().err
+        assert not (tmp_path / "ing4").exists()  # rejected before any output
+
+    def test_triples_with_stopwords_is_usage_error(self, tmp_path, capsys):
+        out_dir = ingest(tmp_path)
+        (tmp_path / "stop").write_text("the\n")
+        rc = main(["ingest", str(out_dir / "counts.tsv"), "--format", "triples",
+                   "--stopwords", str(tmp_path / "stop"), "--out", str(tmp_path / "ing4")])
+        assert rc == 2
+        assert "--stopwords" in capsys.readouterr().err
+        assert not (tmp_path / "ing4").exists()
+
 
 class TestTrain:
     def test_byte_identical_reruns(self, tmp_path):
@@ -346,6 +363,21 @@ class TestQuery:
             main(["query", "--counts", str(out_dir / "counts.tsv"),
                   "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
                   "--model", *order, "--lambda", "0.3", "--out", str(tmp_path / name)])
+        assert ((tmp_path / "qa" / "run.txt").read_bytes()
+                == (tmp_path / "qb" / "run.txt").read_bytes())
+
+    def test_repeated_model_flag_accumulates(self, tmp_path):
+        out_dir = self._prepare(tmp_path, seed=1)
+        main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2",
+              "--mode", "tem", "--seed", "2", "--out", str(tmp_path / "m2")])
+        m1 = str(tmp_path / "m1" / "model.bin")
+        m2 = str(tmp_path / "m2" / "model.bin")
+        for name, flags in (("qa", ["--model", m1, m2]), ("qb", ["--model", m1, "--model", m2])):
+            assert main(["query", "--counts", str(out_dir / "counts.tsv"),
+                         "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                         *flags, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["parameters"]["method"] == "plsi-star"
         assert ((tmp_path / "qa" / "run.txt").read_bytes()
                 == (tmp_path / "qb" / "run.txt").read_bytes())
 

@@ -18,7 +18,6 @@ from .aspect_model import (
 from .corpus import (
     CountMatrix,
     ParseError,
-    SmartRecord,
     SplitPair,
     Vocabulary,
     build_counts,
@@ -33,7 +32,6 @@ from .retrieval import (
     RECALL_LEVELS,
     PrSummary,
     Rankings,
-    RetrievalRun,
     precision_recall,
     rank_all,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "ParseError",
     "PrSummary",
     "Rankings",
-    "RetrievalRun",
-    "SmartRecord",
     "SplitPair",
     "StoppingReason",
     "SvdDecomposition",

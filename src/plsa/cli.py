@@ -32,7 +32,9 @@ from .corpus import (
     Vocabulary,
     _count_cells,
     _decimal_table,
-    _text_lines,
+    _load_id_table,
+    _read_lines,
+    _save_id_table,
     build_counts,
     load_stopwords,
     parse_qrels,
@@ -41,7 +43,6 @@ from .corpus import (
 )
 from .lsa import SvdDecomposition, lsi_doc_coords, lsi_fold_in, truncated_svd
 from .retrieval import (
-    RetrievalRun,
     combined_scores,
     cosine_scores,
     latent_scores,
@@ -89,12 +90,6 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict,
         f.write("\n")
 
 
-def _save_ids(path: Path, ids: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for i, ext in enumerate(ids):
-            f.write(f"{i}\t{ext}\n")
-
-
 def _require_unique(path, ids: list[str], kind: str, line_nos=None) -> None:
     """Raise ParseError at the first of `ids` that repeats an earlier one,
     naming `path` and, from `line_nos` if given, its line: run.txt and qrels
@@ -109,21 +104,11 @@ def _require_unique(path, ids: list[str], kind: str, line_nos=None) -> None:
 
 
 def _load_ids(path: Path) -> list[str]:
-    ids, line_nos = [], []
-    for line_no, line in _text_lines(path):
-        line = line.rstrip("\n")
-        if line:
-            row, tab, ext_id = line.partition("\t")
-            if not tab:
-                raise ParseError(path, line_no, "expected 'row<TAB>document id'")
-            if row != str(len(ids)):
-                raise ParseError(path, line_no, f"rows must run 0, 1, 2, ... in order; "
-                                                f"expected {len(ids)}")
-            if ext_id.split() != [ext_id]:  # run.txt splits its lines at whitespace
-                raise ParseError(path, line_no, f"document id {ext_id!r} is empty or holds "
-                                                "whitespace")
-            ids.append(ext_id)
-            line_nos.append(line_no)
+    ids, line_nos = _load_id_table(path, "document id")
+    for ext_id, line_no in zip(ids, line_nos):
+        if ext_id.split() != [ext_id]:  # run.txt splits its lines at whitespace
+            raise ParseError(path, line_no, f"document id {ext_id!r} is empty or holds "
+                                            "whitespace")
     _require_unique(path, ids, "document", line_nos)
     return ids
 
@@ -150,6 +135,8 @@ def cmd_ingest(args) -> int:
         raise UsageError(f"--format triples reads one counts file, got {len(args.inputs)}")
     if args.format == "triples" and args.stopwords:
         raise UsageError("--stopwords does not apply to --format triples")
+    if args.format != "triples" and args.vocab:
+        raise UsageError(f"--vocab applies to --format triples only, not {args.format}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
@@ -170,15 +157,14 @@ def cmd_ingest(args) -> int:
         doc_ids = []
         if args.format == "smart":
             for path in args.inputs:
-                for record in parse_smart_collection(path):
-                    doc_ids.append(record.id)
-                    texts.append(record.text)
+                ids, file_texts = parse_smart_collection(path)
+                doc_ids += ids
+                texts += file_texts
                 _require_unique(path, doc_ids, "document")  # within the file or with earlier ones
-        else:  # raw: one document per line
+        else:  # raw: one document per line, numbered from 1 across the files
             for path in args.inputs:
-                for _, line in _text_lines(path):
-                    doc_ids.append(str(len(doc_ids) + 1))
-                    texts.append(line.rstrip("\n"))
+                texts += _read_lines(path)
+            doc_ids = [str(i) for i in range(1, len(texts) + 1)]
         try:
             vocab, counts = build_counts(tokenize(t, stopwords) for t in texts)
         except ValueError as exc:  # no document has a token
@@ -189,7 +175,7 @@ def cmd_ingest(args) -> int:
     docids_path = out_dir / "docids.tsv"
     counts.save(counts_path)
     vocab.save(vocab_path)
-    _save_ids(docids_path, doc_ids)
+    _save_id_table(docids_path, doc_ids)
     _write_manifest(
         out_dir, "ingest",
         {"format": args.format, "stopwords": args.stopwords},
@@ -284,10 +270,9 @@ def cmd_perplexity(args) -> int:
 def _load_queries(args) -> tuple[list[str], list[str]]:
     """Returns (external query ids, raw query texts); ids must be unique."""
     if args.queries_format == "smart":
-        records = parse_smart_collection(args.queries)
-        ids, texts = [r.id for r in records], [r.text for r in records]
+        ids, texts = parse_smart_collection(args.queries)
     else:
-        texts = [line.rstrip("\n") for _, line in _text_lines(args.queries)]
+        texts = _read_lines(args.queries)
         ids = [str(i) for i in range(1, len(texts) + 1)]
     if not texts:
         raise ParseError(args.queries, 0, "no queries found")
@@ -346,6 +331,9 @@ def _parameter_digest(model: AspectModel) -> bytes:
 def cmd_query(args) -> int:
     if not args.model and not args.svd and not args.baseline_only:
         raise ValueError("supply --model and/or --svd, or pass --baseline-only")
+    if args.baseline_only and (args.model or args.svd):
+        raise UsageError("--baseline-only ranks by the term cosine alone; "
+                         "it takes no --model or --svd")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts_path = Path(args.counts)
@@ -414,7 +402,7 @@ def cmd_query(args) -> int:
                     raise ValueError(f"{args.qrels}: unknown document id {ext_doc!r}")
                 relevant.add(doc_index[ext_doc])
         try:
-            summary = precision_recall(RetrievalRun(rankings, judgments))
+            summary = precision_recall(rankings, judgments)
         except ValueError as exc:  # no query has a judged document
             raise ValueError(f"{args.qrels}: {exc}") from None
         pr_path = out_dir / "pr.txt"

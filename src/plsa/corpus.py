@@ -62,28 +62,13 @@ def tokenize(text: str, stopwords=None) -> list[str]:
 
 def load_stopwords(path) -> set[str]:
     """Read a stop-word list, one word per line (lowercased, blanks skipped)."""
-    words = set()
-    for _, line in _text_lines(path):
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return words
-
-
-def _text_lines(path):
-    """Enumerate the lines of a UTF-8 text file from 1.  A file that is not
-    UTF-8 raises ParseError."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            yield from enumerate(f, 1)
-    except UnicodeDecodeError as exc:  # its offset counts from a read chunk
-        raise ParseError(path, 0, f"not UTF-8 text: {exc.reason}") from None
+    return set(filter(None, (line.strip().lower() for line in _read_lines(path))))
 
 
 def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, read at once and split in C: item i
-    is line i + 1 of _text_lines without its newline, blank lines included.
-    A file that is not UTF-8 raises ParseError."""
+    """The lines of a UTF-8 text file, read at once and split in C, without
+    their newlines (LF, CRLF or CR), blank lines included: item i is line
+    i + 1.  A file that is not UTF-8 raises ParseError."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -93,6 +78,33 @@ def _read_lines(path) -> list[str]:
     if not lines[-1]:  # the final newline ends a line, it opens none
         lines.pop()
     return lines
+
+
+def _save_id_table(path, values) -> None:
+    """Write one `row<TAB>value` line per value, rows 0, 1, 2, ...: the
+    layout of vocab.tsv and docids.tsv."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join([f"{i}\t{value}\n" for i, value in enumerate(values)]))
+
+
+def _load_id_table(path, kind: str) -> tuple[list[str], list[int]]:
+    """The values of a file in `_save_id_table`'s layout and the line number
+    of each.  Blank lines are skipped; every other line must be what the
+    writer writes, checked in one pass of C-level splits.  Only a file that
+    fails the check is walked line by line, to raise ParseError at its first
+    line that differs: `kind` names the value there."""
+    lines = _read_lines(path)
+    rows = list(filter(None, lines))
+    line_nos = list(itertools.compress(range(1, len(lines) + 1), lines))
+    values = "\t".join(rows).split("\t")[1::2]
+    written = [f"{i}\t{value}" for i, value in enumerate(values)]
+    if written != rows:
+        # the lines before the first bad one split into row and value pairs,
+        # so their values and rows are right and the first mismatch is there
+        bad = next((i for i, (w, r) in enumerate(zip(written, rows)) if w != r), len(written))
+        raise ParseError(path, line_nos[bad], "rows must run 0, 1, 2, ... in order, in ASCII "
+                                              f"decimal; expected '{bad}<TAB>{kind}'")
+    return values, line_nos
 
 
 @dataclass
@@ -112,37 +124,16 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """Write one `term_id<TAB>term` line per term."""
-        with open(path, "w", encoding="utf-8") as f:
-            for i, term in enumerate(self.terms):
-                f.write(f"{i}\t{term}\n")
+        _save_id_table(path, self.terms)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """Read what `save` writes, checked in one pass of C-level splits; any
-        other file is read line by line, so its errors name its line."""
-        lines = list(filter(None, _read_lines(path)))
-        terms = "\t".join(lines).split("\t")[1::2]
-        if list(map("{}\t{}".format, itertools.count(), terms)) != lines:
-            terms = cls._checked_terms(path)
+        """Read what `save` writes; blank lines are skipped."""
+        terms, _ = _load_id_table(path, "term")
         try:
             return cls(terms)
         except ValueError as exc:
             raise ParseError(path, 0, str(exc)) from None
-
-    @staticmethod
-    def _checked_terms(path) -> list[str]:
-        terms = []
-        for line_no, line in _text_lines(path):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not _INT_RE.fullmatch(parts[0]):
-                raise ParseError(path, line_no, "expected 'term_id<TAB>term', an ASCII decimal id")
-            if int(parts[0]) != len(terms):
-                raise ParseError(path, line_no, f"term ids must be dense, expected {len(terms)}")
-            terms.append(parts[1])
-        return terms
 
 
 @dataclass(frozen=True)
@@ -358,7 +349,7 @@ def _dims_header(path, raw: bytes):
 
 def _data_lines(path):
     """(line number, stripped text) of each line neither blank nor a comment."""
-    for line_no, line in _text_lines(path):
+    for line_no, line in enumerate(_read_lines(path), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield line_no, line
@@ -458,60 +449,43 @@ def _select_entries(counts: CountMatrix, new_counts: np.ndarray) -> CountMatrix:
     )
 
 
-@dataclass(frozen=True)
-class SmartRecord:
-    """One record of a SMART-format file: the `.I` id and its text."""
-
-    id: str
-    text: str
-
-
-def parse_smart_collection(path) -> list[SmartRecord]:
-    """Parse a SMART collection or query file.
+def parse_smart_collection(path) -> tuple[list[str], list[str]]:
+    """Parse a SMART collection or query file into the `.I` ids of its
+    records and their texts, in file order.
 
     Records start at `.I <id>` lines.  The `.W` body plus any `.T`, `.A`
     and `.B` sections are concatenated into the record text; other sections
-    are skipped.  Records appear in file order.  A file that is not UTF-8
-    raises ParseError.
+    are skipped.  A file that is not UTF-8 raises ParseError.
     """
-    records: list[SmartRecord] = []
-    cur_id = None
-    cur_parts: list[str] = []
+    ids: list[str] = []
+    parts: list[list[str]] = []  # the text lines of each record
     in_text = False
-
-    def flush():
-        if cur_id is not None:
-            records.append(SmartRecord(cur_id, "\n".join(cur_parts).strip()))
-
-    for line_no, raw in _text_lines(path):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(_read_lines(path), 1):
         m = _SECTION_RE.match(line)
         if m:
             tag, rest = m.group(1), m.group(2)
             if tag == "I":
-                flush()
                 if rest is None or not rest.strip():
                     raise ParseError(path, line_no, "'.I' marker without an id")
                 if len(rest.split()) > 1:  # run.txt and qrels split their lines there
                     raise ParseError(path, line_no, f"id {rest.strip()!r} holds whitespace")
-                cur_id = rest.strip()
-                cur_parts = []
+                ids.append(rest.strip())
+                parts.append([])
                 in_text = False
             else:
-                if cur_id is None:
+                if not ids:
                     raise ParseError(path, line_no, f"section '.{tag}' before any '.I' record")
                 in_text = tag in _TEXT_SECTIONS
                 if in_text and rest and rest.strip():
-                    cur_parts.append(rest.strip())
+                    parts[-1].append(rest.strip())
         else:
-            if cur_id is None:
+            if not ids:
                 if line.strip():
                     raise ParseError(path, line_no, "content before the first '.I' marker")
                 continue
             if in_text:
-                cur_parts.append(line)
-    flush()
-    return records
+                parts[-1].append(line)
+    return ids, ["\n".join(p).strip() for p in parts]
 
 
 def parse_qrels(path) -> dict[str, set[str]]:

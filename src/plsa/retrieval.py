@@ -101,20 +101,6 @@ class Rankings:
             raise ValueError("tied scores must be ordered by ascending doc id")
 
 
-@dataclass(frozen=True)
-class RetrievalRun:
-    """Rankings for a set of queries plus the judgments they are scored
-    against.  Every ranked query must have a judgments entry."""
-
-    rankings: Rankings
-    judgments: dict
-
-    def __post_init__(self):
-        for qid in self.rankings.query_ids:
-            if qid not in self.judgments:
-                raise ValueError(f"query {qid!r} has no judgments entry")
-
-
 def rank_all(scores, scorable, query_ids) -> Rankings:
     """Rank every document for every query: row i of the (n_queries, n_docs)
     `scores` belongs to query_ids[i]; one batch sort orders every row.  Pairs
@@ -169,26 +155,29 @@ class PrSummary:
     n_queries: int
 
 
-def precision_recall(run: RetrievalRun) -> PrSummary:
-    """Interpolated precision at recall 10%..90% for each query, computed for
-    all queries at once.
+def precision_recall(rankings: Rankings, judgments: dict) -> PrSummary:
+    """Interpolated precision at recall 10%..90% for each query of `rankings`,
+    computed for all queries at once.  `judgments` maps every ranked query
+    id to the set of its relevant doc ids.
 
     The interpolated precision at a level is the maximum precision attained
     at any rank whose recall reaches that level.  Queries without relevant
     documents are excluded with a warning.
     """
-    ranked = run.rankings
-    relevant = [run.judgments[qid] for qid in ranked.query_ids]
+    for qid in rankings.query_ids:
+        if qid not in judgments:
+            raise ValueError(f"query {qid!r} has no judgments entry")
+    relevant = [judgments[qid] for qid in rankings.query_ids]
     n_relevant = np.array([len(r) for r in relevant], dtype=np.int64)
     for i in np.flatnonzero(n_relevant == 0):
         warnings.warn(
-            f"query {ranked.query_ids[i]!r} has no relevant documents; excluded",
+            f"query {rankings.query_ids[i]!r} has no relevant documents; excluded",
             RuntimeWarning,
         )
     judged = np.flatnonzero(n_relevant)
     if not judged.size:
         raise ValueError("no query has relevant documents; nothing to evaluate")
-    n_docs = ranked.doc_ids.shape[1]
+    n_docs = rankings.doc_ids.shape[1]
     n_relevant = n_relevant[judged]
     rel_rows = np.repeat(np.arange(judged.size), n_relevant)
     rel_docs = np.fromiter(itertools.chain.from_iterable(relevant[i] for i in judged),
@@ -196,13 +185,13 @@ def precision_recall(run: RetrievalRun) -> PrSummary:
     in_range = (rel_docs >= 0) & (rel_docs < n_docs)
     is_relevant = np.zeros((judged.size, n_docs), dtype=bool)
     is_relevant[rel_rows[in_range], rel_docs[in_range]] = True
-    doc_ids = ranked.doc_ids if judged.size == len(relevant) else ranked.doc_ids[judged]
+    doc_ids = rankings.doc_ids if judged.size == len(relevant) else rankings.doc_ids[judged]
     hits = np.take_along_axis(is_relevant, doc_ids, axis=1)
     missing = n_relevant - hits.sum(axis=1)
     if missing.any():
         i = int(np.flatnonzero(missing)[0])
         raise ValueError(
-            f"query {ranked.query_ids[judged[i]]!r}: {missing[i]} relevant document(s) "
+            f"query {rankings.query_ids[judged[i]]!r}: {missing[i]} relevant document(s) "
             "missing from the ranking"
         )
     # Recall rises, and precision peaks, only at relevant documents, so the
@@ -223,7 +212,7 @@ def precision_recall(run: RetrievalRun) -> PrSummary:
     table = np.take_along_axis(best_ahead, first_reaching, axis=1)
     return PrSummary(
         recall_levels=RECALL_LEVELS,
-        per_query={ranked.query_ids[i]: curve for i, curve in zip(judged, table)},
+        per_query={rankings.query_ids[i]: curve for i, curve in zip(judged, table)},
         precision_at_level=table.mean(axis=0),
         average_precision=float(table.mean(axis=1).mean()),
         n_queries=int(judged.size),

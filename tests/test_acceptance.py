@@ -19,7 +19,6 @@ import helpers
 from plsa import (
     CountMatrix,
     Rankings,
-    RetrievalRun,
     TemConfig,
     build_counts,
     em_step,
@@ -265,11 +264,11 @@ def test_retrieval_arithmetic():
 
     def run_for(order, relevant):
         ranking = Rankings(["q"], [order], [np.linspace(1.0, 0.1, len(order))])
-        return RetrievalRun(ranking, {"q": relevant})
+        return ranking, {"q": relevant}
 
-    summary = precision_recall(run_for(list(range(10)), {0, 1, 2}))
+    summary = precision_recall(*run_for(list(range(10)), {0, 1, 2}))
     assert summary.average_precision == 1.0
-    summary = precision_recall(run_for(list(range(10)), {1}))
+    summary = precision_recall(*run_for(list(range(10)), {1}))
     np.testing.assert_allclose(summary.per_query["q"], 0.5, atol=1e-15)
     assert summary.average_precision == 0.5
 
@@ -289,18 +288,18 @@ requires_med = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def med_collection():
-    docs = parse_smart_collection(Path(MED_DIR) / "MED.ALL")
-    queries = parse_smart_collection(Path(MED_DIR) / "MED.QRY")
+    doc_ids, doc_texts = parse_smart_collection(Path(MED_DIR) / "MED.ALL")
+    queries = parse_smart_collection(Path(MED_DIR) / "MED.QRY")  # (ids, texts)
     judgments = parse_qrels(Path(MED_DIR) / "MED.REL")
-    vocab, counts = build_counts([tokenize(r.text) for r in docs])
-    return docs, queries, judgments, vocab, counts
+    vocab, counts = build_counts([tokenize(t) for t in doc_texts])
+    return doc_ids, queries, judgments, vocab, counts
 
 
 def _med_query_vectors(queries, vocab):
     vectors = []
-    for record in queries:
+    for text in queries[1]:
         per_term = {}
-        for token in tokenize(record.text):
+        for token in tokenize(text):
             tid = vocab.index.get(token)
             if tid is not None:
                 per_term[tid] = per_term.get(tid, 0) + 1
@@ -308,16 +307,16 @@ def _med_query_vectors(queries, vocab):
     return vectors
 
 
-def _med_average_precision(score_matrix, docs, queries, judgments):
-    doc_index = {r.id: i for i, r in enumerate(docs)}
+def _med_average_precision(score_matrix, doc_ids, queries, judgments):
+    doc_index = {d: i for i, d in enumerate(doc_ids)}
     internal = {}
-    for qi, record in enumerate(queries):
-        relevant = {doc_index[d] for d in judgments.get(record.id, ()) if d in doc_index}
+    for qi, query_id in enumerate(queries[0]):
+        relevant = {doc_index[d] for d in judgments.get(query_id, ()) if d in doc_index}
         if relevant:
             internal[qi] = relevant
     judged = list(internal)
     rankings = rank_all(score_matrix[judged], True, judged)
-    return precision_recall(RetrievalRun(rankings, internal)).average_precision
+    return precision_recall(rankings, internal).average_precision
 
 
 @requires_med
@@ -341,7 +340,7 @@ class TestMedCollection:
         dense = counts.to_csr()
         doc_norms = np.sqrt(np.asarray(dense.multiply(dense).sum(axis=1)).ravel())
         vectors = _med_query_vectors(queries, vocab)
-        scores = np.zeros((len(queries), counts.n_docs))
+        scores = np.zeros((len(vectors), counts.n_docs))
         for qi, vec in enumerate(vectors):
             q = np.zeros(counts.n_terms)
             for t, c in vec.items():
@@ -359,7 +358,7 @@ class TestMedCollection:
         dense = counts.to_csr()
         doc_norms = np.sqrt(np.asarray(dense.multiply(dense).sum(axis=1)).ravel())
         vectors = _med_query_vectors(queries, vocab)
-        cos_scores = np.zeros((len(queries), counts.n_docs))
+        cos_scores = np.zeros((len(vectors), counts.n_docs))
         for qi, vec in enumerate(vectors):
             q = np.zeros(counts.n_terms)
             for t, c in vec.items():
@@ -400,4 +399,4 @@ CRAN_FILE = Path(MED_DIR) / "cran.all.1400" if MED_DIR else None
                     reason="CRAN collection not supplied")
 @criterion("CRAN: 1400 documents parsed from the SMART collection")
 def test_cran_document_count():
-    assert len(parse_smart_collection(CRAN_FILE)) == 1400
+    assert len(parse_smart_collection(CRAN_FILE)[0]) == 1400

@@ -126,7 +126,7 @@ class TestIngest:
 
         stopwords = load_stopwords(tmp_path / "stop") if stop else None
         if fmt == "smart":
-            texts = [r.text for r in parse_smart_collection(tmp_path / "docs")]
+            _, texts = parse_smart_collection(tmp_path / "docs")
         vocab, counts = helpers.brute_build_counts([tokenize(t, stopwords) for t in texts])
         helpers.brute_save_counts(counts, tmp_path / "counts.tsv")
         vocab.save(tmp_path / "vocab.tsv")
@@ -186,6 +186,16 @@ class TestIngest:
         assert rc == 2
         assert "--stopwords" in capsys.readouterr().err
         assert not (tmp_path / "ing4").exists()
+
+    @pytest.mark.parametrize("fmt", ["raw", "smart"])
+    def test_vocab_without_triples_is_usage_error(self, tmp_path, capsys, fmt):
+        # only --format triples reads a vocabulary; the others build theirs
+        (tmp_path / "c.all").write_text(".I 1\n.W\nengine fuel\n")
+        rc = main(["ingest", str(tmp_path / "c.all"), "--format", fmt,
+                   "--vocab", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "ing")])
+        assert rc == 2
+        assert f"--vocab applies to --format triples only, not {fmt}" in capsys.readouterr().err
+        assert not (tmp_path / "ing").exists()
 
 
 class TestTrain:
@@ -326,6 +336,16 @@ class TestQuery:
                   "--out", str(tmp_path / "q")])
         assert not (tmp_path / "q").exists()  # rejected before any work
         return excinfo.value.code
+
+    @pytest.mark.parametrize("flag", ["--model", "--svd"])
+    def test_baseline_only_with_a_model_is_usage_error(self, tmp_path, capsys, flag):
+        # no file exists: the flags are rejected before any is read
+        rc = main(["query", "--counts", str(tmp_path / "counts.tsv"),
+                   "--queries", str(tmp_path / "queries.txt"), "--baseline-only",
+                   flag, str(tmp_path / "model.bin"), "--out", str(tmp_path / "q")])
+        assert rc == 2
+        assert "--baseline-only ranks by the term cosine alone" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
 
     @pytest.mark.parametrize("value", ["-2", "1.5", "nan"])
     def test_lambda_outside_unit_interval_is_usage_error(self, tmp_path, value):
@@ -529,8 +549,10 @@ class TestQuery:
                    "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
                    "--baseline-only", "--out", str(tmp_path / "q")])
         assert rc == 3
-        assert (f"{out_dir / 'docids.tsv'}:2: document id {ext_id!r} is empty or holds whitespace"
-                in capsys.readouterr().err)
+        # a second tab breaks the row grammar before the id is looked at
+        message = ("rows must run 0, 1, 2, ... in order" if "\t" in ext_id
+                   else f"document id {ext_id!r} is empty or holds whitespace")
+        assert f"{out_dir / 'docids.tsv'}:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "q" / "run.txt").exists()
 
 
@@ -869,14 +891,19 @@ PRISTINE = {"vocab.tsv": "ing/vocab.tsv", "docids.tsv": "ing/docids.tsv", "qrels
 TEXT_READERS = sorted(n for n in PRISTINE if not n.endswith(".bin"))
 
 
-def run_reader(base: Path, name: str, content: bytes) -> tuple[int, str, str]:
-    """(exit code, stderr, path) of the reader of `name` run on `content`."""
+def run_reader(base: Path, name: str, content: bytes, outputs=None) -> tuple[int, str, str]:
+    """(exit code, stderr, path) of the reader of `name` run on `content`; the
+    bytes of the files it writes, but manifest.json, go into the dict
+    `outputs` if one is given."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / name
         path.write_bytes(content)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(reader_argv(base, name, path, Path(work) / "out"))
+        if outputs is not None:
+            outputs.update((p.name, p.read_bytes()) for p in (Path(work) / "out").iterdir()
+                           if p.name != "manifest.json")
         return rc, err.getvalue(), str(path)
 
 
@@ -908,7 +935,8 @@ def draw_shapes(base: Path, data):
 
 class TestCorruptInputsNameTheirFile:
     """Every reader either accepts a corrupted file or exits 3 (data error)
-    with the file's path in its message; none crashes or stays silent."""
+    with the file's path in its message; none crashes or stays silent.  The
+    text readers read LF, CRLF and CR line ends alike."""
 
     @pytest.mark.parametrize("name", sorted(PRISTINE))
     @settings(max_examples=25, deadline=None)
@@ -930,6 +958,20 @@ class TestCorruptInputsNameTheirFile:
         rc, err, path = run_reader(pristine, name, content[:at] + bad + content[at:])
         assert rc == 3
         assert f"{path}:0: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("name", TEXT_READERS)
+    def test_every_line_reader_reads_alike(self, pristine, name):
+        # one line reader serves them all: any line end, and a byte that is
+        # not UTF-8 is named
+        content = (pristine / PRISTINE[name]).read_bytes()
+        assert content.count(b"\n") > 1 and b"\r" not in content
+        outputs = [{}, {}, {}]
+        for end, written in zip([b"\n", b"\r\n", b"\r"], outputs):
+            rc, err, _ = run_reader(pristine, name, content.replace(b"\n", end), written)
+            assert rc == 0, err
+        assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        rc, err, path = run_reader(pristine, name, content.replace(b"\n", b"\n\xff", 1))
+        assert rc == 3 and f"{path}:0: not UTF-8 text" in err
 
     @pytest.mark.parametrize("name", ["model.bin", "svd.bin"])
     @settings(max_examples=15, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from plsa import corpus
+from plsa import cli, corpus
 from plsa import (
     CountMatrix,
     ParseError,
@@ -19,7 +19,6 @@ from plsa import (
     build_counts,
     load_stopwords,
     parse_qrels,
-    SmartRecord,
     parse_smart_collection,
     split_heldout,
     tokenize,
@@ -484,7 +483,7 @@ class TestVocabulary:
         ("", []),
         ("\n\n0\ta\n\n1\tb c\n", ["a", "b c"]),  # blank lines do not count
         ("0\ta\r\n1\tb\r2\tc", ["a", "b", "c"]),  # any newline; none at the end
-        ("+0\ta\n01\tb\n", ["a", "b"]),  # ids that only the line reader accepts
+        ("0\t \u00e9 \n1\t\u2028\n", [" \u00e9 ", "\u2028"]),  # only docids forbid whitespace
         ("0\t\n1\tb\n", ["", "b"]),
     ])
     def test_accepts_what_the_line_reader_accepts(self, tmp_path, content, terms):
@@ -500,6 +499,7 @@ class TestVocabulary:
         ("0\ta\n2\tb\n", 2),
         ("1\ta\n", 1),
         ("0\ta\n \n", 2),
+        ("+0\ta\n01\tb\n", 1),  # rows are written with no sign or leading zero
     ])
     def test_rejects_what_the_line_reader_rejects(self, tmp_path, content, line_no):
         path = tmp_path / "vocab.tsv"
@@ -518,6 +518,63 @@ class TestVocabulary:
         with pytest.raises(ParseError, match=message) as excinfo:
             Vocabulary.load(path)
         assert excinfo.value.path == str(path)
+
+
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"))
+# name: (writer, reader, values the reader returns as written); docids.tsv
+# also rejects an id that is empty or holds whitespace
+ID_TABLES = {
+    "vocab.tsv": (lambda path, values: Vocabulary(values).save(path),
+                  lambda path: Vocabulary.load(path).terms, ID_TEXT),
+    "docids.tsv": (corpus._save_id_table, cli._load_ids,
+                   ID_TEXT.filter(lambda value: value.split() == [value])),
+}
+
+
+class TestIdTables:
+    """vocab.tsv and docids.tsv: one writer, one reader."""
+
+    @pytest.mark.parametrize("name", sorted(ID_TABLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_with_any_line_ends(self, tmp_path_factory, name, data):
+        write, read, value_text = ID_TABLES[name]
+        values = data.draw(st.lists(value_text, unique=True, max_size=12))
+        path = tmp_path_factory.mktemp("ids") / name
+        write(path, values)
+        assert read(path) == values
+        written = path.read_bytes()
+        for end in (b"\r\n", b"\r"):
+            path.write_bytes(written.replace(b"\n", end))
+            assert read(path) == values
+
+    @pytest.mark.parametrize("name", sorted(ID_TABLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_line_is_named(self, tmp_path_factory, name, data):
+        write, read, value_text = ID_TABLES[name]
+        values = data.draw(st.lists(value_text, unique=True, min_size=1, max_size=12))
+        path = tmp_path_factory.mktemp("ids") / name
+        write(path, values)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        at = data.draw(st.integers(0, len(lines) - 1))
+        row, value = lines[at].split("\t")
+        how = data.draw(st.sampled_from(["drop the tab", "add a tab", "renumber"]))
+        if how == "drop the tab":
+            lines[at] = row + value
+        elif how == "add a tab":
+            cut = data.draw(st.integers(0, len(value)))
+            lines[at] = f"{row}\t{value[:cut]}\t{value[cut:]}"
+        else:
+            rows = [str(at + 1), str(at + 10), f"+{at}", f"0{at}", chr(0x660 + at % 10)]
+            lines[at] = data.draw(st.sampled_from(rows + [str(at - 1)] * (at > 0))) + "\t" + value
+        # blank lines before the bad one count in its line number
+        blanks = data.draw(st.lists(st.integers(0, 3), min_size=at + 1, max_size=at + 1))
+        text = "".join("\n" * n + line + "\n" for n, line in zip(blanks + [0] * len(lines), lines))
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="rows must run 0, 1, 2") as excinfo:
+            read(path)
+        assert (excinfo.value.path, excinfo.value.line_no) == (str(path), at + 1 + sum(blanks))
 
 
 class TestSplitHeldout:
@@ -592,33 +649,31 @@ class TestSmartParsing:
     def test_minimal_record(self, tmp_path):
         path = tmp_path / "c.all"
         path.write_text(".I 1\n.W\nhello")
-        records = parse_smart_collection(path)
-        assert len(records) == 1
-        assert records[0].id == "1"
-        assert records[0].text == "hello"
+        assert parse_smart_collection(path) == (["1"], ["hello"])
 
     def test_sections_concatenated(self, tmp_path):
         path = tmp_path / "c.all"
         path.write_text(SMART_SAMPLE)
-        records = parse_smart_collection(path)
-        assert [r.id for r in records] == ["1", "2", "3"]
-        assert "Flow Equations" in records[0].text
-        assert "Someone" in records[0].text
-        assert "flat plate" in records[0].text
-        assert "17 2 1" not in records[0].text  # .X content skipped
-        assert records[1].text == "heat transfer in pipes"
-        assert "Journal 1959" in records[2].text
+        ids, texts = parse_smart_collection(path)
+        assert ids == ["1", "2", "3"]
+        assert "Flow Equations" in texts[0]
+        assert "Someone" in texts[0]
+        assert "flat plate" in texts[0]
+        assert "17 2 1" not in texts[0]  # .X content skipped
+        assert texts[1] == "heat transfer in pipes"
+        assert "Journal 1959" in texts[2]
 
     def test_record_count_matches_markers(self, tmp_path):
         path = tmp_path / "c.all"
         path.write_text(SMART_SAMPLE)
         n_markers = sum(1 for line in SMART_SAMPLE.splitlines() if line.startswith(".I "))
-        assert len(parse_smart_collection(path)) == n_markers
+        ids, texts = parse_smart_collection(path)
+        assert len(ids) == len(texts) == n_markers
 
     def test_queries_same_grammar(self, tmp_path):
         path = tmp_path / "q.qry"
         path.write_text(".I 4\n.W\nwhat about flow\n")
-        assert parse_smart_collection(path) == [SmartRecord("4", "what about flow")]
+        assert parse_smart_collection(path) == (["4"], ["what about flow"])
 
     def test_content_before_first_record(self, tmp_path):
         path = tmp_path / "c.all"
@@ -642,7 +697,7 @@ class TestSmartParsing:
     def test_id_padding_is_stripped(self, tmp_path):
         path = tmp_path / "c.all"
         path.write_text(".I   7 \t\n.W\nx\n")
-        assert parse_smart_collection(path) == [SmartRecord("7", "x")]
+        assert parse_smart_collection(path) == (["7"], ["x"])
 
     def test_section_before_record(self, tmp_path):
         path = tmp_path / "c.all"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from plsa import Rankings, RetrievalRun, precision_recall, rank_all
+from plsa import Rankings, precision_recall, rank_all
 from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 
 
@@ -219,31 +219,30 @@ class TestRankedListValidation:
         assert again.doc_ids.tolist() == [[2, 0, 1], [0, 1, 2]]
 
 
-class TestRetrievalRun:
-    def test_requires_judgments_for_every_query(self):
-        ranking = Rankings(["q1"], [[0, 1]], [[0.9, 0.1]])
-        with pytest.raises(ValueError):
-            RetrievalRun(ranking, {})
-
-
 def make_run(rank_orders, judgments):
-    """A run of the given per-query document orders, which must have equal
-    lengths, with linearly decreasing scores."""
+    """The arguments of precision_recall: rankings of the given per-query
+    document orders, which must have equal lengths, with linearly decreasing
+    scores, and the judgments."""
     orders = list(rank_orders.values())
     scores = [np.linspace(1.0, 0.1, len(order)) for order in orders]
-    return RetrievalRun(Rankings(list(rank_orders), orders, scores), judgments)
+    return Rankings(list(rank_orders), orders, scores), judgments
 
 
 class TestPrecisionRecall:
+    def test_requires_judgments_for_every_query(self):
+        ranking = Rankings(["q1"], [[0, 1]], [[0.9, 0.1]])
+        with pytest.raises(ValueError, match="'q1' has no judgments entry"):
+            precision_recall(ranking, {})
+
     def test_all_relevant_first(self):
         run = make_run({"q": list(range(10))}, {"q": {0, 1, 2}})
-        summary = precision_recall(run)
+        summary = precision_recall(*run)
         np.testing.assert_array_equal(summary.per_query["q"], np.ones(9))
         assert summary.average_precision == 1.0
 
     def test_single_relevant_at_rank_two(self):
         run = make_run({"q": list(range(10))}, {"q": {1}})
-        summary = precision_recall(run)
+        summary = precision_recall(*run)
         np.testing.assert_allclose(summary.per_query["q"], 0.5, atol=1e-15)
         assert summary.average_precision == pytest.approx(0.5, abs=1e-15)
 
@@ -252,7 +251,7 @@ class TestPrecisionRecall:
         for _ in range(20):
             order = rng.permutation(12).tolist()
             relevant = set(rng.choice(12, size=4, replace=False).tolist())
-            summary = precision_recall(make_run({"q": order}, {"q": relevant}))
+            summary = precision_recall(*make_run({"q": order}, {"q": relevant}))
             curve = summary.per_query["q"]
             assert all(a >= b - 1e-15 for a, b in zip(curve, curve[1:]))
             assert curve.min() >= 0.0 and curve.max() <= 1.0
@@ -261,14 +260,14 @@ class TestPrecisionRecall:
         # relevant docs at ranks 1 and 4: precision 1.0 until recall 0.5,
         # then 2/4 from recall 0.6 up
         run = make_run({"q": [4, 1, 2, 3, 0]}, {"q": {4, 3}})
-        summary = precision_recall(run)
+        summary = precision_recall(*run)
         expected = [1.0] * 5 + [0.5] * 4
         np.testing.assert_allclose(summary.per_query["q"], expected, atol=1e-15)
 
     def test_macro_average_over_queries(self):
         run = make_run({"a": list(range(10)), "b": list(range(10))},
                        {"a": {0, 1, 2}, "b": {1}})
-        summary = precision_recall(run)
+        summary = precision_recall(*run)
         assert summary.n_queries == 2
         assert summary.average_precision == pytest.approx((1.0 + 0.5) / 2, abs=1e-15)
         np.testing.assert_allclose(summary.precision_at_level,
@@ -278,7 +277,7 @@ class TestPrecisionRecall:
         run = make_run({"a": list(range(5)), "b": list(range(5))},
                        {"a": {0}, "b": set()})
         with pytest.warns(RuntimeWarning, match="no relevant"):
-            summary = precision_recall(run)
+            summary = precision_recall(*run)
         assert summary.n_queries == 1
         assert "b" not in summary.per_query
 
@@ -286,7 +285,7 @@ class TestPrecisionRecall:
         run = make_run({"a": list(range(3))}, {"a": set()})
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError):
-                precision_recall(run)
+                precision_recall(*run)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12))
@@ -301,7 +300,7 @@ class TestPrecisionRecall:
         judgments[qids[rng.integers(n_queries)]].add(int(rng.integers(n_docs)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            summary = precision_recall(RetrievalRun(rank_all(scores, True, qids), judgments))
+            summary = precision_recall(rank_all(scores, True, qids), judgments)
         table = []
         for i, q in enumerate(qids):
             if not judgments[q]:
@@ -321,7 +320,7 @@ class TestPrecisionRecall:
         # judgments reference a document absent from the ranking
         run = make_run({"a": [0, 1, 2]}, {"a": {5}})
         with pytest.raises(ValueError, match="missing"):
-            precision_recall(run)
+            precision_recall(*run)
 
 
 class TestBaselineEquivalence:

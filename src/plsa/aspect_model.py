@@ -78,16 +78,20 @@ class AspectModel:
     def n_terms(self) -> int:
         return self.word_given_z.shape[0]
 
-    def save(self, path) -> None:
-        serialize.save_arrays(path, "aspect-model", {
+    def save(self, path) -> str:
+        """Write the container and return the SHA-256 of its bytes."""
+        return serialize.save_arrays(path, "aspect-model", {
             "prior": self.prior,
             "doc_given_z": self.doc_given_z,
             "word_given_z": self.word_given_z,
         })
 
     @classmethod
-    def load(cls, path) -> "AspectModel":
-        arrays = serialize.load_arrays(path, "aspect-model", ("prior", "doc_given_z", "word_given_z"))
+    def load(cls, path, record: dict | None = None) -> "AspectModel":
+        """Read a container that `save` wrote; a dict `record` receives the
+        SHA-256 of its bytes."""
+        arrays = serialize.load_arrays(path, "aspect-model",
+                                       ("prior", "doc_given_z", "word_given_z"), record=record)
         try:
             return cls(arrays["prior"], arrays["doc_given_z"], arrays["word_given_z"])
         except ValueError as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, serialize
 from .aspect_model import (
     AspectModel,
     DegeneracyError,
@@ -30,10 +30,12 @@ from .corpus import (
     CountMatrix,
     ParseError,
     Vocabulary,
+    _container_path,
     _count_cells,
     _decimal_table,
     _load_id_table,
     _read_lines,
+    _save_container,
     _save_id_table,
     build_counts,
     load_stopwords,
@@ -58,30 +60,36 @@ EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 _RUN_BLOCK = 1 << 14  # run.txt lines formatted per write
 _PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of run.txt's byte tables
+_LAMBDA = 0.5  # query --lambda when none is given
+_FOLD_IN_BETA = 1.0  # query --fold-in-beta when none is given
 
 
 class UsageError(Exception):
     """Flags that parse but do not fit together."""
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+def _record(known: dict, path) -> dict:
+    """The dict in which a reader or writer of `path` leaves what it learnt
+    of the file (its "sha256", ...) for the manifest."""
+    return known.setdefault(str(path), {})
 
 
-def _write_manifest(out_dir: Path, command: str, parameters: dict,
-                    inputs: dict, outputs: dict, counters: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, command: str, parameters: dict, inputs: dict,
+                    outputs: dict, known: dict, counters: dict | None = None) -> None:
+    """`known` maps a path to what the command recorded of the file while
+    reading or writing it (`_record`); any other file is hashed here."""
+
+    def entry(p) -> dict:
+        if str(p) in known:
+            return {"path": str(p), **known[str(p)]}
+        return {"path": str(p), "sha256": serialize.file_sha256(p)}
+
     manifest = {
         "tool": f"plsa {__version__}",
         "command": command,
         "parameters": parameters,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(Path(p))}
-                   for name, p in inputs.items()},
-        "outputs": {name: {"path": str(p), "sha256": _sha256(Path(p))}
-                    for name, p in outputs.items()},
+        "inputs": {name: entry(p) for name, p in inputs.items()},
+        "outputs": {name: entry(p) for name, p in outputs.items()},
     }
     if counters is not None:
         manifest["counters"] = counters
@@ -120,8 +128,8 @@ def _sidecar(counts_path: Path, explicit, name: str):
     return candidate if candidate.exists() else None
 
 
-def _load_model(path, counts: CountMatrix) -> AspectModel:
-    model = AspectModel.load(path)
+def _load_model(path, counts: CountMatrix, known: dict) -> AspectModel:
+    model = AspectModel.load(path, _record(known, path))
     if model.n_docs != counts.n_docs or model.n_terms != counts.n_terms:
         raise ValueError(f"model {path} does not match the count matrix")
     return model
@@ -140,9 +148,10 @@ def cmd_ingest(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    known = {}
 
     if args.format == "triples":
-        counts = CountMatrix.load(args.inputs[0])
+        counts = CountMatrix.load(args.inputs[0], _record(known, args.inputs[0]))
         vocab_path = _sidecar(Path(args.inputs[0]), args.vocab, "vocab.tsv")
         if vocab_path is not None:
             vocab = Vocabulary.load(vocab_path)
@@ -171,16 +180,21 @@ def cmd_ingest(args) -> int:
             raise ValueError(f"{', '.join(map(str, args.inputs))}: {exc}") from None
 
     counts_path = out_dir / "counts.tsv"
+    container_path = _container_path(counts_path)
     vocab_path = out_dir / "vocab.tsv"
     docids_path = out_dir / "docids.tsv"
-    counts.save(counts_path)
+    counts_sha256 = counts.save(counts_path)
+    _record(known, counts_path)["sha256"] = counts_sha256
+    _record(known, container_path)["sha256"] = _save_container(counts, container_path, counts_sha256)
     vocab.save(vocab_path)
     _save_id_table(docids_path, doc_ids)
     _write_manifest(
         out_dir, "ingest",
         {"format": args.format, "stopwords": args.stopwords},
         {f"input{i}": p for i, p in enumerate(args.inputs)},
-        {"counts": counts_path, "vocab": vocab_path, "docids": docids_path},
+        {"counts": counts_path, "counts_bin": container_path, "vocab": vocab_path,
+         "docids": docids_path},
+        known,
     )
     print(f"docs={counts.n_docs} terms={counts.n_terms} tokens={counts.total}")
     return EXIT_OK
@@ -192,14 +206,15 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = CountMatrix.load(args.counts)
+    known = {}
+    counts = CountMatrix.load(args.counts, _record(known, args.counts))
 
     if args.mode == "svd":
         decomp = truncated_svd(counts, args.k)
         model_path = out_dir / "svd.bin"
-        decomp.save(model_path)
+        _record(known, model_path)["sha256"] = decomp.save(model_path)
         _write_manifest(out_dir, "train", {"mode": "svd", "k": args.k},
-                        {"counts": args.counts}, {"model": model_path})
+                        {"counts": args.counts}, {"model": model_path}, known)
         print(f"mode=svd k={args.k} sigma_max={decomp.sigma[0]:.6g}")
         return EXIT_OK
 
@@ -216,7 +231,7 @@ def cmd_train(args) -> int:
     model, trace = fit(counts, args.k, config)
     model_path = out_dir / "model.bin"
     trace_path = out_dir / "trace.tsv"
-    model.save(model_path)
+    _record(known, model_path)["sha256"] = model.save(model_path)
     trace.save(trace_path)
     _write_manifest(
         out_dir, "train",
@@ -226,6 +241,7 @@ def cmd_train(args) -> int:
          "max_total_iters": args.max_total_iters},
         {"counts": args.counts},
         {"model": model_path, "trace": trace_path},
+        known,
     )
     last = trace.records[-1]
     best = min(r.heldout_perplexity for r in trace.records)
@@ -239,12 +255,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
-    counts = CountMatrix.load(args.counts)
-    model = _load_model(args.model, counts)
+    known = {}
+    counts = CountMatrix.load(args.counts, _record(known, args.counts))
+    model = _load_model(args.model, counts, known)
     value = perplexity(model, counts, conditional=args.conditional)
     lines = [f"perplexity {value:.10g}"]
     if args.baseline:
-        base = _load_model(args.baseline, counts)
+        base = _load_model(args.baseline, counts, known)
         base_value = perplexity(base, counts, conditional=args.conditional)
         lines.append(f"baseline_perplexity {base_value:.10g}")
         lines.append(f"reduction_factor {base_value / value:.10g}")
@@ -260,7 +277,7 @@ def cmd_perplexity(args) -> int:
             inputs["baseline"] = args.baseline
         _write_manifest(out_dir, "perplexity",
                         {"conditional": args.conditional},
-                        inputs, {"report": report_path})
+                        inputs, {"report": report_path}, known)
     return EXIT_OK
 
 
@@ -297,18 +314,20 @@ def _text_table(texts: list[str]) -> np.ndarray:
                          np.uint8).reshape(len(raw), width)
 
 
-def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> None:
+def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> str:
     """`query_id doc_id rank score` lines, one row of a byte table each.
     Ids and ranks are gathered from tables built once; scores are formatted
     by one C-level `%.10g` call per block of lines, right-aligned in 17 bytes
-    (the longest `%.10g`), and every padding byte is dropped on writing."""
+    (the longest `%.10g`), and every padding byte is dropped on writing.
+    Returns the SHA-256 of the bytes written."""
     n_docs = rankings.doc_ids.shape[1]
     queries = _text_table([str(q) for q in rankings.query_ids])
     docs = _text_table(doc_ext_ids)
     ranks, digits = _decimal_table([np.arange(1, n_docs + 1)], b" ")
     ranks[~digits] = _PAD
     step = max(1, _RUN_BLOCK // n_docs)
-    with open(path, "wb") as f:
+
+    def blocks():
         for lo in range(0, len(rankings.query_ids), step):
             ids = rankings.doc_ids[lo:lo + step]
             text = ("%17.10g\n" * ids.size) % tuple(rankings.scores[lo:lo + step].ravel().tolist())
@@ -317,7 +336,9 @@ def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> None:
                       scores.reshape(*ids.shape, -1))
             table = np.concatenate([np.broadcast_to(a, ids.shape + a.shape[2:]) for a in fields],
                                    axis=-1)
-            f.write(table[table != _PAD])
+            yield table[table != _PAD]
+
+    return serialize.write_blocks(path, blocks())
 
 
 def _parameter_digest(model: AspectModel) -> bytes:
@@ -330,14 +351,16 @@ def _parameter_digest(model: AspectModel) -> bytes:
 
 def cmd_query(args) -> int:
     if not args.model and not args.svd and not args.baseline_only:
-        raise ValueError("supply --model and/or --svd, or pass --baseline-only")
-    if args.baseline_only and (args.model or args.svd):
-        raise UsageError("--baseline-only ranks by the term cosine alone; "
-                         "it takes no --model or --svd")
+        raise UsageError("supply --model and/or --svd, or pass --baseline-only")
+    if args.baseline_only and (args.model or args.svd or args.lam is not None
+                               or args.fold_in_beta is not None):
+        raise UsageError("--baseline-only ranks by the term cosine alone; it takes no "
+                         "--model, --svd, --lambda or --fold-in-beta")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts_path = Path(args.counts)
-    counts = CountMatrix.load(counts_path)
+    known = {}
+    counts = CountMatrix.load(counts_path, _record(known, args.counts))  # keyed as in inputs
     vocab_path = _sidecar(counts_path, args.vocab, "vocab.tsv")
     if vocab_path is None:
         raise ValueError("no vocabulary file found; pass --vocab")
@@ -355,21 +378,22 @@ def cmd_query(args) -> int:
     queries = _query_counts(query_texts, vocab, stopwords)
     scores, query_ok, doc_ok = cosine_scores(queries.to_csr(), counts.to_csr())
 
-    lam = 1.0 if args.baseline_only else args.lam
+    lam = 1.0 if args.baseline_only else _LAMBDA if args.lam is None else args.lam
+    fold_in_beta = _FOLD_IN_BETA if args.fold_in_beta is None else args.fold_in_beta
     method = "cos"
     # lam = 1 is the pure cosine ranking by definition, whatever was supplied
     if lam < 1.0 and (args.model or args.svd):
         pieces = []
         if args.model:
-            models = [_load_model(p, counts) for p in args.model]
+            models = [_load_model(p, counts, known) for p in args.model]
             # fixed reduction order so permuting --model files cannot change a bit
             models.sort(key=_parameter_digest)
             for model in models:
-                pieces.append(latent_scores(fold_in(model, queries, beta=args.fold_in_beta),
+                pieces.append(latent_scores(fold_in(model, queries, beta=fold_in_beta),
                                             mixing_weight_matrix(model)))
             method = "plsi" if len(models) == 1 else "plsi-star"
         if args.svd:
-            decomp = SvdDecomposition.load(args.svd)
+            decomp = SvdDecomposition.load(args.svd, _record(known, args.svd))
             if decomp.u.shape[0] != counts.n_docs or decomp.v.shape[0] != counts.n_terms:
                 raise ValueError(f"{args.svd}: svd decomposition does not match the count matrix")
             pieces.append(latent_scores(lsi_fold_in(decomp, queries), lsi_doc_coords(decomp)))
@@ -381,7 +405,7 @@ def cmd_query(args) -> int:
 
     rankings = rank_all(scores, query_ok[:, None] & doc_ok[None, :], query_ext_ids)
     run_path = out_dir / "run.txt"
-    _write_run(run_path, rankings, doc_ext_ids)
+    _record(known, run_path)["sha256"] = _write_run(run_path, rankings, doc_ext_ids)
     counters = {"unscored_queries": int((~query_ok).sum())}
 
     outputs = {"run": run_path}
@@ -428,13 +452,11 @@ def cmd_query(args) -> int:
     inputs["vocab"] = str(vocab_path)
     if docids_path is not None:
         inputs["docids"] = str(docids_path)
-    _write_manifest(
-        out_dir, "query",
-        {"lambda": lam, "baseline_only": args.baseline_only, "method": method,
-         "fold_in_beta": args.fold_in_beta,
-         "queries_format": args.queries_format, "stopwords": args.stopwords},
-        inputs, outputs, counters,
-    )
+    parameters = {"lambda": lam, "baseline_only": args.baseline_only, "method": method,
+                  "queries_format": args.queries_format, "stopwords": args.stopwords}
+    if not args.baseline_only:
+        parameters["fold_in_beta"] = fold_in_beta
+    _write_manifest(out_dir, "query", parameters, inputs, outputs, known, counters)
     return EXIT_OK
 
 
@@ -538,13 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-only", action="store_true",
                    help="rank by the raw term cosine only")
     p.add_argument("--lambda", dest="lam", type=_flag(float, lambda v: combined_scores(v, 0, 0)),
-                   default=0.5, help="weight of the cosine score in the blend")
+                   help=f"weight of the cosine score in the blend (default {_LAMBDA})")
     p.add_argument("--qrels", help="relevance judgments; enables precision-recall output")
     p.add_argument("--stopwords")
     p.add_argument("--vocab")
     p.add_argument("--docids")
     p.add_argument("--fold-in-beta", type=_flag(float, lambda v: _require(v > 0.0, "> 0")),
-                   default=1.0)
+                   help=f"inverse temperature of the queries' fold-in (default {_FOLD_IN_BETA})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_query)
 

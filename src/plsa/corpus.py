@@ -8,9 +8,12 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse
+
+from . import serialize
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 # The ASCII characters outside _TOKEN_RE's class (\w is isalnum() plus '_'),
@@ -30,6 +33,7 @@ _DIMS_RE = re.compile(rb"#dims\t[^\r\n]*")
 _NUMPY_DECOMPRESSES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 _SAVE_BLOCK = 1 << 16  # rows formatted per write in CountMatrix.save
 _COUNT_BLOCK = 1 << 10  # documents mapped to term ids per step in build_counts
+_CONTAINER_ARRAYS = ("shape", "rows", "row_starts", "term_ids", "counts")
 
 
 class ParseError(ValueError):
@@ -206,20 +210,21 @@ class CountMatrix:
         order = np.lexsort((term_ids, doc_ids))
         return cls(n_docs, n_terms, doc_ids[order], term_ids[order], counts[order])
 
-    def save(self, path) -> None:
-        """Write one `doc_id<TAB>term_id<TAB>count` triple per line.
+    def save(self, path) -> str:
+        """Write one `doc_id<TAB>term_id<TAB>count` triple per line and
+        return the SHA-256 of the bytes written.
 
         A leading `#dims` comment records (N, M) so empty trailing rows and
         columns survive a round trip.
         """
-        with open(path, "wb") as f:
-            f.write(f"#dims\t{self.n_docs}\t{self.n_terms}\n".encode())
-            for lo in range(0, self.nnz, _SAVE_BLOCK):
-                columns = [c[lo:lo + _SAVE_BLOCK] for c in (self.doc_ids, self.term_ids, self.counts)]
-                f.write(_decimal_rows(columns, b"\t\t\n"))
+        columns = (self.doc_ids, self.term_ids, self.counts)
+        return serialize.write_blocks(path, itertools.chain(
+            [f"#dims\t{self.n_docs}\t{self.n_terms}\n".encode()],
+            (_decimal_rows([c[lo:lo + _SAVE_BLOCK] for c in columns], b"\t\t\n")
+             for lo in range(0, self.nnz, _SAVE_BLOCK))))
 
     @classmethod
-    def load(cls, path) -> "CountMatrix":
+    def load(cls, path, record: dict | None = None) -> "CountMatrix":
         """Read sparse triples; duplicate cells are merged by summation.
 
         Dimensions come from the `#dims` header when present, else from the
@@ -227,7 +232,22 @@ class CountMatrix:
         decimal integers with count >= 1; blank lines and lines starting with
         `#` are skipped.  A rejected file raises ParseError naming its first
         bad line.
+
+        The counts container beside the file (`counts.bin` for `counts.tsv`,
+        written by `_save_container`) is read in its place when it records
+        the SHA-256 of the file's bytes; a missing or stale one is passed
+        over.  One that records the digest but does not hold a valid matrix
+        raises ParseError naming the container.  A dict `record` receives
+        the file's SHA-256 ("sha256") and the path the matrix was read from
+        ("read_from").
         """
+        sha256 = serialize.file_sha256(path)
+        container = _container_path(path)
+        matrix = _load_container(container, sha256)
+        if record is not None:
+            record.update(sha256=sha256, read_from=str(path if matrix is None else container))
+        if matrix is not None:
+            return matrix
         dims, stray_hash = _scan_comments(path)
         columns = _read_columns(path)
         if (columns is None or stray_hash
@@ -269,6 +289,51 @@ class CountMatrix:
             raise ParseError(path, 0, str(exc)) from None
 
 
+def _container_path(path) -> Path:
+    """The counts container that mirrors the text file at `path`."""
+    return Path(path).with_suffix(".bin")
+
+
+def _save_container(counts: CountMatrix, path, source_sha256: str) -> str:
+    """Write `counts` to `path` as the container that CountMatrix.load reads
+    in place of the text whose SHA-256 is `source_sha256`, and return the
+    container's SHA-256.  Each row that holds cells is stored as its id and
+    the index of its first cell, so no array is sized by the row count; the
+    header's checksum lets no damaged byte pass for the text's data."""
+    first = np.ones(counts.nnz, dtype=bool)
+    first[1:] = counts.doc_ids[1:] != counts.doc_ids[:-1]
+    starts = np.flatnonzero(first)
+    return serialize.save_arrays(path, "counts", {
+        "shape": [counts.n_docs, counts.n_terms], "rows": counts.doc_ids[starts],
+        "row_starts": starts, "term_ids": counts.term_ids, "counts": counts.counts,
+    }, meta={"source_sha256": source_sha256}, checksum=True)
+
+
+def _load_container(path: Path, source_sha256: str) -> CountMatrix | None:
+    """The matrix of the counts container at `path` if it records
+    `source_sha256`; None if it is missing or records no such digest."""
+    if not path.exists():
+        return None
+    try:
+        arrays = serialize.load_arrays(path, "counts", _CONTAINER_ARRAYS,
+                                       meta={"source_sha256": source_sha256}, checksum=True)
+        if arrays is None:
+            return None
+        shape, rows, starts, term_ids, counts = (arrays[name] for name in _CONTAINER_ARRAYS)
+        if shape.shape != (2,):
+            raise ValueError("shape must hold the row and column counts")
+        if not term_ids.size:  # as the text reader, which finds no entries
+            raise ValueError("no count entries found")
+        if rows.shape != starts.shape or starts.ndim != 1 or starts[:1].any():
+            raise ValueError("rows and row_starts must be lists of one length, from row start 0")
+        lengths = np.diff(starts, append=term_ids.size)
+        if (lengths < 0).any():  # else the lengths add up to term_ids.size
+            raise ValueError("row_starts must not fall or pass the entry count")
+        return CountMatrix(*shape.tolist(), np.repeat(rows, lengths), term_ids, counts)
+    except ValueError as exc:  # load_arrays's messages name the file already
+        raise ParseError(path, 0, str(exc).removeprefix(f"{path}: ")) from None
+
+
 def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape) -> scipy.sparse.csr_matrix:
     """The CSR matrix of `values` at the cells (rows[i], cols[i]), which are
     sorted by row and then column and do not repeat: its row starts come
@@ -292,10 +357,14 @@ def _decimal_table(columns, ends: bytes):
     keep = np.ones(table.shape, dtype=bool)
     start = 0
     for values, width, end in zip(columns, widths, ends):
-        keep[:, start:start + width - 1] = values[:, None] >= 10 ** np.arange(width - 1, 0, -1)
-        for pos in range(start + width - 1, start - 1, -1):
-            values, table[:, pos] = np.divmod(values, 10)
-        table[:, start:start + width] += ord("0")
+        if width <= 9:  # below 2**32: numpy divides uint32 by a constant many times faster
+            values = values.astype(np.uint32)
+        for pos in range(start + width - 1, start - 1, -1):  # the last digit first
+            quotient = values // 10  # np.divmod takes no such fast path
+            table[:, pos] = values - quotient * 10 + ord("0")
+            if pos < start + width - 1:
+                keep[:, pos] = values > 0  # a digit before the last is a leading zero
+            values = quotient
         table[:, start + width] = end
         start += width + 1
     return table, keep

@@ -53,14 +53,17 @@ class SvdDecomposition:
     def k(self) -> int:
         return self.sigma.size
 
-    def save(self, path) -> None:
-        serialize.save_arrays(path, "svd-decomposition", {
+    def save(self, path) -> str:
+        """Write the container and return the SHA-256 of its bytes."""
+        return serialize.save_arrays(path, "svd-decomposition", {
             "u": self.u, "sigma": self.sigma, "v": self.v,
         })
 
     @classmethod
-    def load(cls, path) -> "SvdDecomposition":
-        arrays = serialize.load_arrays(path, "svd-decomposition", ("u", "sigma", "v"))
+    def load(cls, path, record: dict | None = None) -> "SvdDecomposition":
+        """Read a container that `save` wrote; a dict `record` receives the
+        SHA-256 of its bytes."""
+        arrays = serialize.load_arrays(path, "svd-decomposition", ("u", "sigma", "v"), record=record)
         try:
             return cls(arrays["u"], arrays["sigma"], arrays["v"])
         except ValueError as exc:

@@ -5,12 +5,14 @@ production paths compute, and random/synthetic data generators."""
 import hashlib
 import math
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from plsa import (AspectModel, CountMatrix, ParseError, Vocabulary, lsi_doc_coords,
-                  mixing_weight_matrix, trainer)
+                  mixing_weight_matrix, serialize, trainer)
 from plsa.aspect_model import _e_step, _log_blocks, _tempered_joint
 
 PROB_FLOOR = 1e-12
@@ -424,6 +426,18 @@ def random_counts(rng, n_docs, n_terms, nnz, max_count=5):
     counts = rng.integers(1, max_count + 1, size=nnz)
     return CountMatrix.from_entries(
         n_docs, n_terms, cells // n_terms, cells % n_terms, counts)
+
+
+def counts_container(tsv_path, kind="counts", **arrays) -> bytes:
+    """The bytes of a counts.bin that records the SHA-256 of the counts.tsv
+    at `tsv_path` and a valid checksum, holding the arrays of the container
+    beside that file but those given."""
+    valid = serialize.load_arrays(Path(tsv_path).with_suffix(".bin"))
+    sha256 = hashlib.sha256(Path(tsv_path).read_bytes()).hexdigest()
+    with tempfile.TemporaryDirectory() as work:
+        serialize.save_arrays(Path(work) / "counts.bin", kind, {**valid, **arrays},
+                              meta={"source_sha256": sha256}, checksum=True)
+        return (Path(work) / "counts.bin").read_bytes()
 
 
 def sample_corpus(model, n_tokens, rng):

@@ -66,13 +66,25 @@ class TestIngest:
 
     def test_writes_sidecars_and_manifest(self, tmp_path):
         out_dir = ingest(tmp_path)
-        for name in ("counts.tsv", "vocab.tsv", "docids.tsv", "manifest.json"):
+        for name in ("counts.tsv", "counts.bin", "vocab.tsv", "docids.tsv", "manifest.json"):
             assert (out_dir / name).exists()
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "ingest"
-        recorded = manifest["outputs"]["counts"]["sha256"]
-        actual = hashlib.sha256((out_dir / "counts.tsv").read_bytes()).hexdigest()
-        assert recorded == actual
+        for entry, name in (("counts", "counts.tsv"), ("counts_bin", "counts.bin"),
+                            ("vocab", "vocab.tsv"), ("docids", "docids.tsv")):
+            recorded = manifest["outputs"][entry]
+            assert recorded["path"] == str(out_dir / name)
+            assert recorded["sha256"] == hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+
+    def test_counts_container_is_byte_identical_on_rerun(self, tmp_path):
+        out_dir = ingest(tmp_path)
+        first = (out_dir / "counts.bin").read_bytes()
+        ingest(tmp_path, out="again")
+        assert (tmp_path / "again" / "counts.bin").read_bytes() == first
+        # and it records the digest of the text's exact bytes
+        header = json.loads(first.split(b"\n")[1])
+        sha256 = hashlib.sha256((out_dir / "counts.tsv").read_bytes()).hexdigest()
+        assert (header["kind"], header["meta"]["source_sha256"]) == ("counts", sha256)
 
     def test_matches_library_counts(self, tmp_path):
         from plsa import build_counts, tokenize
@@ -355,6 +367,29 @@ class TestQuery:
     def test_nonpositive_fold_in_beta_is_usage_error(self, tmp_path, value):
         assert self._query_usage_exit(tmp_path, "--fold-in-beta", value) == 2
 
+    def test_query_without_a_ranking_is_usage_error(self, tmp_path, capsys):
+        # no file exists: the flags are rejected before any is read
+        rc = main(["query", "--counts", str(tmp_path / "counts.tsv"),
+                   "--queries", str(tmp_path / "queries.txt"), "--out", str(tmp_path / "q")])
+        assert rc == 2
+        assert "supply --model and/or --svd, or pass --baseline-only" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "0.2"), ("--lambda", "1"),
+                                             ("--fold-in-beta", "0.5"), ("--fold-in-beta", "1")])
+    def test_baseline_only_with_a_blend_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        # even the values the cosine ranking implies: the flag would go unused
+        out_dir = ingest(tmp_path)
+        argv = ["query", "--counts", str(out_dir / "counts.tsv"),
+                "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                "--baseline-only", "--out", str(tmp_path / "q")]
+        assert main(argv + [flag, value]) == 2
+        assert "it takes no --model, --svd, --lambda or --fold-in-beta" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+        assert main(argv) == 0
+        parameters = json.loads((tmp_path / "q" / "manifest.json").read_text())["parameters"]
+        assert parameters["lambda"] == 1.0 and "fold_in_beta" not in parameters
+
     def test_pr_outputs_with_qrels(self, tmp_path, capsys):
         out_dir = self._prepare(tmp_path)
         capsys.readouterr()
@@ -570,6 +605,72 @@ ORACLE_QUERIES = {"q%s": "engine fuel", "2": "wheat harvest soil", "3": "zebra",
 ORACLE_QRELS = "q%s 7%d\nq%s 9\n2 a%s\n2 10\n3 7%d\n5 13\n"
 
 
+class TestCountsContainer:
+    """counts.bin stands in for counts.tsv only while it mirrors the text's
+    bytes, and what is read from it is what the text holds."""
+
+    def test_edited_text_is_read_not_the_stale_container(self, tmp_path, capsys):
+        out_dir = ingest(tmp_path)
+        tsv = out_dir / "counts.tsv"
+        lines = tsv.read_text().splitlines(keepends=True)
+        doc, term, count = lines[1].split("\t")
+        lines[1] = f"{doc}\t{term}\t{int(count) + 1}\n"
+        tsv.write_text("".join(lines))
+        record = {}
+        edited = CountMatrix.load(tsv, record)
+        assert record["read_from"] == str(tsv)
+        assert edited.counts[0] == int(count) + 1
+        np.testing.assert_array_equal(edited.to_dense(), helpers.brute_load_counts(tsv).to_dense())
+        argv = ["train", "--counts", str(tsv), "--k", "1", "--mode", "svd",
+                "--out", str(tmp_path / "t")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
+        assert manifest["inputs"]["counts"]["read_from"] == str(tsv)
+        # a corrupt line is still named where the text reader finds it
+        lines[2] = "0\tx\t1\n"
+        tsv.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"{tsv}:3: doc_id, term_id and count must be integers" in capsys.readouterr().err
+
+    def test_outputs_alike_with_and_without_the_container(self, tmp_path):
+        out_dir = ingest(tmp_path)
+        counts = str(out_dir / "counts.tsv")
+
+        def pipeline(tag):
+            """The bytes of every file train, perplexity and query write, and
+            their manifests with the counts' source set aside."""
+            run = tmp_path / tag
+            for argv in (
+                ["train", "--counts", counts, "--k", "2", "--mode", "tem", "--seed", "3",
+                 "--out", str(run / "tem")],
+                ["train", "--counts", counts, "--k", "2", "--mode", "svd", "--out", str(run / "svd")],
+                ["perplexity", "--model", str(run / "tem" / "model.bin"), "--counts", counts,
+                 "--out", str(run / "ppx")],
+                ["query", "--counts", counts, "--queries", str(tmp_path / "queries.txt"),
+                 "--queries-format", "raw", "--model", str(run / "tem" / "model.bin"),
+                 "--svd", str(run / "svd" / "svd.bin"), "--qrels", str(tmp_path / "qrels.txt"),
+                 "--out", str(run / "q")],
+            ):
+                assert main(argv) == 0
+            files, manifests, sources = {}, {}, set()
+            for path in sorted(run.rglob("*.*")):
+                name = str(path.relative_to(run))
+                if path.name != "manifest.json":
+                    files[name] = path.read_bytes()
+                    continue
+                manifest = json.loads(path.read_text().replace(str(run), "RUN"))
+                sources.add(manifest["inputs"]["counts"].pop("read_from"))
+                manifests[name] = manifest
+            return files, manifests, sources
+
+        with_container = pipeline("with")
+        (out_dir / "counts.bin").unlink()
+        without = pipeline("without")
+        assert len(with_container[0]) == 7 and with_container[:2] == without[:2]
+        assert with_container[2] == {str(out_dir / "counts.bin")} and without[2] == {counts}
+
+
 class TestQueryOracle:
     """plsa query against helpers.brute_query_scores, the dense per-query
     scoring path, on SMART files whose ids hold '%'."""
@@ -721,7 +822,15 @@ def model_header(**entry):
             "arrays": [{"name": "prior", "dtype": "<f8", "shape": [1], **entry}]}
 
 
-# case: (file written into the ingest folder, its bytes, text stderr must hold)
+def term_beyond_the_columns(out_dir: Path) -> bytes:
+    valid = serialize.load_arrays(out_dir / "counts.bin")
+    term_ids = valid["term_ids"].copy()
+    term_ids[-1] = valid["shape"][1]
+    return helpers.counts_container(out_dir / "counts.tsv", term_ids=term_ids)
+
+
+# case: (file written into the ingest folder, its bytes or the function of
+# the folder that gives them, text stderr must hold)
 CORRUPT_INPUTS = {
     "count id beyond int64": (
         "counts.tsv", b"0\t1\t2\n1\t99999999999999999999\t1\n", "counts.tsv:2: integer"),
@@ -747,6 +856,15 @@ CORRUPT_INPUTS = {
     "docids line without a tab": ("docids.tsv", b"0\t1\n1 2\n", "docids.tsv:2:"),
     "docids rows out of order": (
         "docids.tsv", b"0\ta\n2\tc\n1\tb\n3\td\n", "docids.tsv:2: rows must run 0, 1, 2"),
+    "counts.bin truncated": (
+        "counts.bin", lambda out_dir: (out_dir / "counts.bin").read_bytes()[:-1],
+        "counts.bin:0: truncated container (array 'counts')"),
+    "counts.bin of another kind": (
+        "counts.bin", lambda out_dir: helpers.counts_container(out_dir / "counts.tsv",
+                                                               kind="aspect-model"),
+        "counts.bin:0: expected container kind 'counts', found 'aspect-model'"),
+    "counts.bin term id out of range": (
+        "counts.bin", term_beyond_the_columns, "counts.bin:0: term_id out of range"),
 }
 
 
@@ -755,11 +873,13 @@ class TestExitCodes:
     def test_corrupt_input_is_data_error(self, tmp_path, capsys, case):
         name, content, message = CORRUPT_INPUTS[case]
         out_dir = ingest(tmp_path)
-        (out_dir / name).write_bytes(content)
+        (out_dir / name).write_bytes(content(out_dir) if callable(content) else content)
         counts_arg = str(out_dir / "counts.tsv")
+        train = ["train", "--counts", counts_arg, "--k", "1", "--mode", "svd",
+                 "--out", str(tmp_path / "t")]
         argv = {
-            "counts.tsv": ["train", "--counts", counts_arg, "--k", "1", "--mode", "svd",
-                           "--out", str(tmp_path / "t")],
+            "counts.tsv": train,
+            "counts.bin": train,
             "model.bin": ["perplexity", "--model", str(out_dir / "model.bin"),
                           "--counts", counts_arg],
             "docids.tsv": ["query", "--counts", counts_arg, "--queries",
@@ -870,6 +990,8 @@ def reader_argv(base: Path, name: str, path: Path, out: Path) -> list[str]:
     query = ["query", "--counts", counts, "--queries-format", "raw", "--out", str(out)]
     queries = ["--queries", str(base / "queries.txt")]
     return {
+        "counts.bin": ["train", "--counts", str(path.with_suffix(".tsv")), "--k", "1",
+                       "--mode", "svd", "--out", str(out)],
         "vocab.tsv": query + queries + ["--baseline-only", "--vocab", str(path)],
         "docids.tsv": query + queries + ["--baseline-only", "--docids", str(path)],
         "qrels.txt": query + queries + ["--baseline-only", "--qrels", str(path)],
@@ -887,7 +1009,9 @@ def reader_argv(base: Path, name: str, path: Path, out: Path) -> list[str]:
 PRISTINE = {"vocab.tsv": "ing/vocab.tsv", "docids.tsv": "ing/docids.tsv", "qrels.txt": "qrels.txt",
             "queries.txt": "queries.txt", "stop.txt": "stop.txt", "docs.txt": "docs.txt",
             "docs.all": "docs.all", "queries.qry": "queries.qry",
-            "model.bin": "em/model.bin", "svd.bin": "svd/svd.bin"}
+            "model.bin": "em/model.bin", "svd.bin": "svd/svd.bin", "counts.bin": "ing/counts.bin"}
+# a counts.bin is read only beside the text whose digest it records
+PAIRED = {"counts.bin": "ing/counts.tsv"}
 TEXT_READERS = sorted(n for n in PRISTINE if not n.endswith(".bin"))
 
 
@@ -898,6 +1022,8 @@ def run_reader(base: Path, name: str, content: bytes, outputs=None) -> tuple[int
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / name
         path.write_bytes(content)
+        if name in PAIRED:
+            shutil.copy(base / PAIRED[name], Path(work))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = main(reader_argv(base, name, path, Path(work) / "out"))
@@ -973,12 +1099,15 @@ class TestCorruptInputsNameTheirFile:
         rc, err, path = run_reader(pristine, name, content.replace(b"\n", b"\n\xff", 1))
         assert rc == 3 and f"{path}:0: not UTF-8 text" in err
 
-    @pytest.mark.parametrize("name", ["model.bin", "svd.bin"])
+    @pytest.mark.parametrize("name", ["model.bin", "svd.bin", "counts.bin"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_truncated_container_is_named(self, pristine, name, data):
         content = (pristine / PRISTINE[name]).read_bytes()
-        rc, err, path = run_reader(pristine, name, content[:data.draw(st.integers(0, len(content) - 1))])
+        # a counts.bin whose header is cut records no digest, and is passed over
+        whole_header = content.index(b"}\n") + 2 if name == "counts.bin" else 0
+        rc, err, path = run_reader(pristine, name,
+                                   content[:data.draw(st.integers(whole_header, len(content) - 1))])
         assert rc == 3
         assert path in err
 

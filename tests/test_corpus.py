@@ -1,6 +1,8 @@
 """Ingestion tests: tokenization, count matrices, splits, SMART parsing."""
 
+import hashlib
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -446,6 +448,110 @@ class TestCountsCodec:
         path = tmp_path / "counts.gz"
         path.write_text("#dims\t2\t2\n0\t1\t4\n")
         assert CountMatrix.load(path).to_dense().tolist() == [[0, 4], [0, 0]]
+
+
+def save_pair(m: CountMatrix, path):
+    """Write `m` as `ingest` does: the text at `path`, then its container."""
+    corpus._save_container(m, path.with_suffix(".bin"), m.save(path))
+
+
+class TestCountsContainer:
+    """CountMatrix.load through counts.bin, the container `ingest` writes
+    beside counts.tsv, against the text path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 9), n_terms=st.integers(1, 9),
+           density=st.floats(0, 1), pad=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           max_count=st.sampled_from([5, 2**62]))
+    def test_container_reads_as_the_text(self, tmp_path_factory, seed, n_docs, n_terms,
+                                         density, pad, max_count):
+        # random cells leave rows and columns empty, inner and trailing; the
+        # padding adds trailing ones that only the #dims header keeps
+        rng = np.random.default_rng(seed)
+        cells = helpers.random_counts(rng, n_docs, n_terms,
+                                      max(1, round(density * n_docs * n_terms)), max_count)
+        m = CountMatrix(n_docs + pad[0], n_terms + pad[1], cells.doc_ids, cells.term_ids,
+                        cells.counts)
+        path = tmp_path_factory.mktemp("container") / "counts.tsv"
+        save_pair(m, path)
+        via_container, via_text = {}, {}
+        got = CountMatrix.load(path, via_container)
+        path.with_suffix(".bin").unlink()
+        want = CountMatrix.load(path, via_text)
+        assert via_container["read_from"] == str(path.with_suffix(".bin"))
+        assert via_text["read_from"] == str(path)
+        sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert via_container["sha256"] == via_text["sha256"] == sha256
+        assert (got.n_docs, got.n_terms) == (want.n_docs, want.n_terms) == (m.n_docs, m.n_terms)
+        for name in ("doc_ids", "term_ids", "counts"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == np.int64
+
+    @pytest.mark.parametrize("dims", [(1, 10**12), (10**12, 1)])
+    def test_huge_dims_cost_no_memory(self, tmp_path, dims):
+        # the container lists the rows that hold cells, never one entry per row
+        m = CountMatrix(*dims, [dims[0] - 1], [dims[1] - 1], [3])
+        path = tmp_path / "counts.tsv"
+        tracemalloc.start()
+        try:
+            save_pair(m, path)
+            record = {}
+            back = CountMatrix.load(path, record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record["read_from"] == str(tmp_path / "counts.bin")
+        assert (back.n_docs, back.n_terms) == dims
+        assert back.doc_ids.tolist() == [dims[0] - 1] and back.counts.tolist() == [3]
+        assert peak < 4 * 2**20
+
+    def test_stale_or_foreign_container_is_passed_over(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        save_pair(CountMatrix(2, 2, [0], [1], [4]), path)
+        path.write_text("#dims\t2\t2\n0\t1\t5\n")  # the text moved on
+        assert CountMatrix.load(path).counts.tolist() == [5]
+        for foreign in (b"", b"#plsa-container v1\n{nope\n", np.random.bytes(64)):
+            (tmp_path / "counts.bin").write_bytes(foreign)
+            record = {}
+            assert CountMatrix.load(path, record).counts.tolist() == [5]
+            assert record["read_from"] == str(path)
+
+    def test_damaged_container_is_named(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        save_pair(CountMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1, 2, 3]), path)
+        container = path.with_suffix(".bin")
+        intact = container.read_bytes()
+        # a count of 2 read as 3 would make a valid matrix, not the text's
+        damaged = intact[:-16] + bytes([intact[-16] + 1]) + intact[-15:]
+        unchecked = intact.replace(b'"arrays_sha256"', b'"arrays_sha257"')
+        for content in (damaged, unchecked):
+            container.write_bytes(content)
+            with pytest.raises(ParseError, match="differ from the checksum") as excinfo:
+                CountMatrix.load(path)
+            assert excinfo.value.path == str(container)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"shape": [2, 3, 1]}, "shape must hold"),
+        ({"row_starts": [1, 2]}, "from row start 0"),
+        ({"rows": [0]}, "lists of one length"),
+        ({"row_starts": [0, 4]}, "pass the entry count"),
+        ({"rows": [0, 1, 1], "row_starts": [0, 2, 1]}, "must not fall"),
+        ({"row_starts": [0, 2], "rows": [0, 1], "term_ids": [1, 0, 2], "counts": [1, 1, 1]},
+         "sorted by (doc_id, term_id)"),
+        ({"rows": [0, 2]}, "doc_id out of range"),
+        ({"term_ids": [0, 3, 1]}, "term_id out of range"),
+        ({"counts": [1, 0, 2]}, "counts must be >= 1"),
+        ({"rows": [], "row_starts": [], "term_ids": [], "counts": []}, "no count entries"),
+    ])
+    def test_corrupt_container_is_named(self, tmp_path, arrays, message):
+        path = tmp_path / "counts.tsv"
+        save_pair(CountMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1, 2, 3]), path)
+        path.with_suffix(".bin").write_bytes(helpers.counts_container(
+            path, **{k: np.array(v, dtype=np.int64) for k, v in arrays.items()}))
+        with pytest.raises(ParseError, match=re.escape(message)) as excinfo:
+            CountMatrix.load(path)
+        assert excinfo.value.path == str(tmp_path / "counts.bin")
+        assert excinfo.value.line_no == 0
 
 
 class TestVocabulary:

@@ -1,0 +1,84 @@
+"""The binary container: bytes written, arrays read back, the meta items
+that decide whether a file is read at all, and the arrays' checksum."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from plsa import serialize
+
+ARRAYS = {
+    "matrix": np.arange(12, dtype=np.float64).reshape(3, 4),
+    "ids": np.array([5, -1, 2**62], dtype=np.int64),
+    "narrow": np.array([1, 2, 3], dtype=np.int32),  # stored as int64
+    "single": np.array([0.5, 0.25], dtype=np.float32),  # stored as float64
+    "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    "empty": np.zeros((0, 3)),
+    "scalar": np.float64(7.0),
+}
+
+
+def tobytes_layout(kind, arrays, meta) -> bytes:
+    """The container as written by copying each array's bytes out first."""
+    stored = [np.ascontiguousarray(a, dtype="<f8" if np.asarray(a).dtype.kind == "f" else "<i8")
+              for a in arrays.values()]
+    header = {"kind": kind, "version": 1, "meta": meta,
+              "arrays": [{"name": n, "dtype": a.dtype.str, "shape": list(a.shape)}
+                         for n, a in zip(arrays, stored)]}
+    return (b"#plsa-container v1\n" + json.dumps(header, sort_keys=True).encode() + b"\n"
+            + b"".join(a.tobytes() for a in stored))
+
+
+@pytest.mark.parametrize("meta", [None, {"source_sha256": "ab" * 32, "n": 3}])
+def test_bytes_and_digest_of_a_write(tmp_path, meta):
+    path = tmp_path / "c.bin"
+    digest = serialize.save_arrays(path, "test", ARRAYS, meta=meta)
+    assert path.read_bytes() == tobytes_layout("test", ARRAYS, meta or {})
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_arrays_read_back_as_written(tmp_path):
+    path = tmp_path / "c.bin"
+    serialize.save_arrays(path, "test", ARRAYS)
+    with open(path, "ab") as f:
+        f.write(b"bytes past the arrays")
+    record = {}
+    back = serialize.load_arrays(path, "test", ("ids",), record=record)
+    assert record["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert list(back) == list(ARRAYS)
+    for name, a in ARRAYS.items():
+        assert back[name].dtype == ("<i8" if np.asarray(a).dtype.kind == "i" else "<f8")
+        assert back[name].flags.c_contiguous and back[name].flags.writeable
+        np.testing.assert_array_equal(back[name], a)
+
+
+def test_meta_decides_whether_a_file_is_read(tmp_path):
+    path = tmp_path / "c.bin"
+    serialize.save_arrays(path, "test", {"a": np.ones(2)}, meta={"source_sha256": "x", "n": 1})
+    assert serialize.load_arrays(path, meta={"source_sha256": "x"})["a"].tolist() == [1, 1]
+    assert serialize.load_arrays(path, meta={"source_sha256": "y"}) is None
+    assert serialize.load_arrays(path, meta={"other": "x"}) is None
+    for foreign in (b"", b"plain text\n", b"#plsa-container v1\n{nope\n",
+                    b"#plsa-container v1\n[1, 2]\n"):
+        path.write_bytes(foreign)
+        assert serialize.load_arrays(path, meta={"source_sha256": "x"}) is None
+        with pytest.raises(ValueError, match=str(path)):
+            serialize.load_arrays(path)
+
+
+def test_checksum_guards_the_arrays_and_their_manifest(tmp_path):
+    path = tmp_path / "c.bin"
+    serialize.save_arrays(path, "test", {"a": np.arange(2.0), "b": np.arange(2.0)}, checksum=True)
+    intact = path.read_bytes()
+    assert serialize.load_arrays(path, checksum=True)["b"].tolist() == [0, 1]
+    for damaged in (intact[:-1] + b"\x01",  # an array byte
+                    # the same bytes cut into arrays of other lengths
+                    intact.replace(b'"shape": [2]}, {"dtype": "<f8", "name": "b", "shape": [2]',
+                                   b'"shape": [3]}, {"dtype": "<f8", "name": "b", "shape": [1]'),
+                    intact.replace(b'"arrays_sha256"', b'"arrays_sha257"')):
+        assert damaged != intact
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match="differ from the checksum"):
+            serialize.load_arrays(path, checksum=True)

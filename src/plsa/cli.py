@@ -314,11 +314,58 @@ def _text_table(texts: list[str]) -> np.ndarray:
                          np.uint8).reshape(len(raw), width)
 
 
+_SCALES = np.array([1e13, 1e12, 1e11, 1e10, 1e9])  # 10**(9 - e) by e + 4, exact doubles
+_LEADS = np.array([list(b"0.000"[:n].ljust(5, bytes([_PAD]))) for n in (5, 4, 3, 2, 0)],
+                  np.uint8).T  # column e + 4 holds the lead "0.000" .. "" of exponent e
+
+
+def _score_table(values: np.ndarray) -> np.ndarray:
+    """The bytes of `"%17.10g\n" % v` for each float64 v, one row of 18 each;
+    a row without its _PAD bytes is that line without its spaces. numpy
+    places +-0 and each v with 1e-4 <= |v| < 10, in columns: sign, the lead
+    "0.000" of a decimal exponent e in [-4, 0], d0, the point after d0 when
+    e = 0, d1 .. d9 with trailing zeros dropped, and the newline. The mantissa
+    y = |v| * 10**(9 - e) is off by at most 2**-20, so rint(y) rounds as %
+    does unless y lies near a tie or past its decade: `%` formats those
+    values and every other one."""
+    a = np.abs(values)
+    e4 = sum((a >= bound).view(np.int8) for bound in (1e-3, 1e-2, 1e-1, 1.0))  # e + 4
+    zero = a == 0
+    e4[zero] = 4
+    with np.errstate(over="ignore", invalid="ignore"):  # such values are left to %
+        y = a * _SCALES.take(e4)
+        m = np.rint(y)
+        placed = ((y >= 1e9) & (y < 1e10 - 0.5) & (np.abs(y - m) < 0.5 - 1e-5)) | zero
+    left = ~placed  # formatted by %
+    m[left] = 0
+    hi = np.floor(m / 1e5)  # 5-digit halves: numpy divides uint32 by a constant fast
+    halves = ((m - hi * 1e5).astype(np.uint32), hi.astype(np.uint32))
+    table = np.empty((18, a.size), np.uint8)  # a row per column, so each write is contiguous
+    table[0] = np.where(np.signbit(values), ord("-"), _PAD)
+    table[1:6] = _LEADS.take(e4, axis=1)
+    kept = np.zeros((10, a.size), bool)  # kept[c - 8]: a digit from column c on is not 0
+    for half, cols in zip(halves, (range(16, 11, -1), range(11, 7, -1))):
+        for col in cols:  # d9 .. d1
+            quotient = half // 10
+            digit = half - quotient * 10
+            table[col] = digit + ord("0")
+            np.logical_or(kept[col - 7], digit, out=kept[col - 8])
+            half = quotient
+    table[6] = half + ord("0")
+    table[7] = np.where(kept[0] & (e4 == 4), ord("."), _PAD)
+    np.copyto(table[8:17], _PAD, where=~kept[:9])
+    table[17] = ord("\n")
+    rest = values[left]
+    text = ("%17.10g\n" * rest.size) % tuple(rest.tolist())
+    table[:, left] = np.frombuffer(text.encode("ascii").replace(b" ", bytes([_PAD])),
+                                   np.uint8).reshape(-1, 18).T
+    return table.T
+
+
 def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> str:
     """`query_id doc_id rank score` lines, one row of a byte table each.
-    Ids and ranks are gathered from tables built once; scores are formatted
-    by one C-level `%.10g` call per block of lines, right-aligned in 17 bytes
-    (the longest `%.10g`), and every padding byte is dropped on writing.
+    Ids and ranks are gathered from tables built once, scores are formatted
+    by _score_table, and every padding byte is dropped on writing.
     Returns the SHA-256 of the bytes written."""
     n_docs = rankings.doc_ids.shape[1]
     queries = _text_table([str(q) for q in rankings.query_ids])
@@ -330,8 +377,7 @@ def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> str:
     def blocks():
         for lo in range(0, len(rankings.query_ids), step):
             ids = rankings.doc_ids[lo:lo + step]
-            text = ("%17.10g\n" * ids.size) % tuple(rankings.scores[lo:lo + step].ravel().tolist())
-            scores = np.frombuffer(text.encode("ascii").replace(b" ", bytes([_PAD])), np.uint8)
+            scores = _score_table(rankings.scores[lo:lo + step].ravel())
             fields = (queries[lo:lo + step, None], docs[ids], ranks[None],
                       scores.reshape(*ids.shape, -1))
             table = np.concatenate([np.broadcast_to(a, ids.shape + a.shape[2:]) for a in fields],

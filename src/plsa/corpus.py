@@ -469,6 +469,7 @@ def build_counts(docs) -> tuple[Vocabulary, CountMatrix]:
         terms.append(np.fromiter(map(index.__getitem__, flat), np.int64, sum(lengths)))
         rows.append(np.repeat(np.arange(n_docs, n_docs + len(block)), lengths))
         n_docs += len(block)
+    index.default_factory = None  # a cycle through its own method kept it until a full gc
     if not index:
         raise ValueError("all documents are empty; nothing to count")
     rows, terms = np.concatenate(rows), np.concatenate(terms)  # frees the blocks' arrays

@@ -102,7 +102,11 @@ def load_arrays(path, kind: str | None = None, names=(), meta: dict | None = Non
             if n_bytes > remaining:  # checked before np.empty allocates n_bytes
                 raise ValueError(f"{path}: truncated container (array {entry['name']!r})")
             remaining -= n_bytes
-            a = np.empty(entry["shape"], dtype=dtype)
+            try:  # an empty array may still have more elements than numpy can index
+                a = np.empty(entry["shape"], dtype=dtype)
+            except ValueError:
+                raise ValueError(f"{path}: array {entry['name']!r} has a shape beyond numpy's "
+                                 f"limits: {entry['shape']}") from None
             if f.readinto(a.reshape(-1).view(np.uint8)) != n_bytes:
                 raise ValueError(f"{path}: truncated container (array {entry['name']!r})")
             arrays[entry["name"]] = a

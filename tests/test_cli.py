@@ -752,8 +752,27 @@ EDGE_SCORES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-
                1e-5, 9.99999999995e-6, 9.999999999949999e-6, 1e10, 9999999999.5,
                9999999999.4, 9.9999999995, 9.99999999949, 0.99999999995, -9.9999999995,
                1e16, 1.7976931348623157e308, 0.1, 1 / 3]
+# the decades whose top value carries into the next, with their neighbours
+CARRIES = [float(v) for c in (0.99999999995, 9.9999999995, 9.99999999995e-5)
+           for v in (np.nextafter(c, 0), c, np.nextafter(c, 1))]
 IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from("%é中 "),
               max_size=5)
+
+
+@st.composite
+def near_ties(draw):
+    """A value of either sign a few ulps from a tie (m + 0.5) * 10**(e - 9)
+    of %.10g's rounding."""
+    value = (draw(st.integers(10**9, 10**10 - 1)) + 0.5) * 10.0 ** (draw(st.integers(-5, 1)) - 9)
+    for _ in range(draw(st.integers(0, 3))):
+        value = np.nextafter(value, draw(st.sampled_from([0.0, np.inf])))
+    return float(value) * draw(st.sampled_from([1, -1]))
+
+
+# draws that reach _score_table's own digits as well as its `%` fallback
+SCORES = (st.sampled_from(EDGE_SCORES + CARRIES) | st.floats(allow_nan=False)
+          | st.floats(1e-4, 10, exclude_max=True) | st.floats(-10, -1e-4, exclude_min=True)
+          | near_ties())
 
 
 class TestWriteRun:
@@ -766,8 +785,7 @@ class TestWriteRun:
         from plsa import rank_all
 
         n_queries, n_docs = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 7))
-        values = st.sampled_from(EDGE_SCORES) | st.floats(allow_nan=False)
-        scores = np.array(data.draw(st.lists(values, min_size=n_queries * n_docs,
+        scores = np.array(data.draw(st.lists(SCORES, min_size=n_queries * n_docs,
                                              max_size=n_queries * n_docs))).reshape(n_queries, -1)
         scorable = np.array(data.draw(st.lists(st.booleans(), min_size=scores.size,
                                                max_size=scores.size))).reshape(scores.shape)
@@ -780,6 +798,36 @@ class TestWriteRun:
             cli_mod._write_run(path, rank_all(scores, scorable, query_ids), doc_ids)
         want, _ = helpers.brute_run_and_pr(scores, scorable, query_ids, doc_ids, None)
         assert path.read_bytes() == want.encode("utf-8")
+
+    def test_score_table_matches_percent_in_bulk(self):
+        """_score_table gives the bytes of `%` on 279k seeded doubles: plain
+        and log-spread values, near-ties of every decade the numpy path
+        places and its two neighbours, powers of ten and special values."""
+        from plsa.cli import _PAD, _score_table
+
+        rng = np.random.default_rng(14)
+        ties = np.concatenate([(rng.integers(10**9, 10**10, 4000) + 0.5) * 10.0 ** (e - 9)
+                               for e in range(-5, 2)])
+        near = [ties]
+        for toward in (0.0, np.inf):
+            value = ties
+            for _ in range(3):
+                value = np.nextafter(value, toward)
+                near.append(value)
+        powers = 10.0 ** np.arange(-323, 309)
+        tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        values = np.concatenate([
+            rng.random(40_000), 10.0 ** rng.uniform(-6, 2, 40_000), *near,
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            [0.0, np.inf, np.nan, 5e-324, tiny, huge], rng.random(1000) * tiny,
+            CARRIES, EDGE_SCORES])
+        values *= rng.choice([1.0, -1.0], values.size)
+        assert values.size >= 10**5
+        table = _score_table(values)
+        assert table.shape == (values.size, 18)
+        assert (table[:, -1] == ord("\n")).all() and (table[:, :-1] != ord("\n")).all()
+        want = ("%17.10g\n" * values.size) % tuple(values.tolist())
+        assert table[table != _PAD].tobytes() == want.replace(" ", "").encode()
 
 
 class TestTopics:
@@ -852,6 +900,9 @@ CORRUPT_INPUTS = {
     "negative shape": ("model.bin", container(model_header(shape=[-1])), "model.bin: corrupt entry 0"),
     "shape beyond the file": (
         "model.bin", container(model_header(shape=[2**40])), "model.bin: truncated container"),
+    "empty shape beyond numpy": (
+        "model.bin", container(model_header(shape=[0, 2**62])),
+        "model.bin: array 'prior' has a shape beyond numpy's limits"),
     "missing array": ("model.bin", container(model_header()), "container lacks arrays"),
     "docids line without a tab": ("docids.tsv", b"0\t1\n1 2\n", "docids.tsv:2:"),
     "docids rows out of order": (

@@ -1,5 +1,6 @@
 """Ingestion tests: tokenization, count matrices, splits, SMART parsing."""
 
+import gc
 import hashlib
 import itertools
 import re
@@ -124,6 +125,17 @@ class TestBuildCounts:
         _, counts = build_counts([[], ["a"], []])
         assert counts.n_docs == 3
         assert counts.doc_ids.tolist() == [1]
+
+    def test_leaves_no_reference_cycle(self):
+        # garbage in a cycle waits for a full collection: a process that
+        # ingests again and again would hold every earlier term index
+        gc.collect()
+        gc.disable()
+        try:
+            build_counts([["a", "b"], ["b", "c"]])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_all_empty_is_an_error(self):
         with pytest.raises(ValueError):

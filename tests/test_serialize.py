@@ -3,6 +3,7 @@ that decide whether a file is read at all, and the arrays' checksum."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -82,3 +83,13 @@ def test_checksum_guards_the_arrays_and_their_manifest(tmp_path):
         path.write_bytes(damaged)
         with pytest.raises(ValueError, match="differ from the checksum"):
             serialize.load_arrays(path, checksum=True)
+
+
+def test_empty_array_of_a_shape_numpy_cannot_hold_is_named(tmp_path):
+    # 0 bytes pass the truncation check, but numpy cannot index 2**62 columns
+    path = tmp_path / "c.bin"
+    header = {"kind": "test", "version": 1, "meta": {},
+              "arrays": [{"name": "wide", "dtype": "<f8", "shape": [0, 2**62]}]}
+    path.write_bytes(b"#plsa-container v1\n" + json.dumps(header).encode() + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: array 'wide' has a shape beyond")):
+        serialize.load_arrays(path)

@@ -9,6 +9,7 @@ there is a single source of truth.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,8 +25,11 @@ _CHUNK_CELLS = 1 << 22
 # _sddmm gathers both operands of rows averaging at most this many
 # multiply-adds (cells per row times K) and runs one gemv per longer row.
 # Measured on 2000 x 8000 tables (2-vCPU Xeon, 1 BLAS thread), the gather
-# wins up to about 3000-4000 (K = 32-128) and the loop beyond; training
-# rows, about 4300 at MED scale and K = 32, stay well clear of the switch.
+# wins up to about 3000-4000 (K = 32-128) and the loop beyond.  Training
+# rows at MED scale (about 4000 at K = 32) take the loop, but so does the
+# held-out split of a MED-scale fit at K = 128: about 2080 per row, just
+# past the switch, where the loop takes twice the gather's time (8.4
+# against 4.2 ms per SDDMM, same host).
 _SHORT_ROW = 2048
 _GATHER_CHUNK = 1 << 15  # elements of each gathered operand per step: stays in L2
 # S_beta below this takes the log-domain path; above it, terms > 1e-100 of S are normal
@@ -141,30 +145,50 @@ def _check_dims(model: AspectModel, counts: CountMatrix) -> None:
         )
 
 
-def _log_blocks(model: AspectModel):
-    """(log A, log W) with A = P(z)P(d|z) and W = P(w|z), untempered."""
-    return _safe_log(model.prior) + _safe_log(model.doc_given_z), _safe_log(model.word_given_z)
+def _log_blocks(model: AspectModel, rows=slice(None), cols=slice(None)):
+    """(log A[rows], log W[cols]) with A = P(z)P(d|z) and W = P(w|z),
+    untempered: whole blocks by default."""
+    log_a = _safe_log(model.doc_given_z[rows])
+    log_a += _safe_log(model.prior)
+    return log_a, _safe_log(model.word_given_z[cols])
 
 
-def _log_joint_terms(log_a, log_w, rows, cols, cells):
+def _touched(ids: np.ndarray, n: int):
+    """(selector, positions) of the rows `ids` of an n-row block: the
+    distinct ids and the position of each id among them, or the whole block
+    when the ids are at least n, so that no more than n rows are taken."""
+    if ids.size >= n:
+        return slice(None), ids
+    return np.unique(ids, return_inverse=True)
+
+
+def _log_joint_terms(log_blocks, rows, cols, cells, shape):
     """Yield (selector, lp) over chunks of the cells (rows[i], cols[i]) at the
-    entry indices `cells`: lp[i, z] = log A[rows[i], z] + log W[cols[i], z]."""
+    entry indices `cells` of a table of `shape`: lp[i, z] = log A[rows[i], z]
+    + log W[cols[i], z], with log_blocks(r, c) = (log A[r], log W[c]) called
+    once, on the rows and columns the cells touch (`_touched`)."""
+    (row_sel, row_pos), (col_sel, col_pos) = (_touched(rows[cells], shape[0]),
+                                              _touched(cols[cells], shape[1]))
+    log_a, log_w = log_blocks(row_sel, col_sel)
     step = max(1, _CHUNK_CELLS // log_a.shape[1])
     for lo in range(0, cells.size, step):
-        sel = cells[lo:lo + step]
-        yield sel, log_a[rows[sel]] + log_w[cols[sel]]
+        sel = slice(lo, lo + step)
+        yield cells[sel], log_a[row_pos[sel]] + log_w[col_pos[sel]]
 
 
 def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
     """The E-step's SDDMM: (A^beta, W^beta, S_beta) with A = P(z)P(d|z), W = P(w|z)
-    and S_beta[i] = A^beta[d_i] . W^beta[w_i] per nonzero cell.  Below beta = 1
-    the powers are taken in the log domain, before A could underflow."""
+    and S_beta[i] = A^beta[d_i] . W^beta[w_i] per nonzero cell.  At beta = 1,
+    W^beta is the model's own block.  Below it the powers are taken in the log
+    domain, before A could underflow, in place: one block each."""
     _check_dims(model, counts)
     if beta == 1.0:
         a, w = model.prior * model.doc_given_z, model.word_given_z
     else:
-        a = np.exp(beta * (_safe_log(model.prior) + _safe_log(model.doc_given_z)))
-        w = np.exp(beta * _safe_log(model.word_given_z))
+        a, w = _log_blocks(model)
+        for block in (a, w):
+            block *= beta
+            np.exp(block, out=block)
     return a, w, _sddmm(a, w, counts.doc_ids, counts.term_ids)
 
 
@@ -191,9 +215,10 @@ def _e_step(rows, cols, n, a, w, beta: float, log_blocks, s=None):
     """The E-step on the cells (rows[i], cols[i]), sorted by row, with counts
     n, a = A^beta, w = W^beta and S_beta as `s` if the caller has it: R = n /
     S_beta as CSR, 0 where S_beta < 1e-200, and (cells, n q) chunks for those
-    cells, with q their log-domain posteriors from log_blocks() = (log A,
-    log W), called only then.  The row side of the M-step is a * (R @ w) plus
-    the chunks.  Iterating them raises DegeneracyError where S_beta = 0."""
+    cells, with q their log-domain posteriors from log_blocks(r, c) =
+    (log A[r], log W[c]), called only then, on the rows and columns they
+    touch.  The row side of the M-step is a * (R @ w) plus the chunks.
+    Iterating them raises DegeneracyError where S_beta = 0."""
     if s is None:
         s = _sddmm(a, w, rows, cols)
     low = s < _UNDERFLOW
@@ -201,7 +226,7 @@ def _e_step(rows, cols, n, a, w, beta: float, log_blocks, s=None):
     cells = np.flatnonzero(low)
     if not cells.size:
         return r, ()
-    chunks = _log_joint_terms(*log_blocks(), rows, cols, cells)
+    chunks = _log_joint_terms(log_blocks, rows, cols, cells, (len(a), len(w)))
     return r, ((sel, _tempered_softmax(lp, beta) * n[sel, None]) for sel, lp in chunks)
 
 
@@ -213,7 +238,8 @@ def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, 
     out = _safe_log(s)
     low = np.flatnonzero(s < _UNDERFLOW)
     if low.size:
-        for sel, lp in _log_joint_terms(*_log_blocks(model), counts.doc_ids, counts.term_ids, low):
+        for sel, lp in _log_joint_terms(partial(_log_blocks, model), counts.doc_ids,
+                                        counts.term_ids, low, (model.n_docs, model.n_terms)):
             out[sel] = logsumexp(beta * lp, axis=1)
     return out
 

@@ -207,10 +207,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     known = {}
-    counts = CountMatrix.load(args.counts, _record(known, args.counts))
-
     if args.mode == "svd":
-        decomp = truncated_svd(counts, args.k)
+        decomp = truncated_svd(CountMatrix.load(args.counts, _record(known, args.counts)), args.k)
         model_path = out_dir / "svd.bin"
         _record(known, model_path)["sha256"] = decomp.save(model_path)
         _write_manifest(out_dir, "train", {"mode": "svd", "k": args.k},
@@ -228,7 +226,8 @@ def cmd_train(args) -> int:
         heldout_fraction=args.heldout,
     )
     fit = fit_tem if args.mode == "tem" else fit_em
-    model, trace = fit(counts, args.k, config)
+    # loaded in the call, so that the fit, which keeps only its split, can free it
+    model, trace = fit(CountMatrix.load(args.counts, _record(known, args.counts)), args.k, config)
     model_path = out_dir / "model.bin"
     trace_path = out_dir / "trace.tsv"
     _record(known, model_path)["sha256"] = model.save(model_path)
@@ -301,8 +300,8 @@ def _query_counts(texts: list[str], vocab: Vocabulary, stopwords) -> CountMatrix
     """One row of term counts per query text; words outside `vocab` are dropped."""
     ids = [[vocab.index[t] for t in tokenize(text, stopwords) if t in vocab.index] for text in texts]
     rows = np.repeat(np.arange(len(texts)), [len(i) for i in ids])
-    return _count_cells(len(texts), len(vocab), rows,
-                        np.fromiter(chain.from_iterable(ids), np.int64))
+    return _count_cells(len(texts), len(vocab),
+                        rows * len(vocab) + np.fromiter(chain.from_iterable(ids), np.int64))
 
 
 def _text_table(texts: list[str]) -> np.ndarray:

@@ -146,7 +146,9 @@ class CountMatrix:
 
     Entries are stored sorted by (doc_id, term_id), with no duplicate pairs
     and strictly positive counts.  Documents without any entry are legal:
-    they keep their row so ids stay aligned with external judgments.
+    they keep their row so ids stay aligned with external judgments.  The
+    entry arrays are kept as given when they are int64 already; the checks
+    allocate a few bytes per entry, no array of int64 per entry.
     """
 
     n_docs: int
@@ -174,8 +176,7 @@ class CountMatrix:
                 raise ValueError("term_id out of range")
             if self.counts.min() < 1:
                 raise ValueError("counts must be >= 1")
-            key = self.doc_ids * self.n_terms + self.term_ids
-            if not np.all(np.diff(key) > 0):
+            if not _ascending(self.doc_ids, self.term_ids):
                 raise ValueError("entries must be sorted by (doc_id, term_id) with no duplicates")
 
     @property
@@ -261,9 +262,7 @@ class CountMatrix:
         if dims is None:
             dims = int(doc_ids.max()) + 1, int(term_ids.max()) + 1
         n_docs, n_terms = dims
-        ascending = (doc_ids[1:] > doc_ids[:-1]) | (
-            (doc_ids[1:] == doc_ids[:-1]) & (term_ids[1:] > term_ids[:-1]))
-        if ascending.all():  # what `save` writes: no sort, no merge
+        if _ascending(doc_ids, term_ids):  # what `save` writes: no sort, no merge
             entries = doc_ids, term_ids, counts
         else:
             order = np.lexsort((term_ids, doc_ids))
@@ -287,6 +286,17 @@ class CountMatrix:
             return cls(n_docs, n_terms, *entries)
         except ValueError as exc:
             raise ParseError(path, 0, str(exc)) from None
+
+
+def _ascending(doc_ids: np.ndarray, term_ids: np.ndarray) -> bool:
+    """Whether the cells (doc_ids[i], term_ids[i]) ascend strictly by doc
+    and then term, from comparisons of adjacent ids held as booleans: two
+    bytes per cell at most, where a key doc * n_terms + term and its diff
+    would take int64 arrays."""
+    later = doc_ids[1:] == doc_ids[:-1]
+    later &= term_ids[1:] > term_ids[:-1]
+    later |= doc_ids[1:] > doc_ids[:-1]
+    return bool(later.all())
 
 
 def _container_path(path) -> Path:
@@ -472,14 +482,19 @@ def build_counts(docs) -> tuple[Vocabulary, CountMatrix]:
     index.default_factory = None  # a cycle through its own method kept it until a full gc
     if not index:
         raise ValueError("all documents are empty; nothing to count")
-    rows, terms = np.concatenate(rows), np.concatenate(terms)  # frees the blocks' arrays
-    return Vocabulary(list(index)), _count_cells(n_docs, len(index), rows, terms)
+    keys = np.concatenate(rows)  # the row of each token; frees the blocks' arrays
+    del rows
+    keys *= len(index)
+    keys += np.concatenate(terms)
+    del terms  # the token arrays are freed before the cells are counted
+    return Vocabulary(list(index)), _count_cells(n_docs, len(index), keys)
 
 
-def _count_cells(n_rows: int, n_terms: int, rows: np.ndarray, terms: np.ndarray) -> CountMatrix:
-    """The CountMatrix of occurrence pairs (rows[i], terms[i]), one per token."""
-    keys, counts = np.unique(rows * n_terms + terms, return_counts=True)
-    return CountMatrix(n_rows, n_terms, keys // n_terms, keys % n_terms, counts)
+def _count_cells(n_rows: int, n_terms: int, keys: np.ndarray) -> CountMatrix:
+    """The CountMatrix of occurrences at the cell keys row * n_terms + term,
+    one per token."""
+    keys, counts = np.unique(keys, return_counts=True)
+    return CountMatrix(n_rows, n_terms, *np.divmod(keys, n_terms), counts)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -121,9 +122,13 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
     normalizes each.  With q = A^beta W^beta / S_beta the blocks are
     A^beta * (R @ W^beta) and W^beta * (R^T @ A^beta), R = n / S_beta; a cell
     with S_beta below 1e-200 takes the log-domain path.  `_joint` is the
-    caller's _tempered_joint(model, counts, beta), if it has it.  The input
-    model is not modified.  A factor that receives no posterior mass is reset
-    to uniform conditionals (with a warning) so a later sweep can reassign it.
+    caller's _tempered_joint(model, counts, beta), if it has it.  Beyond
+    that joint, a sweep allocates R, the two accumulators, which are
+    multiplied and normalised in place and become the new model's blocks,
+    and the log-domain rows of the cells that take that path.  The input
+    model and the joint are not modified.  A factor that receives no
+    posterior mass is reset to uniform conditionals (with a warning) so a
+    later sweep can reassign it.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0 for an EM sweep")
@@ -131,8 +136,11 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
         raise ValueError("cannot run an EM sweep on empty counts")
     a, w, s = _tempered_joint(model, counts, beta) if _joint is None else _joint
     r, tail = _e_step(counts.doc_ids, counts.term_ids, counts.counts, a, w, beta,
-                      lambda: _log_blocks(model), s)
-    doc_acc, word_acc = a * (r @ w), w * (r.T @ a)
+                      partial(_log_blocks, model), s)
+    doc_acc = r @ w
+    doc_acc *= a
+    word_acc = r.T @ a
+    word_acc *= w
     for cells, weighted in tail:
         np.add.at(doc_acc, counts.doc_ids[cells], weighted)
         np.add.at(word_acc, counts.term_ids[cells], weighted)
@@ -147,11 +155,9 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
         doc_acc[:, dead] = 1.0
         word_acc[:, dead] = 1.0
         prior_acc[dead] = prior_acc.sum() / model.k
-    return AspectModel(
-        prior_acc / prior_acc.sum(),
-        doc_acc / doc_acc.sum(axis=0),
-        word_acc / word_acc.sum(axis=0),
-    )
+    doc_acc /= doc_acc.sum(axis=0)
+    word_acc /= word_acc.sum(axis=0)
+    return AspectModel(prior_acc / prior_acc.sum(), doc_acc, word_acc)
 
 
 def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:
@@ -162,22 +168,32 @@ def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:
 def fit_em(counts: CountMatrix, k: int, config: TemConfig | None = None
            ) -> tuple[AspectModel, TrainTrace]:
     """Plain EM at beta = 1 with early stopping on held-out perplexity."""
-    return _fit(counts, k, config or TemConfig(), temper=False)
+    config = config or TemConfig()
+    split = internal_split(counts, config)
+    del counts  # the fit keeps its split only, so a caller's sole reference frees the matrix
+    return _fit(split, k, config, temper=False)
 
 
 def fit_tem(counts: CountMatrix, k: int, config: TemConfig | None = None
             ) -> tuple[AspectModel, TrainTrace]:
     """Tempered EM: EM with early stopping, then stages of decreasing beta,
     each continued while held-out perplexity keeps improving."""
-    return _fit(counts, k, config or TemConfig(), temper=True)
-
-
-def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
-         ) -> tuple[AspectModel, TrainTrace]:
-    if counts.nnz == 0:
-        raise ValueError("cannot fit a model on empty counts")
+    config = config or TemConfig()
     split = internal_split(counts, config)
+    del counts  # as in fit_em
+    return _fit(split, k, config, temper=True)
+
+
+def _fit(split: SplitPair, k: int, config: TemConfig, temper: bool
+         ) -> tuple[AspectModel, TrainTrace]:
+    """The fit on `split`, internal_split's train/held-out pair of the
+    counts.  Besides the split, the current and best models and the joint
+    a sweep reuses are kept: each sweep's joint is freed before the next is
+    built, and log S_beta is reduced to the free energy before the
+    untempered scan of a tempered stage."""
     train, heldout = split.train, split.heldout
+    if train.nnz == 0 and heldout.nnz == 0:
+        raise ValueError("cannot fit a model on empty counts")
     if train.nnz == 0:
         raise ValueError("held-out split left no training occurrences; lower heldout_fraction")
     if heldout.total == 0:
@@ -187,7 +203,7 @@ def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
         )
         heldout = train
 
-    model = init_model(k, counts.n_docs, counts.n_terms, subseed(config.seed, "init"))
+    model = init_model(k, train.n_docs, train.n_terms, subseed(config.seed, "init"))
     records: list[TraceRecord] = []
     best_model, best_ppx = model, math.inf
     beta, prev_ppx = 1.0, math.inf  # inf - x < tol * inf is false: sweep 1 never stalls
@@ -198,12 +214,15 @@ def _fit(counts: CountMatrix, k: int, config: TemConfig, temper: bool
             if len(records) == config.max_total_iters:
                 break
             model = em_step(model, train, beta, _joint=joint)
+            joint = None  # freed before the next one is built
             joint = _tempered_joint(model, train, beta)
-            tempered = _scan_log_joint(model, train, beta, joint[2])
-            log_joint = tempered if beta == 1.0 else _scan_log_joint(model, train)
+            log_joint = _scan_log_joint(model, train, beta, joint[2])  # log S_beta
+            free = -float(np.dot(train.counts, log_joint))
+            if beta != 1.0:
+                del log_joint  # freed before the untempered scan builds its own
+                log_joint = _scan_log_joint(model, train)
             train_ll = float(np.dot(train.counts, np.maximum(log_joint, LOG_FLOOR)))
             train_ppx = math.exp(-train_ll / train.total)
-            free = -float(np.dot(train.counts, tempered))
             held_ppx = perplexity(model, heldout, conditional=True)
             records.append(TraceRecord(len(records) + 1, beta, train_ppx, held_ppx, free))
             if held_ppx < best_ppx:
@@ -277,7 +296,7 @@ def _fold_in_sweep(theta, w_beta, lword, rows, cols, counts, beta: float) -> np.
     posterior; one with S_beta = 0 raises DegeneracyError."""
     theta_beta = theta if beta == 1.0 else np.exp(beta * _safe_log(theta))
     r, tail = _e_step(rows, cols, counts, theta_beta, w_beta, beta,
-                      lambda: (_safe_log(theta), lword))
+                      lambda i, j: (_safe_log(theta[i]), lword[j]))
     acc = theta_beta * (r @ w_beta)
     for cells, weighted in tail:
         np.add.at(acc, rows[cells], weighted)

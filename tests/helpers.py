@@ -2,10 +2,12 @@
 of the library's vectorized paths, readers of the per-cell quantities the
 production paths compute, and random/synthetic data generators."""
 
+import functools
 import hashlib
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -376,7 +378,7 @@ def e_step_posteriors(model, counts, beta):
     Raises DegeneracyError where S_beta = 0."""
     rows, cols, n = counts.doc_ids, counts.term_ids, counts.counts
     a, w, s = _tempered_joint(model, counts, beta)
-    r, tail = _e_step(rows, cols, n, a, w, beta, lambda: _log_blocks(model), s)
+    r, tail = _e_step(rows, cols, n, a, w, beta, functools.partial(_log_blocks, model), s)
     q = a[rows] * w[cols] * (np.asarray(r[rows, cols]).ravel() / n)[:, None]
     for cells, weighted in tail:
         q[cells] = weighted / n[cells, None]
@@ -393,6 +395,16 @@ def full_table(n_docs, n_terms):
     """Counts of 1 in every cell, in row-major order."""
     d, w = np.divmod(np.arange(n_docs * n_terms), n_terms)
     return CountMatrix(n_docs, n_terms, d, w, np.ones(d.size, dtype=np.int64))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory traced while it ran): what fn
+    allocated at its high point, its result included, inputs excluded."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fit_with_models(fit, counts, k, config):

@@ -8,6 +8,7 @@ import json
 import shutil
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from plsa import (
     init_model,
     internal_split,
     serialize,
+    trainer,
     unigram_baseline,
 )
 from plsa.cli import main
@@ -253,6 +255,29 @@ class TestTrain:
         manifest_key = {"improvement_tol": "tol", "heldout_fraction": "heldout"}
         defaults = dataclasses.asdict(TemConfig())
         assert {name: parameters[manifest_key.get(name, name)] for name in defaults} == defaults
+
+    @pytest.mark.parametrize("mode", ["em", "tem"])
+    def test_fit_frees_the_loaded_matrix(self, tmp_path, monkeypatch, mode):
+        # the fit keeps only its train/held-out split: the matrix train
+        # loaded is freed before the first sweep
+        out_dir = ingest(tmp_path)
+        loaded, alive = [], []
+        load, sweep = CountMatrix.load.__func__, trainer.em_step
+
+        def tracked_load(cls, *args, **kwargs):
+            matrix = load(cls, *args, **kwargs)
+            loaded.append(weakref.ref(matrix))
+            return matrix
+
+        def checked_sweep(*args, **kwargs):
+            alive.append(loaded[0]() is not None)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(CountMatrix, "load", classmethod(tracked_load))
+        monkeypatch.setattr(trainer, "em_step", checked_sweep)
+        assert main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2",
+                     "--mode", mode, "--out", str(tmp_path / "t")]) == 0
+        assert len(loaded) == 1 and alive and not any(alive)
 
     def test_svd_mode(self, tmp_path):
         out_dir = ingest(tmp_path)

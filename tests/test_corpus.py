@@ -4,7 +4,6 @@ import gc
 import hashlib
 import itertools
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -137,6 +136,16 @@ class TestBuildCounts:
         finally:
             gc.enable()
 
+    def test_peak_memory(self):
+        # 200,000 tokens over 2000 terms, nearly every cell distinct: the cell
+        # keys are formed in place and the token arrays freed before np.unique
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(2000)]
+        docs = [[words[i] for i in rng.integers(0, 2000, size=200)] for _ in range(1000)]
+        (_, counts), peak = helpers.traced_peak(build_counts, docs)
+        assert counts.total == 200_000
+        assert peak < 6.5 * 8 * 200_000  # int64 arrays of one entry per token
+
     def test_all_empty_is_an_error(self):
         with pytest.raises(ValueError):
             build_counts([[], []])
@@ -225,6 +234,30 @@ class TestCountMatrix:
             CountMatrix.from_entries(2, 2, [2], [0], [1])  # doc out of range
         with pytest.raises(ValueError):
             CountMatrix.from_entries(2, 2, [0], [5], [1])  # term out of range
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nnz=st.integers(0, 12), n=st.integers(1, 4))
+    def test_order_check_matches_cell_keys(self, seed, nnz, n):
+        # few ids, so that equal, repeated and descending neighbours all occur
+        rng = np.random.default_rng(seed)
+        d, t = np.sort(rng.integers(0, n, size=nnz)), rng.integers(0, n, size=nnz)
+        if rng.random() < 0.5:
+            t = np.sort(t)
+        ordered = bool(np.all(np.diff(d * n + t) > 0))
+        if ordered:
+            assert CountMatrix(n, n, d, t, np.ones(nnz)).nnz == nnz
+        else:
+            with pytest.raises(ValueError, match="sorted"):
+                CountMatrix(n, n, d, t, np.ones(nnz))
+
+    def test_checks_allocate_less_than_an_int64_array(self):
+        rng = np.random.default_rng(13)
+        cells = np.sort(rng.choice(1000 * 5000, size=1_000_000, replace=False))
+        d, t = np.divmod(cells, 5000)
+        counts = rng.integers(1, 5, size=cells.size)
+        m, peak = helpers.traced_peak(CountMatrix, 1000, 5000, d, t, counts)
+        assert m.doc_ids is d and m.term_ids is t and m.counts is counts  # kept as given
+        assert peak < 8 * cells.size
 
     def test_views_agree(self):
         rng = np.random.default_rng(3)
@@ -398,13 +431,12 @@ class TestCountsCodec:
         # nothing in save or load may be sized by n_docs or n_terms
         m = CountMatrix(1, 10**12, [0], [10**12 - 1], [3])
         path = tmp_path / "counts.tsv"
-        tracemalloc.start()
-        try:
+
+        def round_trip():
             m.save(path)
-            back = CountMatrix.load(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return CountMatrix.load(path)
+
+        back, peak = helpers.traced_peak(round_trip)
         assert path.read_text() == "#dims\t1\t1000000000000\n0\t999999999999\t3\n"
         assert (back.n_docs, back.n_terms) == (1, 10**12)
         assert back.term_ids.tolist() == [10**12 - 1] and back.counts.tolist() == [3]
@@ -504,14 +536,13 @@ class TestCountsContainer:
         # the container lists the rows that hold cells, never one entry per row
         m = CountMatrix(*dims, [dims[0] - 1], [dims[1] - 1], [3])
         path = tmp_path / "counts.tsv"
-        tracemalloc.start()
-        try:
+        record = {}
+
+        def round_trip():
             save_pair(m, path)
-            record = {}
-            back = CountMatrix.load(path, record)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return CountMatrix.load(path, record)
+
+        back, peak = helpers.traced_peak(round_trip)
         assert record["read_from"] == str(tmp_path / "counts.bin")
         assert (back.n_docs, back.n_terms) == dims
         assert back.doc_ids.tolist() == [dims[0] - 1] and back.counts.tolist() == [3]

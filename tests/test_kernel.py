@@ -6,8 +6,9 @@ zero-probability cells.  The SDDMM gathers short rows and loops over long
 ones: the random shapes cover short rows, rows at the switch and long
 rows, and the fixed cases run on each path in turn."""
 
+import contextlib
 import math
-import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -195,6 +196,43 @@ class TestEmStep:
                 with pytest.raises(DegeneracyError):
                     em_step(model, counts, beta)
 
+    @pytest.mark.parametrize("dead", [False, True])
+    @pytest.mark.parametrize("beta", [1.0, 0.8])
+    def test_leaves_inputs_unchanged(self, beta, dead):
+        # the sweep multiplies and normalises its own accumulators in place;
+        # at beta = 1 the joint's W^beta is the model's word_given_z itself
+        rng = np.random.default_rng(9)
+        counts = helpers.random_counts(rng, 6, 7, 20)
+        model = normalized(np.array([0.6, 0.0 if dead else 0.1, 0.4]), rng.random((6, 3)),
+                           rng.random((7, 3)))
+        arrays = (model.prior, model.doc_given_z, model.word_given_z, counts.doc_ids,
+                  counts.term_ids, counts.counts)
+        before = [a.tobytes() for a in arrays]
+        joint = _tempered_joint(model, counts, beta)
+        assert (joint[1] is model.word_given_z) == (beta == 1.0)
+        joint_before = [a.tobytes() for a in joint]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fresh = em_step(model, counts, beta)
+            reused = em_step(model, counts, beta, _joint=joint)
+        assert len(caught) == (2 if dead else 0)  # the reset ran
+        assert [a.tobytes() for a in arrays] == before
+        assert [a.tobytes() for a in joint] == joint_before
+        for name in ("prior", "doc_given_z", "word_given_z"):
+            assert getattr(fresh, name).tobytes() == getattr(reused, name).tobytes()
+
+    def test_allocates_at_most_three_blocks(self):
+        # 300 x 600 at K = 64 with 2% of the cells: A^beta and W^beta are one
+        # (N + M) x K block, the two accumulators another
+        rng = np.random.default_rng(10)
+        n_docs, n_terms, k = 300, 600, 64
+        model = helpers.random_model(rng, k, n_docs, n_terms)
+        d, t = np.nonzero(rng.random((n_docs, n_terms)) < 0.02)
+        counts = CountMatrix(n_docs, n_terms, d, t, rng.integers(1, 5, size=d.size))
+        stepped, peak = helpers.traced_peak(em_step, model, counts, 0.9)
+        assert peak <= 3 * (n_docs + n_terms) * k * 8
+        assert_models_close(stepped, em_step(model, counts, 0.9))
+
 
 class TestScan:
     @settings(max_examples=80, deadline=None)
@@ -240,6 +278,122 @@ class TestScan:
                 got = _scan_log_joint(model, counts, beta)
                 assert got[1] == -math.inf
                 np.testing.assert_allclose(got[0], beta * math.log(0.5), rtol=RTOL)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.7])
+    def test_underflowing_cell_allocates_less_than_a_block(self, beta):
+        # the log-domain tail takes logs of the one row and column it touches,
+        # not of the whole (N + M) x K blocks
+        rng = np.random.default_rng(11)
+        n_docs, n_terms, k = 300, 600, 64
+        d, t = np.nonzero(rng.random((n_docs, n_terms)) < 0.02)
+        counts = CountMatrix(n_docs, n_terms, d, t, rng.integers(1, 5, size=d.size))
+        word = 0.05 + rng.random((n_terms, k))
+        word[t[0]] = 1e-300
+        model = normalized(0.1 + rng.random(k), 0.05 + rng.random((n_docs, k)), word)
+        s = _tempered_joint(model, counts, beta)[2]
+        assert (s < _UNDERFLOW).sum() == (t == t[0]).sum()
+        got, peak = helpers.traced_peak(_scan_log_joint, model, counts, beta, s)
+        assert peak < (n_docs + n_terms) * k * 8
+        with whole_blocks():
+            assert got.tobytes() == _scan_log_joint(model, counts, beta, s).tobytes()
+
+
+def whole_blocks():
+    """A patch under which the log-domain tails take the logs of whole
+    blocks: the reference for the rows and columns they take."""
+    return mock.patch.object(aspect_model, "_touched", lambda ids, n: (slice(None), ids))
+
+
+def sliced_and_whole(fn):
+    """fn() as it runs and under whole_blocks(), each its result or
+    DegeneracyError if it raised that."""
+    out = []
+    for patch in (contextlib.nullcontext(), whole_blocks()):
+        with patch:
+            try:
+                out.append(fn())
+            except DegeneracyError:
+                out.append(DegeneracyError)
+    return out
+
+
+@st.composite
+def tail_cases(draw):
+    """(model, counts, beta, zero, chunk) with random shapes in which every
+    cell of some terms falls below _UNDERFLOW at beta = 1 and 0.7 (P(w|z) ~
+    1e-300), some documents carry P(d|z) ~ 1e-160, so that their cells with
+    those terms are 0 in the linear domain, and every row holds a cell.  With
+    `zero`, one observed term has P(w|z) = 0, so its cells have S_beta = 0.
+    `chunk` patches the log-domain chunk size to a few cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_docs, n_terms, k = (draw(st.integers(1, 12)), draw(st.integers(2, 30)),
+                          draw(st.integers(1, 4)))
+    mask = rng.random((n_docs, n_terms)) < draw(st.floats(0.1, 1.0))
+    mask[np.arange(n_docs), rng.integers(n_terms, size=n_docs)] = True
+    tiny = rng.random(n_terms) < draw(st.floats(0.02, 0.9))
+    tiny[0], tiny[-1] = True, False  # one term at least on each side
+    mask[rng.integers(n_docs), 0] = True
+    word = 0.05 + rng.random((n_terms, k))
+    word[tiny] *= 1e-300
+    doc = 0.05 + rng.random((n_docs, k))
+    doc[1:][rng.random(n_docs - 1) < 0.3] *= 1e-160
+    zero = draw(st.booleans())
+    if zero:
+        word[rng.choice(np.flatnonzero(mask.any(axis=0)))] = 0.0
+    d, t = np.nonzero(mask)
+    counts = CountMatrix(n_docs, n_terms, d, t, rng.integers(1, 6, size=d.size))
+    chunk = mock.patch.object(aspect_model, "_CHUNK_CELLS", k * draw(st.integers(1, 5)))
+    return (normalized(0.1 + rng.random(k), doc, word), counts,
+            draw(st.sampled_from([1.0, 0.7])), zero, chunk)
+
+
+class TestLogTails:
+    """Each log-domain tail takes logs of the distinct rows and columns its
+    cells touch, or of a whole block when the cells are as many as its rows,
+    and gives bit for bit what it gives from whole blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail_cases())
+    def test_e_step_tail(self, case):
+        model, counts, beta, zero, chunk = case
+        assert (_tempered_joint(model, counts, beta)[2] < _UNDERFLOW).any()
+        with chunk:
+            got, want = sliced_and_whole(lambda: em_step(model, counts, beta))
+        if zero:
+            assert got is want is DegeneracyError
+            return
+        for name in ("prior", "doc_given_z", "word_given_z"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail_cases())
+    def test_scan_tail(self, case):
+        model, counts, beta, zero, chunk = case
+        with chunk:
+            got, want = sliced_and_whole(lambda: _scan_log_joint(model, counts, beta))
+        assert got.tobytes() == want.tobytes()
+        null = model.word_given_z[counts.term_ids].max(axis=1) == 0.0
+        assert null.any() == zero
+        assert np.isneginf(got[null]).all() and np.isfinite(got[~null]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail_cases())
+    def test_fold_in_tail(self, case):
+        # the documents stand in for queries, with mixing weights theta
+        model, counts, beta, zero, chunk = case
+        theta = 0.05 + np.random.default_rng(counts.nnz).random((counts.n_docs, model.k))
+        theta /= theta.sum(axis=1, keepdims=True)
+        word = model.word_given_z
+        with np.errstate(divide="ignore"):
+            lword = np.log(word)
+        w_beta = word if beta == 1.0 else np.exp(beta * lword)
+        with chunk:
+            got, want = sliced_and_whole(lambda: _fold_in_sweep(
+                theta, w_beta, lword, counts.doc_ids, counts.term_ids, counts.counts, beta))
+        if zero:
+            assert got is want is DegeneracyError
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -311,12 +465,7 @@ class TestFoldIn:
         model = normalized(np.ones(k), np.ones((2, k)), 0.05 + rng.random((n_terms, k)))
         d, t = np.divmod(np.arange(n_queries * n_terms), n_terms)
         queries = CountMatrix(n_queries, n_terms, d, t, rng.integers(1, 6, size=d.size))
-        tracemalloc.start()
-        try:
-            got = fold_in(model, queries, beta, max_iters=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = helpers.traced_peak(fold_in, model, queries, beta, 3)
         assert peak < d.size * k * 8 / 2
         np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=RTOL)
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import helpers
 from plsa import CountMatrix, SvdDecomposition, lsi_doc_coords, lsi_fold_in, truncated_svd
 from plsa.retrieval import latent_scores
 
@@ -121,11 +122,7 @@ class TestTruncatedSvd:
             return svd(table, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", traced_svd)
-        tracemalloc.start()
-        try:
-            decomp = truncated_svd(counts, min(n, m))
-        finally:
-            tracemalloc.stop()
+        decomp, _ = helpers.traced_peak(truncated_svd, counts, min(n, m))
         assert peaks and peaks[0] < 1.25 * n * m * 8
         want = svd(counts.to_dense().astype(np.float64), full_matrices=False)
         np.testing.assert_array_equal(np.abs(decomp.u), np.abs(want[0]))

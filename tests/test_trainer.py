@@ -112,6 +112,14 @@ class TestFitEm:
         _, trace = fit_em(counts, 2, TemConfig(seed=2))
         assert all(r.beta == 1.0 for r in trace.records)
 
+    def test_leaves_counts_unchanged(self):
+        counts = helpers.random_counts(np.random.default_rng(28), 12, 14, 80)
+        arrays = (counts.doc_ids, counts.term_ids, counts.counts)
+        before = [a.tobytes() for a in arrays]
+        _, trace = fit_tem(counts, 3, TemConfig(seed=9, eta=0.8))
+        assert any(r.beta < 1.0 for r in trace.records)
+        assert [a.tobytes() for a in arrays] == before
+
     def test_bit_deterministic(self):
         counts = small_corpus(13, n_docs=10, n_terms=12, nnz=60)
         config = TemConfig(seed=9)
@@ -171,6 +179,14 @@ class TestFitTem:
         np.testing.assert_array_equal(tem_model.prior, em_model.prior)
         np.testing.assert_array_equal(tem_model.word_given_z, em_model.word_given_z)
         assert tem_trace.stopping_reason == StoppingReason.BETA_FLOOR
+
+    def test_leaves_counts_unchanged(self):
+        counts = helpers.random_counts(np.random.default_rng(28), 12, 14, 80)
+        arrays = (counts.doc_ids, counts.term_ids, counts.counts)
+        before = [a.tobytes() for a in arrays]
+        _, trace = fit_tem(counts, 3, TemConfig(seed=9, eta=0.8))
+        assert any(r.beta < 1.0 for r in trace.records)
+        assert [a.tobytes() for a in arrays] == before
 
     def test_bit_deterministic(self):
         counts = helpers.random_counts(np.random.default_rng(24), 12, 14, 80)

@@ -10,8 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical degeneracy.
 
 import argparse
 import functools
-import hashlib
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -27,6 +27,7 @@ from .aspect_model import (
     top_words,
 )
 from .corpus import (
+    _PAD,
     CountMatrix,
     ParseError,
     Vocabulary,
@@ -59,9 +60,20 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 _RUN_BLOCK = 1 << 14  # run.txt lines formatted per write
-_PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of run.txt's byte tables
 _LAMBDA = 0.5  # query --lambda when none is given
 _FOLD_IN_BETA = 1.0  # query --fold-in-beta when none is given
+# train's schedule flags in --help order: dest, which is also the manifest
+# key, to its TemConfig field, which holds the default, and its help text
+_SCHEDULE = {
+    "eta": ("eta", "beta decay factor"),
+    "beta_min": ("beta_min", None),
+    "tol": ("improvement_tol", "relative held-out improvement counting as progress"),
+    "heldout": ("heldout_fraction", "fraction of occurrences split off for early stopping"),
+    "seed": ("seed", None),
+    "max_iters_per_beta": ("max_iters_per_beta", None),
+    "max_total_iters": ("max_total_iters", None),
+}
+_UNREAD = {"svd": tuple(_SCHEDULE), "em": ("eta", "beta_min"), "tem": ()}  # flags a mode ignores
 
 
 class UsageError(Exception):
@@ -204,6 +216,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    given = {dest: value for dest in _SCHEDULE if (value := getattr(args, dest)) is not None}
+    unread = [dest for dest in given if dest in _UNREAD[args.mode]]
+    if unread:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        raise UsageError(f"--mode {args.mode} does not read {flags}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     known = {}
@@ -216,15 +233,7 @@ def cmd_train(args) -> int:
         print(f"mode=svd k={args.k} sigma_max={decomp.sigma[0]:.6g}")
         return EXIT_OK
 
-    config = TemConfig(
-        eta=args.eta,
-        beta_min=args.beta_min,
-        improvement_tol=args.tol,
-        max_iters_per_beta=args.max_iters_per_beta,
-        max_total_iters=args.max_total_iters,
-        seed=args.seed,
-        heldout_fraction=args.heldout,
-    )
+    config = TemConfig(**{_SCHEDULE[dest][0]: value for dest, value in given.items()})
     fit = fit_tem if args.mode == "tem" else fit_em
     # loaded in the call, so that the fit, which keeps only its split, can free it
     model, trace = fit(CountMatrix.load(args.counts, _record(known, args.counts)), args.k, config)
@@ -234,10 +243,8 @@ def cmd_train(args) -> int:
     trace.save(trace_path)
     _write_manifest(
         out_dir, "train",
-        {"mode": args.mode, "k": args.k, "eta": args.eta, "beta_min": args.beta_min,
-         "tol": args.tol, "heldout": args.heldout, "seed": args.seed,
-         "max_iters_per_beta": args.max_iters_per_beta,
-         "max_total_iters": args.max_total_iters},
+        {"mode": args.mode, "k": args.k,
+         **{dest: getattr(config, field) for dest, (field, _) in _SCHEDULE.items()}},
         {"counts": args.counts},
         {"model": model_path, "trace": trace_path},
         known,
@@ -369,8 +376,7 @@ def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> str:
     n_docs = rankings.doc_ids.shape[1]
     queries = _text_table([str(q) for q in rankings.query_ids])
     docs = _text_table(doc_ext_ids)
-    ranks, digits = _decimal_table([np.arange(1, n_docs + 1)], b" ")
-    ranks[~digits] = _PAD
+    ranks = _decimal_table([np.arange(1, n_docs + 1)], b" ")
     step = max(1, _RUN_BLOCK // n_docs)
 
     def blocks():
@@ -386,14 +392,6 @@ def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> str:
     return serialize.write_blocks(path, blocks())
 
 
-def _parameter_digest(model: AspectModel) -> bytes:
-    """SHA-256 of the model's three parameter blocks, hashed in place."""
-    h = hashlib.sha256()
-    for block in (model.prior, model.doc_given_z, model.word_given_z):
-        h.update(block)
-    return h.digest()
-
-
 def cmd_query(args) -> int:
     if not args.model and not args.svd and not args.baseline_only:
         raise UsageError("supply --model and/or --svd, or pass --baseline-only")
@@ -401,6 +399,9 @@ def cmd_query(args) -> int:
                                or args.fold_in_beta is not None):
         raise UsageError("--baseline-only ranks by the term cosine alone; it takes no "
                          "--model, --svd, --lambda or --fold-in-beta")
+    if args.fold_in_beta is not None and not args.model:
+        raise UsageError("--fold-in-beta tempers the fold-in of --model's aspect models; "
+                         "it needs --model")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts_path = Path(args.counts)
@@ -430,10 +431,10 @@ def cmd_query(args) -> int:
     if lam < 1.0 and (args.model or args.svd):
         pieces = []
         if args.model:
-            models = [_load_model(p, counts, known) for p in args.model]
-            # fixed reduction order so permuting --model files cannot change a bit
-            models.sort(key=_parameter_digest)
-            for model in models:
+            models = [(_load_model(p, counts, known), known[p]["sha256"]) for p in args.model]
+            # ordered by file digest so permuting --model files cannot change a bit
+            models.sort(key=lambda pair: pair[1])
+            for model, _ in models:
                 pieces.append(latent_scores(fold_in(model, queries, beta=fold_in_beta),
                                             mixing_weight_matrix(model)))
             method = "plsi" if len(models) == 1 else "plsi-star"
@@ -562,26 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit an aspect model (or an SVD) on a count matrix")
-    schedule = TemConfig()  # the defaults of the schedule's flags
+    schedule = TemConfig()
     p.add_argument("--counts", required=True)
     p.add_argument("--k", type=_flag(int, lambda k: _require(k >= 1, ">= 1")), required=True,
                    help="number of factors / components")
     p.add_argument("--mode", choices=["em", "tem", "svd"], default="tem")
-    p.add_argument("--eta", type=_flag(float, lambda v: TemConfig(eta=v)),
-                   default=schedule.eta, help="beta decay factor")
-    p.add_argument("--beta-min", type=_flag(float, lambda v: TemConfig(beta_min=v)),
-                   default=schedule.beta_min)
-    p.add_argument("--tol", type=_flag(float, lambda v: TemConfig(improvement_tol=v)),
-                   default=schedule.improvement_tol,
-                   help="relative held-out improvement counting as progress")
-    p.add_argument("--heldout", type=_flag(float, lambda v: TemConfig(heldout_fraction=v)),
-                   default=schedule.heldout_fraction,
-                   help="fraction of occurrences split off for early stopping")
-    p.add_argument("--seed", type=int, default=schedule.seed)
-    p.add_argument("--max-iters-per-beta", default=schedule.max_iters_per_beta,
-                   type=_flag(int, lambda v: TemConfig(max_iters_per_beta=v)))
-    p.add_argument("--max-total-iters", default=schedule.max_total_iters,
-                   type=_flag(int, lambda v: TemConfig(max_total_iters=v)))
+    for dest, (field, text) in _SCHEDULE.items():  # default None, so cmd_train sees what was given
+        p.add_argument("--" + dest.replace("_", "-"), help=text, type=_flag(
+            type(getattr(schedule, field)), lambda v, field=field: TemConfig(**{field: v})))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -634,6 +623,10 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except BrokenPipeError:  # the reader of standard output has gone, as `| head` does
+        # shutdown flushes standard output again: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

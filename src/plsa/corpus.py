@@ -32,6 +32,7 @@ _DIMS_RE = re.compile(rb"#dims\t[^\r\n]*")
 # suffixes numpy's DataSource decompresses when np.loadtxt opens a path
 _NUMPY_DECOMPRESSES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 _SAVE_BLOCK = 1 << 16  # rows formatted per write in CountMatrix.save
+_PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of byte tables
 _COUNT_BLOCK = 1 << 10  # documents mapped to term ids per step in build_counts
 _CONTAINER_ARRAYS = ("shape", "rows", "row_starts", "term_ids", "counts")
 
@@ -219,10 +220,11 @@ class CountMatrix:
         columns survive a round trip.
         """
         columns = (self.doc_ids, self.term_ids, self.counts)
+        tables = (_decimal_table([c[lo:lo + _SAVE_BLOCK] for c in columns], b"\t\t\n")
+                  for lo in range(0, self.nnz, _SAVE_BLOCK))
         return serialize.write_blocks(path, itertools.chain(
             [f"#dims\t{self.n_docs}\t{self.n_terms}\n".encode()],
-            (_decimal_rows([c[lo:lo + _SAVE_BLOCK] for c in columns], b"\t\t\n")
-             for lo in range(0, self.nnz, _SAVE_BLOCK))))
+            (table[table != _PAD] for table in tables)))
 
     @classmethod
     def load(cls, path, record: dict | None = None) -> "CountMatrix":
@@ -352,19 +354,12 @@ def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape) -> scipy
     return scipy.sparse.csr_matrix((values, cols, starts), shape=shape)
 
 
-def _decimal_rows(columns, ends: bytes) -> np.ndarray:
-    """Decimal text of rows of non-negative int64 `columns`, each value followed
-    by its byte of `ends`."""
-    table, keep = _decimal_table(columns, ends)
-    return table[keep]
-
-
-def _decimal_table(columns, ends: bytes):
-    """The bytes of _decimal_rows as a table, one row per row of `columns`, with
-    right-aligned digits, and the mask of bytes that are not leading zeros."""
+def _decimal_table(columns, ends: bytes) -> np.ndarray:
+    """Decimal text of rows of non-negative int64 `columns` as a byte table,
+    one row per row of `columns`: each value right-aligned, its leading zeros
+    _PAD bytes, and followed by its byte of `ends`."""
     widths = [len(str(int(values.max()))) for values in columns]
     table = np.empty((columns[0].size, sum(widths) + len(columns)), dtype=np.uint8)
-    keep = np.ones(table.shape, dtype=bool)
     start = 0
     for values, width, end in zip(columns, widths, ends):
         if width <= 9:  # below 2**32: numpy divides uint32 by a constant many times faster
@@ -372,12 +367,12 @@ def _decimal_table(columns, ends: bytes):
         for pos in range(start + width - 1, start - 1, -1):  # the last digit first
             quotient = values // 10  # np.divmod takes no such fast path
             table[:, pos] = values - quotient * 10 + ord("0")
-            if pos < start + width - 1:
-                keep[:, pos] = values > 0  # a digit before the last is a leading zero
+            if pos < start + width - 1:  # a digit before the last is a leading zero
+                np.copyto(table[:, pos], _PAD, where=values == 0)
             values = quotient
         table[:, start + width] = end
         start += width + 1
-    return table, keep
+    return table
 
 
 def _scan_comments(path):

@@ -17,6 +17,7 @@ two sparse times dense products with R.
 """
 
 import enum
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ from functools import partial
 
 import numpy as np
 
-from ._util import subseed
 from .aspect_model import (
     LOG_FLOOR,
     AspectModel,
@@ -158,6 +158,17 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=N
     doc_acc /= doc_acc.sum(axis=0)
     word_acc /= word_acc.sum(axis=0)
     return AspectModel(prior_acc / prior_acc.sum(), doc_acc, word_acc)
+
+
+def subseed(seed: int, label: str) -> int:
+    """Derive a named child seed from a master seed.
+
+    Each pipeline stage (initialization, held-out splitting, ...) draws from
+    its own named stream, so changing one stage's consumption of randomness
+    cannot silently shift another's.
+    """
+    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
 
 
 def internal_split(counts: CountMatrix, config: TemConfig) -> SplitPair:

@@ -4,8 +4,12 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -23,12 +27,15 @@ from plsa import (
     CountMatrix,
     SvdDecomposition,
     TemConfig,
+    Vocabulary,
     init_model,
     internal_split,
     serialize,
     trainer,
     unigram_baseline,
 )
+import plsa
+from plsa import cli
 from plsa.cli import main
 
 DOCS = [
@@ -256,6 +263,20 @@ class TestTrain:
         defaults = dataclasses.asdict(TemConfig())
         assert {name: parameters[manifest_key.get(name, name)] for name in defaults} == defaults
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        *(("svd", flag, value) for flag, value in (
+            ("--eta", "0.5"), ("--beta-min", "0.6"), ("--tol", "0.3"), ("--heldout", "0.2"),
+            ("--seed", "9"), ("--max-iters-per-beta", "4"), ("--max-total-iters", "3"))),
+        ("em", "--eta", "0.2"), ("em", "--beta-min", "0.9"),
+    ])
+    def test_flag_the_mode_never_reads_is_usage_error(self, tmp_path, capsys, mode, flag, value):
+        # no file exists: the flag is rejected before any is read or written
+        rc = main(["train", "--counts", str(tmp_path / "counts.tsv"), "--k", "2",
+                   "--mode", mode, flag, value, "--out", str(tmp_path / "t")])
+        assert rc == 2
+        assert f"--mode {mode} does not read {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("mode", ["em", "tem"])
     def test_fit_frees_the_loaded_matrix(self, tmp_path, monkeypatch, mode):
         # the fit keeps only its train/held-out split: the matrix train
@@ -392,6 +413,16 @@ class TestQuery:
     def test_nonpositive_fold_in_beta_is_usage_error(self, tmp_path, value):
         assert self._query_usage_exit(tmp_path, "--fold-in-beta", value) == 2
 
+    def test_fold_in_beta_without_a_model_is_usage_error(self, tmp_path, capsys):
+        # no file exists: the flag is rejected before any is read
+        rc = main(["query", "--counts", str(tmp_path / "counts.tsv"),
+                   "--queries", str(tmp_path / "queries.txt"), "--svd", str(tmp_path / "svd.bin"),
+                   "--fold-in-beta", "0.3", "--out", str(tmp_path / "q")])
+        assert rc == 2
+        assert "--fold-in-beta tempers the fold-in of --model's aspect models" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "q").exists()
+
     def test_query_without_a_ranking_is_usage_error(self, tmp_path, capsys):
         # no file exists: the flags are rejected before any is read
         rc = main(["query", "--counts", str(tmp_path / "counts.tsv"),
@@ -445,6 +476,32 @@ class TestQuery:
                   "--model", *order, "--lambda", "0.3", "--out", str(tmp_path / name)])
         assert ((tmp_path / "qa" / "run.txt").read_bytes()
                 == (tmp_path / "qb" / "run.txt").read_bytes())
+
+    def test_model_order_fixed_for_three_models(self, tmp_path, monkeypatch):
+        # two models' sum commutes; with three, every --model order must hand
+        # the latent score matrices to plsi_star_scores in one order
+        out_dir = self._prepare(tmp_path, seed=1)
+        for seed in (2, 3):
+            main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2",
+                  "--mode", "tem", "--seed", str(seed), "--out", str(tmp_path / f"m{seed}")])
+        paths = [str(tmp_path / f"m{seed}" / "model.bin") for seed in (1, 2, 3)]
+        handed = []
+
+        def capture(pieces):
+            handed.append([scores for scores, _, _ in pieces])
+            return plsa.retrieval.plsi_star_scores(pieces)
+
+        monkeypatch.setattr(cli, "plsi_star_scores", capture)
+        for i, order in enumerate(itertools.permutations(paths)):
+            assert main(["query", "--counts", str(out_dir / "counts.tsv"),
+                         "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                         "--model", *order, "--lambda", "0.3",
+                         "--out", str(tmp_path / f"q{i}")]) == 0
+        first = handed[0]
+        assert len(handed) == 6 and len(first) == 3
+        assert not any(np.array_equal(a, b) for a, b in itertools.combinations(first, 2))
+        for scores in handed[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(scores, first))
 
     def test_repeated_model_flag_accumulates(self, tmp_path):
         out_dir = self._prepare(tmp_path, seed=1)
@@ -882,6 +939,26 @@ class TestTopics:
         first_row = [l for l in capsys.readouterr().out.splitlines() if l.startswith("  ")][0]
         assert first_row.split("\t")[0].strip() == "the"
 
+    def test_closed_standard_output_ends_quietly(self, tmp_path):
+        # 40 factors of 500 rows print about 500 KB, past a 64 KiB pipe buffer,
+        # so the command is still writing when the reader goes
+        n_terms = 2000
+        Vocabulary([f"term{i}" for i in range(n_terms)]).save(tmp_path / "vocab.tsv")
+        init_model(40, 5, n_terms, seed=1).save(tmp_path / "model.bin")
+        src = str(Path(plsa.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plsa", "topics", "--model", str(tmp_path / "model.bin"),
+             "--vocab", str(tmp_path / "vocab.tsv"), "--top", "500"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert first.startswith(b"factor 0\t")
+        assert err == b""
+
 
 def container(header) -> bytes:
     """A model container with the given JSON header line (bytes or an object)
@@ -1054,9 +1131,9 @@ def pristine(tmp_path_factory):
                                            for i, d in enumerate(DOCS, 1)))
     (base / "queries.qry").write_text("".join(f".I {i}\n.W\n{q}\n"
                                               for i, q in enumerate(QUERIES, 1)))
-    for mode, k in (("em", "2"), ("svd", "2")):
-        assert main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", k, "--mode", mode,
-                     "--max-total-iters", "3", "--out", str(base / mode)]) == 0
+    for mode, budget in (("em", ["--max-total-iters", "3"]), ("svd", [])):
+        assert main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2", "--mode", mode,
+                     *budget, "--out", str(base / mode)]) == 0
     return base
 
 

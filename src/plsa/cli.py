@@ -1,9 +1,14 @@
 """Command-line interface: ingest collections, train and evaluate models,
 and run retrieval with plot-ready outputs.
 
-Every command that writes files also writes a manifest.json recording the
-resolved parameters and the checksums of inputs and outputs, so a run can be
-reproduced bit-for-bit from the manifest alone.
+Every command that writes files also writes a manifest.json.  It holds the
+resolved parameters and an entry for each file the command read (stop-word
+lists and sidecars included) or wrote: its path and SHA-256, and for a
+count matrix the file it was read from ("read_from").  Its "environment"
+records the Python, numpy, scipy and BLAS builds, the CPU count and the BLAS
+thread variables, so a run can be reproduced bit-for-bit from the manifest
+alone in that environment.  `perplexity` without --out and `topics` write no
+manifest.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical degeneracy.
 """
@@ -12,11 +17,13 @@ import argparse
 import functools
 import json
 import os
+import platform
 import sys
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, serialize
 from .aspect_model import (
@@ -74,34 +81,40 @@ _SCHEDULE = {
     "max_total_iters": ("max_total_iters", None),
 }
 _UNREAD = {"svd": tuple(_SCHEDULE), "em": ("eta", "beta_min"), "tem": ()}  # flags a mode ignores
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(Exception):
     """Flags that parse but do not fit together."""
 
 
-def _record(known: dict, path) -> dict:
-    """The dict in which a reader or writer of `path` leaves what it learnt
-    of the file (its "sha256", ...) for the manifest."""
-    return known.setdefault(str(path), {})
+def _entry(entries: dict, name: str, path, **fields) -> dict:
+    """Enter the file at `path` as `name` in a command's manifest `entries`
+    and return its entry, for a reader such as CountMatrix.load to fill with
+    what it learns of the file ("sha256", ...)."""
+    entry = entries[name] = {"path": str(path), **fields}
+    return entry
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict, inputs: dict,
-                    outputs: dict, known: dict, counters: dict | None = None) -> None:
-    """`known` maps a path to what the command recorded of the file while
-    reading or writing it (`_record`); any other file is hashed here."""
-
-    def entry(p) -> dict:
-        if str(p) in known:
-            return {"path": str(p), **known[str(p)]}
-        return {"path": str(p), "sha256": serialize.file_sha256(p)}
-
+                    outputs: dict, counters: dict | None = None) -> None:
+    """Write manifest.json from the `_entry` entries of the files read and
+    written; an entry left without a "sha256" has its file hashed here."""
+    for entry in chain(inputs.values(), outputs.values()):
+        if "sha256" not in entry:
+            entry["sha256"] = serialize.file_sha256(entry["path"])
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "tool": f"plsa {__version__}",
         "command": command,
         "parameters": parameters,
-        "inputs": {name: entry(p) for name, p in inputs.items()},
-        "outputs": {name: entry(p) for name, p in outputs.items()},
+        "inputs": inputs,
+        "outputs": outputs,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__,
+                        "blas": f"{blas.get('name')} {blas.get('version')}",
+                        "cpu_count": os.cpu_count(),
+                        **{name: os.environ.get(name) for name in _THREAD_VARIABLES}},
     }
     if counters is not None:
         manifest["counters"] = counters
@@ -140,10 +153,10 @@ def _sidecar(counts_path: Path, explicit, name: str):
     return candidate if candidate.exists() else None
 
 
-def _load_model(path, counts: CountMatrix, known: dict) -> AspectModel:
-    model = AspectModel.load(path, _record(known, path))
+def _load_model(counts: CountMatrix, entry: dict) -> AspectModel:
+    model = AspectModel.load(entry["path"], entry)
     if model.n_docs != counts.n_docs or model.n_terms != counts.n_terms:
-        raise ValueError(f"model {path} does not match the count matrix")
+        raise ValueError(f"model {entry['path']} does not match the count matrix")
     return model
 
 
@@ -159,14 +172,15 @@ def cmd_ingest(args) -> int:
         raise UsageError(f"--vocab applies to --format triples only, not {args.format}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    known = {}
+    inputs, outputs = {}, {}
+    stopwords = (load_stopwords(_entry(inputs, "stopwords", args.stopwords)["path"])
+                 if args.stopwords else None)
 
     if args.format == "triples":
-        counts = CountMatrix.load(args.inputs[0], _record(known, args.inputs[0]))
+        counts = CountMatrix.load(args.inputs[0], _entry(inputs, "input0", args.inputs[0]))
         vocab_path = _sidecar(Path(args.inputs[0]), args.vocab, "vocab.tsv")
         if vocab_path is not None:
-            vocab = Vocabulary.load(vocab_path)
+            vocab = Vocabulary.load(_entry(inputs, "vocab", vocab_path)["path"])
             if len(vocab) != counts.n_terms:
                 raise ValueError(f"{vocab_path}: vocabulary has {len(vocab)} terms but counts "
                                  f"reference {counts.n_terms}")
@@ -176,15 +190,16 @@ def cmd_ingest(args) -> int:
     else:
         texts: list[str] = []
         doc_ids = []
-        if args.format == "smart":
-            for path in args.inputs:
+        for i, path in enumerate(args.inputs):
+            _entry(inputs, f"input{i}", path)
+            if args.format == "smart":
                 ids, file_texts = parse_smart_collection(path)
                 doc_ids += ids
                 texts += file_texts
                 _require_unique(path, doc_ids, "document")  # within the file or with earlier ones
-        else:  # raw: one document per line, numbered from 1 across the files
-            for path in args.inputs:
+            else:  # raw: one document per line, numbered from 1 across the files
                 texts += _read_lines(path)
+        if args.format == "raw":
             doc_ids = [str(i) for i in range(1, len(texts) + 1)]
         try:
             vocab, counts = build_counts(tokenize(t, stopwords) for t in texts)
@@ -193,21 +208,13 @@ def cmd_ingest(args) -> int:
 
     counts_path = out_dir / "counts.tsv"
     container_path = _container_path(counts_path)
-    vocab_path = out_dir / "vocab.tsv"
-    docids_path = out_dir / "docids.tsv"
-    counts_sha256 = counts.save(counts_path)
-    _record(known, counts_path)["sha256"] = counts_sha256
-    _record(known, container_path)["sha256"] = _save_container(counts, container_path, counts_sha256)
-    vocab.save(vocab_path)
-    _save_id_table(docids_path, doc_ids)
-    _write_manifest(
-        out_dir, "ingest",
-        {"format": args.format, "stopwords": args.stopwords},
-        {f"input{i}": p for i, p in enumerate(args.inputs)},
-        {"counts": counts_path, "counts_bin": container_path, "vocab": vocab_path,
-         "docids": docids_path},
-        known,
-    )
+    counts_sha256 = _entry(outputs, "counts", counts_path, sha256=counts.save(counts_path))["sha256"]
+    _entry(outputs, "counts_bin", container_path,
+           sha256=_save_container(counts, container_path, counts_sha256))
+    vocab.save(_entry(outputs, "vocab", out_dir / "vocab.tsv")["path"])
+    _save_id_table(_entry(outputs, "docids", out_dir / "docids.tsv")["path"], doc_ids)
+    _write_manifest(out_dir, "ingest", {"format": args.format, "stopwords": args.stopwords},
+                    inputs, outputs)
     print(f"docs={counts.n_docs} terms={counts.n_terms} tokens={counts.total}")
     return EXIT_OK
 
@@ -223,31 +230,29 @@ def cmd_train(args) -> int:
         raise UsageError(f"--mode {args.mode} does not read {flags}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    known = {}
+    inputs, outputs = {}, {}
     if args.mode == "svd":
-        decomp = truncated_svd(CountMatrix.load(args.counts, _record(known, args.counts)), args.k)
+        decomp = truncated_svd(CountMatrix.load(args.counts, _entry(inputs, "counts", args.counts)),
+                               args.k)
         model_path = out_dir / "svd.bin"
-        _record(known, model_path)["sha256"] = decomp.save(model_path)
-        _write_manifest(out_dir, "train", {"mode": "svd", "k": args.k},
-                        {"counts": args.counts}, {"model": model_path}, known)
+        _entry(outputs, "model", model_path, sha256=decomp.save(model_path))
+        _write_manifest(out_dir, "train", {"mode": "svd", "k": args.k}, inputs, outputs)
         print(f"mode=svd k={args.k} sigma_max={decomp.sigma[0]:.6g}")
         return EXIT_OK
 
     config = TemConfig(**{_SCHEDULE[dest][0]: value for dest, value in given.items()})
     fit = fit_tem if args.mode == "tem" else fit_em
     # loaded in the call, so that the fit, which keeps only its split, can free it
-    model, trace = fit(CountMatrix.load(args.counts, _record(known, args.counts)), args.k, config)
+    model, trace = fit(CountMatrix.load(args.counts, _entry(inputs, "counts", args.counts)),
+                       args.k, config)
     model_path = out_dir / "model.bin"
-    trace_path = out_dir / "trace.tsv"
-    _record(known, model_path)["sha256"] = model.save(model_path)
-    trace.save(trace_path)
+    _entry(outputs, "model", model_path, sha256=model.save(model_path))
+    trace.save(_entry(outputs, "trace", out_dir / "trace.tsv")["path"])
     _write_manifest(
         out_dir, "train",
         {"mode": args.mode, "k": args.k,
          **{dest: getattr(config, field) for dest, (field, _) in _SCHEDULE.items()}},
-        {"counts": args.counts},
-        {"model": model_path, "trace": trace_path},
-        known,
+        inputs, outputs,
     )
     last = trace.records[-1]
     best = min(r.heldout_perplexity for r in trace.records)
@@ -261,13 +266,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
-    known = {}
-    counts = CountMatrix.load(args.counts, _record(known, args.counts))
-    model = _load_model(args.model, counts, known)
+    inputs, outputs = {}, {}
+    counts = CountMatrix.load(args.counts, _entry(inputs, "counts", args.counts))
+    model = _load_model(counts, _entry(inputs, "model", args.model))
     value = perplexity(model, counts, conditional=args.conditional)
     lines = [f"perplexity {value:.10g}"]
     if args.baseline:
-        base = _load_model(args.baseline, counts, known)
+        base = _load_model(counts, _entry(inputs, "baseline", args.baseline))
         base_value = perplexity(base, counts, conditional=args.conditional)
         lines.append(f"baseline_perplexity {base_value:.10g}")
         lines.append(f"reduction_factor {base_value / value:.10g}")
@@ -278,12 +283,8 @@ def cmd_perplexity(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "perplexity.txt"
         report_path.write_text(report, encoding="utf-8")
-        inputs = {"model": args.model, "counts": args.counts}
-        if args.baseline:
-            inputs["baseline"] = args.baseline
-        _write_manifest(out_dir, "perplexity",
-                        {"conditional": args.conditional},
-                        inputs, {"report": report_path}, known)
+        _entry(outputs, "report", report_path)
+        _write_manifest(out_dir, "perplexity", {"conditional": args.conditional}, inputs, outputs)
     return EXIT_OK
 
 
@@ -405,41 +406,42 @@ def cmd_query(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts_path = Path(args.counts)
-    known = {}
-    counts = CountMatrix.load(counts_path, _record(known, args.counts))  # keyed as in inputs
+    inputs, outputs = {}, {}
+    counts = CountMatrix.load(counts_path, _entry(inputs, "counts", args.counts))
     vocab_path = _sidecar(counts_path, args.vocab, "vocab.tsv")
     if vocab_path is None:
         raise ValueError("no vocabulary file found; pass --vocab")
-    vocab = Vocabulary.load(vocab_path)
+    vocab = Vocabulary.load(_entry(inputs, "vocab", vocab_path)["path"])
     if len(vocab) != counts.n_terms:
         raise ValueError(f"{vocab_path}: vocabulary size does not match the count matrix")
     docids_path = _sidecar(counts_path, args.docids, "docids.tsv")
-    doc_ext_ids = (_load_ids(docids_path) if docids_path is not None
-                   else [str(i) for i in range(counts.n_docs)])
+    doc_ext_ids = (_load_ids(_entry(inputs, "docids", docids_path)["path"])
+                   if docids_path is not None else [str(i) for i in range(counts.n_docs)])
     if len(doc_ext_ids) != counts.n_docs:
         raise ValueError(f"{docids_path}: document id map does not match the count matrix")
 
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+    stopwords = (load_stopwords(_entry(inputs, "stopwords", args.stopwords)["path"])
+                 if args.stopwords else None)
     query_ext_ids, query_texts = _load_queries(args)
+    _entry(inputs, "queries", args.queries)
     queries = _query_counts(query_texts, vocab, stopwords)
     scores, query_ok, doc_ok = cosine_scores(queries.to_csr(), counts.to_csr())
 
     lam = 1.0 if args.baseline_only else _LAMBDA if args.lam is None else args.lam
     fold_in_beta = _FOLD_IN_BETA if args.fold_in_beta is None else args.fold_in_beta
     method = "cos"
-    # lam = 1 is the pure cosine ranking by definition, whatever was supplied
-    if lam < 1.0 and (args.model or args.svd):
+    if args.model or args.svd:
         pieces = []
         if args.model:
-            models = [(_load_model(p, counts, known), known[p]["sha256"]) for p in args.model]
+            models = [_load_model(counts, _entry(inputs, f"model{i}", p))
+                      for i, p in enumerate(args.model)]
             # ordered by file digest so permuting --model files cannot change a bit
-            models.sort(key=lambda pair: pair[1])
-            for model, _ in models:
-                pieces.append(latent_scores(fold_in(model, queries, beta=fold_in_beta),
-                                            mixing_weight_matrix(model)))
+            for i in sorted(range(len(models)), key=lambda i: inputs[f"model{i}"]["sha256"]):
+                pieces.append(latent_scores(fold_in(models[i], queries, beta=fold_in_beta),
+                                            mixing_weight_matrix(models[i])))
             method = "plsi" if len(models) == 1 else "plsi-star"
         if args.svd:
-            decomp = SvdDecomposition.load(args.svd, _record(known, args.svd))
+            decomp = SvdDecomposition.load(args.svd, _entry(inputs, "svd", args.svd))
             if decomp.u.shape[0] != counts.n_docs or decomp.v.shape[0] != counts.n_terms:
                 raise ValueError(f"{args.svd}: svd decomposition does not match the count matrix")
             pieces.append(latent_scores(lsi_fold_in(decomp, queries), lsi_doc_coords(decomp)))
@@ -451,19 +453,11 @@ def cmd_query(args) -> int:
 
     rankings = rank_all(scores, query_ok[:, None] & doc_ok[None, :], query_ext_ids)
     run_path = out_dir / "run.txt"
-    _record(known, run_path)["sha256"] = _write_run(run_path, rankings, doc_ext_ids)
+    _entry(outputs, "run", run_path, sha256=_write_run(run_path, rankings, doc_ext_ids))
     counters = {"unscored_queries": int((~query_ok).sum())}
 
-    outputs = {"run": run_path}
-    inputs = {"counts": args.counts, "queries": args.queries}
-    for i, p in enumerate(args.model or []):
-        inputs[f"model{i}"] = p
-    if args.svd:
-        inputs["svd"] = args.svd
-
     if args.qrels:
-        inputs["qrels"] = args.qrels
-        ext_judgments = parse_qrels(args.qrels)
+        ext_judgments = parse_qrels(_entry(inputs, "qrels", args.qrels)["path"])
         doc_index = {ext: i for i, ext in enumerate(doc_ext_ids)}
         judgments: dict[str, set[int]] = {qid: set() for qid in query_ext_ids}
         for qid, relevant in judgments.items():
@@ -486,8 +480,8 @@ def cmd_query(args) -> int:
         with open(curve_path, "w", encoding="utf-8") as f:
             for level, prec in zip(summary.recall_levels, summary.precision_at_level):
                 f.write(f"{level:.1f} {prec:.6f}\n")
-        outputs["pr"] = pr_path
-        outputs["pr_curve"] = curve_path
+        _entry(outputs, "pr", pr_path)
+        _entry(outputs, "pr_curve", curve_path)
         counters["unjudged_queries"] = queries.n_docs - summary.n_queries
         summary_line = (f"method={method} queries={summary.n_queries} "
                         f"average_precision={summary.average_precision:.4f}")
@@ -495,14 +489,11 @@ def cmd_query(args) -> int:
         summary_line = f"method={method} queries={queries.n_docs} ranked={counts.n_docs} docs each"
     print(summary_line, *(f"{name}={n}" for name, n in counters.items()))
 
-    inputs["vocab"] = str(vocab_path)
-    if docids_path is not None:
-        inputs["docids"] = str(docids_path)
     parameters = {"lambda": lam, "baseline_only": args.baseline_only, "method": method,
                   "queries_format": args.queries_format, "stopwords": args.stopwords}
     if not args.baseline_only:
         parameters["fold_in_beta"] = fold_in_beta
-    _write_manifest(out_dir, "query", parameters, inputs, outputs, known, counters)
+    _write_manifest(out_dir, "query", parameters, inputs, outputs, counters)
     return EXIT_OK
 
 

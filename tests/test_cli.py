@@ -1,5 +1,6 @@
 """End-to-end command-line tests on small fixtures."""
 
+import builtins
 import contextlib
 import dataclasses
 import hashlib
@@ -385,6 +386,34 @@ class TestQuery:
         lam1 = [l.split()[:2] for l in (tmp_path / "ql" / "run.txt").read_text().splitlines()]
         assert base == lam1
 
+    @pytest.mark.parametrize("flag", ["--model", "--svd"])
+    def test_lambda_one_still_reads_the_latent_file(self, tmp_path, capsys, flag):
+        # the cosine alone ranks at --lambda 1, but a file given is still checked
+        out_dir = ingest(tmp_path)
+        capsys.readouterr()
+        rc = main(["query", "--counts", str(out_dir / "counts.tsv"),
+                   "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                   flag, str(tmp_path / "docs.txt"), "--lambda", "1",
+                   "--out", str(tmp_path / "q")])
+        assert rc == 3
+        assert str(tmp_path / "docs.txt") in capsys.readouterr().err
+
+    def test_lambda_one_scores_are_the_cosine_and_method_follows_the_files(self, tmp_path):
+        out_dir = self._prepare(tmp_path)
+        main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2", "--mode", "svd",
+              "--out", str(tmp_path / "svd")])
+        argv = ["query", "--counts", str(out_dir / "counts.tsv"),
+                "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw"]
+        assert main(argv + ["--baseline-only", "--out", str(tmp_path / "qb")]) == 0
+        for name, files, method in (
+                ("m", ["--model", str(tmp_path / "m1" / "model.bin")], "plsi"),
+                ("s", ["--svd", str(tmp_path / "svd" / "svd.bin")], "lsi")):
+            assert main(argv + [*files, "--lambda", "1", "--out", str(tmp_path / name)]) == 0
+            assert ((tmp_path / name / "run.txt").read_bytes()
+                    == (tmp_path / "qb" / "run.txt").read_bytes())
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["parameters"]["method"] == method
+
     def _query_usage_exit(self, tmp_path, flag, value):
         out_dir = self._prepare(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
@@ -751,6 +780,69 @@ class TestCountsContainer:
         without = pipeline("without")
         assert len(with_container[0]) == 7 and with_container[:2] == without[:2]
         assert with_container[2] == {str(out_dir / "counts.bin")} and without[2] == {counts}
+
+
+def every_optional_input(tmp_path) -> list[tuple[list[str], Path]]:
+    """(argv, output directory) of each manifest-writing command run with
+    every optional input it takes, in an order that runs each after the
+    commands whose files it reads."""
+    write_fixture(tmp_path)
+    (tmp_path / "stop.txt").write_text("the\nA\n")
+    ing, tri, t, svd = (tmp_path / name for name in ("ing", "tri", "t", "svd"))
+    counts = str(ing / "counts.tsv")
+    return [
+        (["ingest", str(tmp_path / "docs.txt"), "--stopwords", str(tmp_path / "stop.txt"),
+          "--out", str(ing)], ing),
+        # reads the vocab.tsv sidecar beside the counts it is given
+        (["ingest", counts, "--format", "triples", "--out", str(tri)], tri),
+        (["train", "--counts", counts, "--k", "2", "--seed", "3", "--out", str(t)], t),
+        (["train", "--counts", counts, "--k", "2", "--mode", "svd", "--out", str(svd)], svd),
+        (["perplexity", "--model", str(t / "model.bin"), "--counts", counts,
+          "--baseline", str(t / "model.bin"), "--out", str(tmp_path / "ppx")], tmp_path / "ppx"),
+        (["query", "--counts", counts, "--queries", str(tmp_path / "queries.txt"),
+          "--queries-format", "raw", "--stopwords", str(tmp_path / "stop.txt"),
+          "--vocab", str(ing / "vocab.tsv"), "--docids", str(ing / "docids.tsv"),
+          "--qrels", str(tmp_path / "qrels.txt"), "--model", str(t / "model.bin"),
+          "--svd", str(svd / "svd.bin"), "--out", str(tmp_path / "q")], tmp_path / "q"),
+    ]
+
+
+class TestManifest:
+    def test_every_file_read_is_an_input_with_its_digest(self, tmp_path, monkeypatch):
+        real_open = builtins.open
+        opened = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                opened.append(Path(file).resolve())
+            return real_open(file, mode, *args, **kwargs)
+
+        for argv, out_dir in every_optional_input(tmp_path):
+            opened.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(builtins, "open", spy)
+                assert main(argv) == 0
+            inputs = json.loads((out_dir / "manifest.json").read_text())["inputs"]
+            recorded = {Path(entry[key]).resolve() for entry in inputs.values()
+                        for key in ("path", "read_from") if key in entry}
+            read = {path for path in opened if out_dir.resolve() not in path.parents}
+            assert read and read <= recorded, argv[0]
+            for entry in inputs.values():
+                assert entry["sha256"] == hashlib.sha256(
+                    Path(entry["path"]).read_bytes()).hexdigest()
+
+    def test_environment_is_recorded_apart_from_the_parameters(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        for argv, out_dir in every_optional_input(tmp_path):
+            assert main(argv) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            environment = manifest["environment"]
+            assert environment["OPENBLAS_NUM_THREADS"] == "3", argv[0]
+            assert environment["MKL_NUM_THREADS"] is None
+            assert environment["numpy"] == np.__version__
+            assert environment["cpu_count"] == os.cpu_count()
+            assert not {"threads", "OPENBLAS_NUM_THREADS"} & set(manifest["parameters"])
 
 
 class TestQueryOracle:

@@ -4,11 +4,14 @@ and run retrieval with plot-ready outputs.
 Every command that writes files also writes a manifest.json.  It holds the
 resolved parameters and an entry for each file the command read (stop-word
 lists and sidecars included) or wrote: its path and SHA-256, and for a
-count matrix the file it was read from ("read_from").  Its "environment"
-records the Python, numpy, scipy and BLAS builds, the CPU count and the BLAS
-thread variables, so a run can be reproduced bit-for-bit from the manifest
-alone in that environment.  `perplexity` without --out and `topics` write no
-manifest.
+count matrix the file it was read from ("read_from").  Every input is read
+and hashed before the command writes its first file.  One file read is not
+recorded: a stale counts container (a counts.bin beside counts.tsv that
+records another text's digest), which is opened only to read its header and
+is passed over.  The "environment" records the Python, numpy, scipy and
+BLAS builds, the CPU count and the BLAS thread variables, so a run can be
+reproduced bit-for-bit from the manifest alone in that environment.
+`perplexity` without --out and `topics` write no manifest.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical degeneracy.
 """
@@ -96,11 +99,20 @@ def _entry(entries: dict, name: str, path, **fields) -> dict:
     return entry
 
 
+def _read(inputs: dict, name: str, path, reader):
+    """`reader(path)`, with the file entered as `name` in the manifest
+    `inputs` and hashed as soon as it is read, before the command writes
+    anything that could overwrite it."""
+    value = reader(path)
+    _entry(inputs, name, path, sha256=serialize.file_sha256(path))
+    return value
+
+
 def _write_manifest(out_dir: Path, command: str, parameters: dict, inputs: dict,
                     outputs: dict, counters: dict | None = None) -> None:
     """Write manifest.json from the `_entry` entries of the files read and
-    written; an entry left without a "sha256" has its file hashed here."""
-    for entry in chain(inputs.values(), outputs.values()):
+    written; an output left without a "sha256" has its file hashed here."""
+    for entry in outputs.values():
         if "sha256" not in entry:
             entry["sha256"] = serialize.file_sha256(entry["path"])
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -173,14 +185,14 @@ def cmd_ingest(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs, outputs = {}, {}
-    stopwords = (load_stopwords(_entry(inputs, "stopwords", args.stopwords)["path"])
+    stopwords = (_read(inputs, "stopwords", args.stopwords, load_stopwords)
                  if args.stopwords else None)
 
     if args.format == "triples":
         counts = CountMatrix.load(args.inputs[0], _entry(inputs, "input0", args.inputs[0]))
         vocab_path = _sidecar(Path(args.inputs[0]), args.vocab, "vocab.tsv")
         if vocab_path is not None:
-            vocab = Vocabulary.load(_entry(inputs, "vocab", vocab_path)["path"])
+            vocab = _read(inputs, "vocab", vocab_path, Vocabulary.load)
             if len(vocab) != counts.n_terms:
                 raise ValueError(f"{vocab_path}: vocabulary has {len(vocab)} terms but counts "
                                  f"reference {counts.n_terms}")
@@ -191,14 +203,13 @@ def cmd_ingest(args) -> int:
         texts: list[str] = []
         doc_ids = []
         for i, path in enumerate(args.inputs):
-            _entry(inputs, f"input{i}", path)
             if args.format == "smart":
-                ids, file_texts = parse_smart_collection(path)
+                ids, file_texts = _read(inputs, f"input{i}", path, parse_smart_collection)
                 doc_ids += ids
                 texts += file_texts
                 _require_unique(path, doc_ids, "document")  # within the file or with earlier ones
             else:  # raw: one document per line, numbered from 1 across the files
-                texts += _read_lines(path)
+                texts += _read(inputs, f"input{i}", path, _read_lines)
         if args.format == "raw":
             doc_ids = [str(i) for i in range(1, len(texts) + 1)]
         try:
@@ -291,12 +302,12 @@ def cmd_perplexity(args) -> int:
 # ----------------------------------------------------------------- query
 
 
-def _load_queries(args) -> tuple[list[str], list[str]]:
+def _load_queries(args, inputs: dict) -> tuple[list[str], list[str]]:
     """Returns (external query ids, raw query texts); ids must be unique."""
     if args.queries_format == "smart":
-        ids, texts = parse_smart_collection(args.queries)
+        ids, texts = _read(inputs, "queries", args.queries, parse_smart_collection)
     else:
-        texts = _read_lines(args.queries)
+        texts = _read(inputs, "queries", args.queries, _read_lines)
         ids = [str(i) for i in range(1, len(texts) + 1)]
     if not texts:
         raise ParseError(args.queries, 0, "no queries found")
@@ -411,19 +422,19 @@ def cmd_query(args) -> int:
     vocab_path = _sidecar(counts_path, args.vocab, "vocab.tsv")
     if vocab_path is None:
         raise ValueError("no vocabulary file found; pass --vocab")
-    vocab = Vocabulary.load(_entry(inputs, "vocab", vocab_path)["path"])
+    vocab = _read(inputs, "vocab", vocab_path, Vocabulary.load)
     if len(vocab) != counts.n_terms:
         raise ValueError(f"{vocab_path}: vocabulary size does not match the count matrix")
     docids_path = _sidecar(counts_path, args.docids, "docids.tsv")
-    doc_ext_ids = (_load_ids(_entry(inputs, "docids", docids_path)["path"])
+    doc_ext_ids = (_read(inputs, "docids", docids_path, _load_ids)
                    if docids_path is not None else [str(i) for i in range(counts.n_docs)])
     if len(doc_ext_ids) != counts.n_docs:
         raise ValueError(f"{docids_path}: document id map does not match the count matrix")
 
-    stopwords = (load_stopwords(_entry(inputs, "stopwords", args.stopwords)["path"])
+    stopwords = (_read(inputs, "stopwords", args.stopwords, load_stopwords)
                  if args.stopwords else None)
-    query_ext_ids, query_texts = _load_queries(args)
-    _entry(inputs, "queries", args.queries)
+    query_ext_ids, query_texts = _load_queries(args, inputs)
+    ext_judgments = _read(inputs, "qrels", args.qrels, parse_qrels) if args.qrels else None
     queries = _query_counts(query_texts, vocab, stopwords)
     scores, query_ok, doc_ok = cosine_scores(queries.to_csr(), counts.to_csr())
 
@@ -457,7 +468,6 @@ def cmd_query(args) -> int:
     counters = {"unscored_queries": int((~query_ok).sum())}
 
     if args.qrels:
-        ext_judgments = parse_qrels(_entry(inputs, "qrels", args.qrels)["path"])
         doc_index = {ext: i for i, ext in enumerate(doc_ext_ids)}
         judgments: dict[str, set[int]] = {qid: set() for qid in query_ext_ids}
         for qid, relevant in judgments.items():

@@ -14,14 +14,6 @@ from . import serialize
 from .corpus import CountMatrix
 
 _ORTHO_TOL = 1e-8
-# A dense LAPACK decomposition is exact and builds the whole N x M table.
-# It is cheaper than the iterative solver on small problems: smaller side at
-# most _DENSE_LIMIT and at most _DENSE_CELLS cells (32 MB as float64).  Near
-# full rank the iterative solver is slow, and it cannot give k = min(N, M) at
-# all; there the table is no larger than the (N + M) x K singular vectors
-# returned, and the dense path is taken.
-_DENSE_LIMIT = 512
-_DENSE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -70,39 +62,32 @@ class SvdDecomposition:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Largest-magnitude entry of each v column made positive, so the
-    # decomposition is deterministic up to degenerate singular values.
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-    return u, v
-
-
 def truncated_svd(counts: CountMatrix, k: int) -> SvdDecomposition:
-    """Top-K singular triplets of the count matrix.
+    """Top-K singular triplets of the count matrix, each v column's
+    largest-magnitude entry (the first of equals) made positive.
 
-    Uses dense LAPACK for small problems and whenever the N x M table holds
-    no more cells than the N x K and M x K singular vectors, which covers
-    K near min(N, M); an iterative Lanczos-style solver otherwise.
+    Dense LAPACK runs when the N x M table holds no more cells than the
+    N x K and M x K singular vectors, which covers K = min(N, M) that the
+    iterative Lanczos-style solver (ARPACK) cannot return; ARPACK runs
+    otherwise.  A table without counts gets sigma = 0 and the leading
+    columns of the identity as u and v.
     """
     n, m = counts.n_docs, counts.n_terms
     if not 1 <= k <= min(n, m):
         raise ValueError(f"k must be in [1, {min(n, m)}], got {k}")
-    if (min(n, m) <= _DENSE_LIMIT and n * m <= _DENSE_CELLS) or n * m <= (n + m) * k:
-        u_full, s_full, vt_full = np.linalg.svd(counts.to_dense(np.float64), full_matrices=False)
-        u, s, v = u_full[:, :k], s_full[:k], vt_full[:k].T
+    if counts.nnz == 0:
+        return SvdDecomposition(np.eye(n, k), np.zeros(k), np.eye(m, k))
+    if n * m <= (n + m) * k:
+        u, s, vt = np.linalg.svd(counts.to_dense(np.float64), full_matrices=False)
     else:
         # fixed starting vector: the default is drawn from global random
         # state, which would break run-to-run determinism
         v0 = np.random.default_rng(0x5EED).random(min(n, m))
         u, s, vt = scipy.sparse.linalg.svds(counts.to_csr(), k=k, v0=v0)
-        order = np.argsort(-s)
-        u, s, v = u[:, order], s[order], vt[order].T
-    u, v = _fix_signs(u.copy(), v.copy())
-    return SvdDecomposition(u, s, v)
+    order = np.argsort(-s, kind="stable")[:k]
+    u, s, v = u[:, order], s[order], vt[order].T
+    signs = np.where(v[np.argmax(np.abs(v), axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    return SvdDecomposition(u * signs, s, v * signs)
 
 
 def lsi_doc_coords(decomp: SvdDecomposition) -> np.ndarray:

@@ -817,7 +817,8 @@ class TestManifest:
                 opened.append(Path(file).resolve())
             return real_open(file, mode, *args, **kwargs)
 
-        for argv, out_dir in every_optional_input(tmp_path):
+        def unrecorded(argv, out_dir):
+            """The files outside `out_dir` read but not recorded as inputs."""
             opened.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(builtins, "open", spy)
@@ -826,10 +827,34 @@ class TestManifest:
             recorded = {Path(entry[key]).resolve() for entry in inputs.values()
                         for key in ("path", "read_from") if key in entry}
             read = {path for path in opened if out_dir.resolve() not in path.parents}
-            assert read and read <= recorded, argv[0]
+            assert read, argv[0]
             for entry in inputs.values():
                 assert entry["sha256"] == hashlib.sha256(
                     Path(entry["path"]).read_bytes()).hexdigest()
+            return read - recorded
+
+        for argv, out_dir in every_optional_input(tmp_path):
+            assert not unrecorded(argv, out_dir), argv[0]
+        # the one exception: a counts.bin made stale by an edit to the text,
+        # opened to read the digest in its header and passed over
+        stale = shutil.copytree(tmp_path / "ing", tmp_path / "stale")
+        with open(stale / "counts.tsv", "a", encoding="utf-8") as f:
+            f.write("0\t0\t1\n")
+        argv = ["train", "--counts", str(stale / "counts.tsv"), "--k", "2", "--mode", "svd",
+                "--out", str(tmp_path / "stale_svd")]
+        assert unrecorded(argv, tmp_path / "stale_svd") == {(stale / "counts.bin").resolve()}
+
+    def test_inputs_are_hashed_before_any_output_is_written(self, tmp_path):
+        # ingest --out x rewrites, without its blank line, the vocab.tsv it read from x
+        x = tmp_path / "x"
+        x.mkdir()
+        (x / "counts.tsv").write_text("0\t0\t2\n1\t1\t1\n")
+        vocab = b"0\tfuel\n\n1\tengine\n"
+        (x / "vocab.tsv").write_bytes(vocab)
+        assert main(["ingest", str(x / "counts.tsv"), "--format", "triples", "--out", str(x)]) == 0
+        assert (x / "vocab.tsv").read_bytes() != vocab
+        inputs = json.loads((x / "manifest.json").read_text())["inputs"]
+        assert inputs["vocab"]["sha256"] == hashlib.sha256(vocab).hexdigest()
 
     def test_environment_is_recorded_apart_from_the_parameters(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -843,6 +868,60 @@ class TestManifest:
             assert environment["numpy"] == np.__version__
             assert environment["cpu_count"] == os.cpu_count()
             assert not {"threads", "OPENBLAS_NUM_THREADS"} & set(manifest["parameters"])
+
+
+class TestBlasThreadCounts:
+    """README's determinism contract across BLAS thread counts: TEM's files
+    are byte-identical, the SVD agrees within 1e-12 and its query rankings
+    are identical."""
+
+    def _run_at(self, tmp_path, threads, counts, queries) -> Path:
+        out = tmp_path / f"t{threads}"
+        commands = [
+            ["train", "--counts", counts, "--k", "48", "--mode", "svd", "--out", str(out / "svd")],
+            ["train", "--counts", counts, "--k", "8", "--max-total-iters", "12",
+             "--out", str(out / "tem")],
+            ["query", "--counts", counts, "--queries", queries, "--queries-format", "raw",
+             "--svd", str(out / "svd" / "svd.bin"), "--out", str(out / "q")],
+        ]
+        src = str(Path(plsa.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import sys; from plsa.cli import main\n"
+                  f"for argv in {commands!r}:\n"
+                  "    assert main(argv) == 0, argv\n")
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       stdout=subprocess.DEVNULL, timeout=120)
+        return out
+
+    def test_outputs_at_one_and_two_threads(self, tmp_path):
+        # 250 x 1000 counts: at k = 48 the iterative SVD's bytes differ
+        # between 1 and 2 OpenBLAS threads on a 2-core host
+        rng = np.random.default_rng(12)
+        words = np.array([f"w{i}" for i in range(1000)])
+        (tmp_path / "docs.txt").write_text(
+            "\n".join(" ".join(rng.choice(words, size=40)) for _ in range(250)) + "\n")
+        (tmp_path / "queries.txt").write_text(
+            "\n".join(" ".join(rng.choice(words, size=3)) for _ in range(20)) + "\n")
+        assert main(["ingest", str(tmp_path / "docs.txt"), "--out", str(tmp_path / "ing")]) == 0
+        one, two = (self._run_at(tmp_path, t, str(tmp_path / "ing" / "counts.tsv"),
+                                 str(tmp_path / "queries.txt")) for t in ("1", "2"))
+
+        for name in ("model.bin", "trace.tsv"):
+            assert (one / "tem" / name).read_bytes() == (two / "tem" / name).read_bytes()
+        a, b = (SvdDecomposition.load(out / "svd" / "svd.bin") for out in (one, two))
+        np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.v, b.v, rtol=0, atol=1e-12)
+        runs = [np.array([line.split() for line in (out / "q" / "run.txt").read_text().splitlines()])
+                for out in (one, two)]
+        np.testing.assert_array_equal(runs[0][:, :3], runs[1][:, :3])  # query, doc, rank
+        a, b = (run[:, 3].astype(float) for run in runs)
+        # within 1e-12 before the rounding to 10 significant digits, which
+        # can move the last printed digit by one unit
+        with np.errstate(divide="ignore"):
+            last_digit = 10.0 ** (np.floor(np.log10(np.abs(a))) - 9)
+        assert ((a == b) | (np.abs(a - b) <= 1e-12 * np.abs(a) + last_digit)).all()
 
 
 class TestQueryOracle:

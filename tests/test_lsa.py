@@ -16,6 +16,10 @@ def counts_from_dense(dense):
     return CountMatrix.from_entries(dense.shape[0], dense.shape[1], d, w, dense[d, w])
 
 
+def no_dense_table(self, dtype=None):
+    raise AssertionError("the dense N x M table was built")
+
+
 def random_integer_counts(rng, n, m, density=0.7, high=9):
     dense = np.where(rng.random((n, m)) < density, rng.integers(1, high, size=(n, m)), 0)
     if not dense.any():
@@ -128,6 +132,50 @@ class TestTruncatedSvd:
         np.testing.assert_array_equal(np.abs(decomp.u), np.abs(want[0]))
         np.testing.assert_array_equal(decomp.sigma, want[1])
         np.testing.assert_array_equal(np.abs(decomp.v), np.abs(want[2].T))
+
+    def test_iterative_path_on_small_and_rank_deficient_tables_matches_lapack(self):
+        # tables whose N x M cells outnumber the (N + M) x K singular vectors
+        # take the iterative solver however small they are
+        rng = np.random.default_rng(9)
+        for trial in range(40):
+            n, m = rng.integers(3, 12), rng.integers(12, 40)
+            k = int(rng.integers(1, (n * m - 1) // (n + m) + 1))
+            counts, dense = random_integer_counts(rng, n, m, density=rng.uniform(0.05, 0.6))
+            if trial % 2:  # rank at most 2: rows are sums of two count rows
+                dense = rng.integers(0, 3, size=(n, 2)) @ dense[:2]
+                counts = counts_from_dense(dense)
+            decomp = truncated_svd(counts, k)
+            full = np.linalg.svd(dense, compute_uv=False)
+            top = max(full[0], 1.0)
+            np.testing.assert_allclose(decomp.sigma, full[:k], rtol=0, atol=1e-12 * top)
+            residual = dense @ decomp.v - decomp.u * decomp.sigma
+            assert np.abs(residual).max() <= 1e-10 * top
+            for j in range(k):  # the sign rule, column by column
+                peak = np.argmax(np.abs(decomp.v[:, j]))
+                assert decomp.v[peak, j] > 0
+
+    @pytest.mark.parametrize("n, m, k", [(10, 20, 2), (600, 1000, 2), (5, 5, 5)])
+    def test_a_table_without_counts_gets_zero_sigma_and_the_identity(self, monkeypatch, n, m, k):
+        monkeypatch.setattr(CountMatrix, "to_dense", no_dense_table)
+        decomp = truncated_svd(CountMatrix(n, m, [], [], []), k)
+        np.testing.assert_array_equal(decomp.sigma, np.zeros(k))
+        np.testing.assert_array_equal(decomp.u, np.eye(n, k))
+        np.testing.assert_array_equal(decomp.v, np.eye(m, k))
+
+    def test_wide_table_at_small_k_builds_no_dense_table(self, monkeypatch):
+        # 512 x 8192: the iterative solver takes 0.1 s here at k = 8, where
+        # LAPACK on the dense table takes over a second
+        rng = np.random.default_rng(10)
+        n, m = 512, 8192
+        counts = helpers.random_counts(rng, n, m, 80_000)
+
+        monkeypatch.setattr(CountMatrix, "to_dense", no_dense_table)
+        decomp = truncated_svd(counts, 8)
+        csr = counts.to_csr().astype(np.float64)
+        eig = np.linalg.eigvalsh((csr @ csr.T).toarray())[::-1][:8]
+        np.testing.assert_allclose(decomp.sigma, np.sqrt(eig), rtol=1e-10)
+        residual = csr @ decomp.v - decomp.u * decomp.sigma
+        assert np.abs(residual).max() <= 1e-10 * decomp.sigma[0]
 
     def test_k_out_of_range(self):
         counts = counts_from_dense([[1, 2], [3, 4]])

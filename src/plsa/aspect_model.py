@@ -192,17 +192,23 @@ def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
     return a, w, _sddmm(a, w, counts.doc_ids, counts.term_ids)
 
 
+def _gathers(n_cells: int, n_rows: int, k: int) -> bool:
+    """Whether _sddmm gathers the operands of `n_cells` cells over `n_rows`
+    rows of K = `k`: at most _SHORT_ROW multiply-adds per row on average."""
+    return n_cells * k <= _SHORT_ROW * n_rows
+
+
 def _sddmm(a: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S[i] = a[rows[i]] . w[cols[i]] for cells sorted by row.  Short rows, at
-    most _SHORT_ROW multiply-adds per row of `a` on average, are gathered in
-    cache-sized chunks; longer rows take one gemv each."""
+    """S[i] = a[rows[i]] . w[cols[i]] for cells sorted by row.  Short rows
+    (`_gathers`, over the rows of `a`) are gathered in cache-sized chunks;
+    longer rows take one gemv each."""
     k = a.shape[1]
     s = np.empty(rows.size)
-    if rows.size * k <= _SHORT_ROW * a.shape[0]:
+    if _gathers(rows.size, a.shape[0], k):
         step = max(1, _GATHER_CHUNK // k)
         for lo in range(0, rows.size, step):
             sel = slice(lo, lo + step)
-            s[sel] = np.einsum("ij,ij->i", a[rows[sel]], w[cols[sel]])
+            s[sel] = np.einsum("ij,ij->i", a.take(rows[sel], axis=0), w.take(cols[sel], axis=0))
         return s
     starts = np.searchsorted(rows, np.arange(a.shape[0] + 1))
     for d in np.flatnonzero(np.diff(starts)):
@@ -211,18 +217,24 @@ def _sddmm(a: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
     return s
 
 
-def _e_step(rows, cols, n, a, w, beta: float, log_blocks, s=None):
+def _e_step(rows, cols, n, a, w, beta: float, log_blocks, s=None, r=None):
     """The E-step on the cells (rows[i], cols[i]), sorted by row, with counts
     n, a = A^beta, w = W^beta and S_beta as `s` if the caller has it: R = n /
     S_beta as CSR, 0 where S_beta < 1e-200, and (cells, n q) chunks for those
     cells, with q their log-domain posteriors from log_blocks(r, c) =
     (log A[r], log W[c]), called only then, on the rows and columns they
     touch.  The row side of the M-step is a * (R @ w) plus the chunks.
-    Iterating them raises DegeneracyError where S_beta = 0."""
+    Iterating them raises DegeneracyError where S_beta = 0.  A caller that
+    sweeps one set of cells again and again may pass a CSR of their pattern
+    as `r`, whose data this call overwrites and which it returns as R."""
     if s is None:
         s = _sddmm(a, w, rows, cols)
     low = s < _UNDERFLOW
-    r = _csr(rows, cols, np.divide(n, s, out=np.zeros(n.size), where=~low), (len(a), len(w)))
+    if r is None:
+        r = _csr(rows, cols, np.divide(n, s, out=np.zeros(n.size), where=~low), (len(a), len(w)))
+    else:
+        np.divide(n, s, out=r.data, where=~low)
+        r.data[low] = 0.0
     cells = np.flatnonzero(low)
     if not cells.size:
         return r, ()

@@ -48,6 +48,7 @@ from .corpus import (
     _read_lines,
     _save_container,
     _save_id_table,
+    _unpadded,
     build_counts,
     load_stopwords,
     parse_qrels,
@@ -337,30 +338,39 @@ _LEADS = np.array([list(b"0.000"[:n].ljust(5, bytes([_PAD]))) for n in (5, 4, 3,
                   np.uint8).T  # column e + 4 holds the lead "0.000" .. "" of exponent e
 
 
-def _score_table(values: np.ndarray) -> np.ndarray:
-    """The bytes of `"%17.10g\n" % v` for each float64 v, one row of 18 each;
-    a row without its _PAD bytes is that line without its spaces. numpy
-    places +-0 and each v with 1e-4 <= |v| < 10, in columns: sign, the lead
-    "0.000" of a decimal exponent e in [-4, 0], d0, the point after d0 when
-    e = 0, d1 .. d9 with trailing zeros dropped, and the newline. The mantissa
+def _or_pad(mask: np.ndarray, char: str) -> np.ndarray:
+    """The byte of `char` where the boolean `mask` holds, else _PAD, in
+    uint8 arithmetic: np.where would compute it in int64."""
+    return np.uint8(_PAD) - mask.view(np.uint8) * np.uint8(_PAD - ord(char))
+
+
+def _score_table(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The bytes of `"%17.10g\n" % v` for each float64 v, one row of 18 each,
+    written as the 18 rows of `out` if it is given; a row without its _PAD
+    bytes is that line without its spaces. numpy places +-0 and each v with
+    1e-4 <= |v| < 10, in columns: sign, the lead "0.000" of a decimal
+    exponent e in [-4, 0], d0, the point after d0 when e = 0, d1 .. d9 with
+    trailing zeros dropped, and the newline. The mantissa
     y = |v| * 10**(9 - e) is off by at most 2**-20, so rint(y) rounds as %
     does unless y lies near a tie or past its decade: `%` formats those
     values and every other one."""
     a = np.abs(values)
-    e4 = sum((a >= bound).view(np.int8) for bound in (1e-3, 1e-2, 1e-1, 1.0))  # e + 4
+    # e + 4, as intp: take converts any other index type first
+    e4 = sum((a >= bound).view(np.int8) for bound in (1e-3, 1e-2, 1e-1, 1.0)).astype(np.intp)
     zero = a == 0
     e4[zero] = 4
     with np.errstate(over="ignore", invalid="ignore"):  # such values are left to %
         y = a * _SCALES.take(e4)
         m = np.rint(y)
         placed = ((y >= 1e9) & (y < 1e10 - 0.5) & (np.abs(y - m) < 0.5 - 1e-5)) | zero
-    left = ~placed  # formatted by %
+    left = np.flatnonzero(~placed)  # formatted by %
     m[left] = 0
     hi = np.floor(m / 1e5)  # 5-digit halves: numpy divides uint32 by a constant fast
     halves = ((m - hi * 1e5).astype(np.uint32), hi.astype(np.uint32))
-    table = np.empty((18, a.size), np.uint8)  # a row per column, so each write is contiguous
-    table[0] = np.where(np.signbit(values), ord("-"), _PAD)
-    table[1:6] = _LEADS.take(e4, axis=1)
+    # a row per column, so that each write is contiguous
+    table = np.empty((18, a.size), np.uint8) if out is None else out
+    table[0] = _or_pad(np.signbit(values), "-")
+    _LEADS.take(e4, axis=1, out=table[1:6])
     kept = np.zeros((10, a.size), bool)  # kept[c - 8]: a digit from column c on is not 0
     for half, cols in zip(halves, (range(16, 11, -1), range(11, 7, -1))):
         for col in cols:  # d9 .. d1
@@ -370,8 +380,8 @@ def _score_table(values: np.ndarray) -> np.ndarray:
             np.logical_or(kept[col - 7], digit, out=kept[col - 8])
             half = quotient
     table[6] = half + ord("0")
-    table[7] = np.where(kept[0] & (e4 == 4), ord("."), _PAD)
-    np.copyto(table[8:17], _PAD, where=~kept[:9])
+    table[7] = _or_pad(kept[0] & (e4 == 4), ".")
+    table[8:17] |= kept[:9].view(np.uint8) - np.uint8(1)  # _PAD, all ones, where not kept
     table[17] = ord("\n")
     rest = values[left]
     text = ("%17.10g\n" * rest.size) % tuple(rest.tolist())
@@ -381,25 +391,29 @@ def _score_table(values: np.ndarray) -> np.ndarray:
 
 
 def _write_run(path: Path, rankings, doc_ext_ids: list[str]) -> str:
-    """`query_id doc_id rank score` lines, one row of a byte table each.
-    Ids and ranks are gathered from tables built once, scores are formatted
-    by _score_table, and every padding byte is dropped on writing.
-    Returns the SHA-256 of the bytes written."""
+    """`query_id doc_id rank score` lines, one column of a byte table each.
+    Ids and ranks are copied from tables built once, scores are formatted
+    by _score_table in place, and the table is written line by line with
+    every padding byte dropped.  The table holds a row per byte of a line,
+    so that each copy is contiguous.  Returns the SHA-256 of the bytes
+    written."""
     n_docs = rankings.doc_ids.shape[1]
-    queries = _text_table([str(q) for q in rankings.query_ids])
-    docs = _text_table(doc_ext_ids)
-    ranks = _decimal_table([np.arange(1, n_docs + 1)], b" ")
+    queries = _text_table([str(q) for q in rankings.query_ids]).T
+    docs = np.ascontiguousarray(_text_table(doc_ext_ids).T)
+    ranks = _decimal_table([np.arange(1, n_docs + 1)], b" ").T
+    ends = np.cumsum([len(queries), len(docs), len(ranks), 18])
     step = max(1, _RUN_BLOCK // n_docs)
 
     def blocks():
         for lo in range(0, len(rankings.query_ids), step):
             ids = rankings.doc_ids[lo:lo + step]
-            scores = _score_table(rankings.scores[lo:lo + step].ravel())
-            fields = (queries[lo:lo + step, None], docs[ids], ranks[None],
-                      scores.reshape(*ids.shape, -1))
-            table = np.concatenate([np.broadcast_to(a, ids.shape + a.shape[2:]) for a in fields],
-                                   axis=-1)
-            yield table[table != _PAD]
+            table = np.empty((ends[3], *ids.shape), np.uint8)
+            table[:ends[0]] = queries[:, lo:lo + step, None]
+            docs.take(ids, axis=1, out=table[ends[0]:ends[1]])
+            table[ends[1]:ends[2]] = ranks[:, None]
+            table = table.reshape(ends[3], -1)
+            _score_table(rankings.scores[lo:lo + step].ravel(), table[ends[2]:])
+            yield _unpadded(table.T)
 
     return serialize.write_blocks(path, blocks())
 
@@ -465,7 +479,8 @@ def cmd_query(args) -> int:
     rankings = rank_all(scores, query_ok[:, None] & doc_ok[None, :], query_ext_ids)
     run_path = out_dir / "run.txt"
     _entry(outputs, "run", run_path, sha256=_write_run(run_path, rankings, doc_ext_ids))
-    counters = {"unscored_queries": int((~query_ok).sum())}
+    counters = {"unscored_documents": int((~doc_ok).sum()),
+                "unscored_queries": int((~query_ok).sum())}
 
     if args.qrels:
         doc_index = {ext: i for i, ext in enumerate(doc_ext_ids)}

@@ -33,7 +33,13 @@ _DIMS_RE = re.compile(rb"#dims\t[^\r\n]*")
 _NUMPY_DECOMPRESSES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 _SAVE_BLOCK = 1 << 16  # rows formatted per write in CountMatrix.save
 _PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of byte tables
-_COUNT_BLOCK = 1 << 10  # documents mapped to term ids per step in build_counts
+# documents mapped to term ids per step in build_counts.  Smaller blocks map
+# a little faster, while a block's token strings are still in cache:
+# tokenizing and counting large-em's seed-1 text took 404, 387 and 426 ms at
+# 16, 256 and 1024 (2-core host, min of 11).  But in perfbench's worker,
+# where commands share one process, blocks of 256 and 512 raised large-em's
+# peak_rss_mb from 208 to 215-216 MB (medians of 4 runs each), so 1024 stays.
+_COUNT_BLOCK = 1 << 10
 _CONTAINER_ARRAYS = ("shape", "rows", "row_starts", "term_ids", "counts")
 
 
@@ -223,8 +229,7 @@ class CountMatrix:
         tables = (_decimal_table([c[lo:lo + _SAVE_BLOCK] for c in columns], b"\t\t\n")
                   for lo in range(0, self.nnz, _SAVE_BLOCK))
         return serialize.write_blocks(path, itertools.chain(
-            [f"#dims\t{self.n_docs}\t{self.n_terms}\n".encode()],
-            (table[table != _PAD] for table in tables)))
+            [f"#dims\t{self.n_docs}\t{self.n_terms}\n".encode()], map(_unpadded, tables)))
 
     @classmethod
     def load(cls, path, record: dict | None = None) -> "CountMatrix":
@@ -373,6 +378,11 @@ def _decimal_table(columns, ends: bytes) -> np.ndarray:
         table[:, start + width] = end
         start += width + 1
     return table
+
+
+def _unpadded(table: np.ndarray) -> bytes:
+    """The bytes of a byte table, row after row, without its _PAD bytes."""
+    return table.tobytes().translate(None, bytes([_PAD]))
 
 
 def _scan_comments(path):

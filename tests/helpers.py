@@ -385,6 +385,38 @@ def e_step_posteriors(model, counts, beta):
     return q
 
 
+def compacting_fold_in(model, queries, beta=1.0, max_iters=50, tol=1e-6):
+    """trainer.fold_in with its working set compacted to the live rows before
+    every sweep, which also builds R anew in every sweep: the reference that
+    the kept working set must match bit for bit.  Returns (weights, the live
+    rows of each sweep)."""
+    terms, cell_term = np.unique(queries.term_ids, return_inverse=True)
+    emitted = model.word_given_z[terms].sum(axis=1) > 0.0
+    keep = emitted[cell_term]
+    terms, cell_term = terms[emitted], (np.cumsum(emitted) - 1)[cell_term[keep]]
+    cell_row, cell_count = queries.doc_ids[keep], queries.counts[keep]
+    with np.errstate(divide="ignore"):
+        lword = np.log(model.word_given_z[terms])
+    w_beta = model.word_given_z[terms] if beta == 1.0 else np.exp(beta * lword)
+    theta = np.full((queries.n_docs, model.k), 1.0 / model.k)
+    row_cells = np.bincount(cell_row, minlength=queries.n_docs)
+    active = row_cells > 0
+    theta[~active] = np.nan
+    sweeps = []
+    for _ in range(max_iters):
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        sweeps.append(rows)
+        sel = active[cell_row]
+        old = theta[rows]
+        theta[rows] = new = trainer._fold_in_sweep(
+            old, w_beta, lword, np.repeat(np.arange(rows.size), row_cells[rows]),
+            cell_term[sel], cell_count[sel], beta)
+        active[rows] = np.abs(new - old).max(axis=1) >= tol
+    return theta, sweeps
+
+
 def cell_posterior(model, d, w, beta):
     """e_step_posteriors of the single cell (d, w)."""
     cell = CountMatrix(model.n_docs, model.n_terms, [d], [w], [1])

@@ -618,7 +618,8 @@ class TestQuery:
         summary = capsys.readouterr().out.split()
         assert summary[-2:] == ["unscored_queries=1", "unjudged_queries=1"]
         manifest = json.loads((tmp_path / "q" / "manifest.json").read_text())
-        assert manifest["counters"] == {"unscored_queries": 1, "unjudged_queries": 1}
+        assert manifest["counters"] == {"unscored_documents": 0, "unscored_queries": 1,
+                                        "unjudged_queries": 1}
         assert "threads" not in manifest["parameters"]
         capsys.readouterr()
         main(["query", "--counts", str(out_dir / "counts.tsv"),
@@ -626,7 +627,35 @@ class TestQuery:
               *scoring, "--out", str(tmp_path / "q2")])
         assert capsys.readouterr().out.split()[-1] == "unscored_queries=1"
         manifest = json.loads((tmp_path / "q2" / "manifest.json").read_text())
-        assert manifest["counters"] == {"unscored_queries": 1}
+        assert manifest["counters"] == {"unscored_documents": 0, "unscored_queries": 1}
+
+    @pytest.mark.parametrize("model", [False, True])
+    def test_counts_unscored_documents(self, tmp_path, capsys, model):
+        # document 3 holds no token: it has no cosine norm, and a fit gives
+        # it no mass, so no query can score it
+        (tmp_path / "docs.txt").write_text(f"{DOCS[0]}\n{DOCS[1]}\n\n{DOCS[3]}\n")
+        (tmp_path / "queries.txt").write_text("engine fuel\nwheat harvest\n")
+        assert main(["ingest", str(tmp_path / "docs.txt"), "--format", "raw",
+                     "--out", str(tmp_path / "ing")]) == 0
+        scoring = ["--baseline-only"]
+        if model:
+            assert main(["train", "--counts", str(tmp_path / "ing" / "counts.tsv"), "--k", "2",
+                         "--mode", "em", "--seed", "1", "--out", str(tmp_path / "m")]) == 0
+            scoring = ["--model", str(tmp_path / "m" / "model.bin")]
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning) as caught:
+            rc = main(["query", "--counts", str(tmp_path / "ing" / "counts.tsv"),
+                       "--queries", str(tmp_path / "queries.txt"), "--queries-format", "raw",
+                       *scoring, "--out", str(tmp_path / "q")])
+        assert rc == 0
+        assert sorted(str(w.message) for w in caught) == [
+            f"query '{q}': 1 document(s) could not be scored and rank last" for q in "12"]
+        assert capsys.readouterr().out.split()[-2:] == ["unscored_documents=1",
+                                                        "unscored_queries=0"]
+        manifest = json.loads((tmp_path / "q" / "manifest.json").read_text())
+        assert manifest["counters"] == {"unscored_documents": 1, "unscored_queries": 0}
+        run = [line.split() for line in (tmp_path / "q" / "run.txt").read_text().splitlines()]
+        assert [line[1:] for line in run if line[1] == "3"] == [["3", "4", "-inf"]] * 2
 
     def test_repeated_query_id_is_data_error(self, tmp_path, capsys):
         out_dir = self._prepare(tmp_path)
@@ -1051,6 +1080,30 @@ class TestWriteRun:
             cli_mod._write_run(path, rank_all(scores, scorable, query_ids), doc_ids)
         want, _ = helpers.brute_run_and_pr(scores, scorable, query_ids, doc_ids, None)
         assert path.read_bytes() == want.encode("utf-8")
+
+    # n_docs above _RUN_BLOCK (a query per block), equal to it, and below it
+    # with a short last block (queries 5 in blocks of 2)
+    @pytest.mark.parametrize("n_docs, block", [(6, 4), (5, 5), (3, 7)])
+    def test_bytes_at_block_edges(self, tmp_path, n_docs, block):
+        """Multi-byte UTF-8 ids, unscorable pairs at -inf and every block
+        size give helpers.brute_run_and_pr's bytes."""
+        import plsa.cli as cli_mod
+        from plsa import rank_all
+
+        rng = np.random.default_rng(n_docs * block)
+        scores = rng.choice([0.25, -3e-5, 0.1 / 3, 7.0, 1e-7, 0.0], size=(5, n_docs))
+        scorable = rng.random(scores.shape) < 0.7
+        scorable[1] = False  # a query no document can be scored for
+        scorable[:, 0] = False  # a document no query can score
+        query_ids = ["q1", "é", "中文", "\U0001d521", "7"]
+        doc_ids = ["ÿ", "d\u00e9j\u00e0", "\u0416", "\U0001f600x", "文書", "a"][:n_docs]
+        path = tmp_path / "run.txt"
+        with warnings.catch_warnings(), mock.patch.object(cli_mod, "_RUN_BLOCK", block):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cli_mod._write_run(path, rank_all(scores, scorable, query_ids), doc_ids)
+        want, _ = helpers.brute_run_and_pr(scores, scorable, query_ids, doc_ids, None)
+        assert path.read_bytes() == want.encode("utf-8")
+        assert want.count(" -inf\n") == int((~scorable).sum())
 
     def test_score_table_matches_percent_in_bulk(self):
         """_score_table gives the bytes of `%` on 279k seeded doubles: plain

@@ -26,7 +26,7 @@ from plsa import (
     fold_in,
     log_likelihood,
 )
-from plsa import aspect_model
+from plsa import aspect_model, trainer
 from plsa.aspect_model import _SHORT_ROW, _UNDERFLOW, _scan_log_joint, _sddmm, _tempered_joint
 from plsa.trainer import _fold_in_sweep
 
@@ -424,10 +424,47 @@ def fold_cases(draw, shape="short"):
     return model, queries, draw(st.sampled_from(BETAS))
 
 
+def working_sets(model, queries, beta, max_iters=50, tol=1e-6):
+    """(fold_in's weights, the (rows, cells) of its working set in each
+    sweep), from a spy on its sweeps."""
+    sizes = []
+
+    def spy(theta, w_beta, lword, rows, *args):
+        sizes.append((len(theta), rows.size))
+        return sweep(theta, w_beta, lword, rows, *args)
+
+    sweep = trainer._fold_in_sweep
+    with mock.patch.object(trainer, "_fold_in_sweep", spy):
+        return fold_in(model, queries, beta, max_iters, tol), sizes
+
+
+def expected_sets(queries, k, live_rows):
+    """The (rows, cells) of fold_in's working set in each sweep, by its rule,
+    from the rows live in each sweep: the set stays until its frozen cells
+    outnumber trainer._FROZEN_SHARE of its live ones, or until the live
+    rows alone would take the other SDDMM path, and is then compacted to
+    the live rows.  Terms no factor emits still count here, so only models
+    that emit every term fit."""
+    row_cells = np.bincount(queries.doc_ids, minlength=queries.n_docs)
+    sets = []
+    for rows in live_rows:
+        live = (rows.size, int(row_cells[rows].sum()))
+        if sets:
+            kept = sets[-1]
+            if not (kept[1] - live[1] > trainer._FROZEN_SHARE * live[1]
+                    or aspect_model._gathers(live[1], live[0], k)
+                    != aspect_model._gathers(kept[1], kept[0], k)):
+                live = kept
+        sets.append(live)
+    return sets
+
+
 def assert_folds_like_oracle(model, queries, beta):
     """Each row agrees with the per-query oracle, and is final after the
-    sweep the oracle stops at and not before it unless the oracle's is too."""
+    sweep the oracle stops at and not before it unless the oracle's is too.
+    All rows are bit-equal to the fold-in that compacts before every sweep."""
     got = fold_in(model, queries, beta)
+    assert got.tobytes() == helpers.compacting_fold_in(model, queries, beta)[0].tobytes()
     for i in range(queries.n_docs):
         row = queries.doc_ids == i
         ids, cnt = queries.term_ids[row], queries.counts[row]
@@ -449,6 +486,89 @@ class TestFoldIn:
     @given(fold_cases())
     def test_matches_per_query_oracle(self, case):
         assert_folds_like_oracle(*case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_working_set_matches_compacting_reference(self, data):
+        # rows freeze at different sweeps under several tolerances and
+        # budgets, and the set is compacted at various points
+        model, queries, beta = data.draw(fold_cases(data.draw(st.sampled_from(
+            ("short", *LONG_SHAPES)))))
+        tol, max_iters = data.draw(st.sampled_from([1e-2, 1e-4, 1e-6])), data.draw(
+            st.integers(1, 60))
+        with mock.patch.object(trainer, "_FROZEN_SHARE", data.draw(
+                st.sampled_from([0.0, 0.1, 0.25, 1.0, 1e9]))):
+            got, sizes = working_sets(model, queries, beta, max_iters, tol)
+            want, live_rows = helpers.compacting_fold_in(model, queries, beta, max_iters, tol)
+            assert got.tobytes() == want.tobytes()
+            if (model.word_given_z.sum(axis=1) > 0).all():
+                assert sizes == expected_sets(queries, model.k, live_rows)
+
+    @pytest.mark.parametrize("share", [1.0, 0.99])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_frozen_cells_at_the_compaction_boundary(self, share, beta):
+        # terms 0-2 have the same probability under both factors, so query 0,
+        # which holds only them, keeps its uniform weights and freezes after
+        # sweep 1; query 1 moves for several sweeps.  From sweep 2 on, 3
+        # frozen cells stand against 3 live ones: the set is compacted only
+        # when they outnumber them by the share.
+        word = np.array([[0.2, 0.2], [0.2, 0.2], [0.2, 0.2], [0.3, 0.1], [0.1, 0.3]])
+        model = normalized(np.array([0.5, 0.5]), np.ones((2, 2)), word)
+        queries = CountMatrix(2, 5, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 3, 4], [1, 2, 1, 1, 3, 1])
+        with mock.patch.object(trainer, "_FROZEN_SHARE", share):
+            got, sizes = working_sets(model, queries, beta)
+        want, live_rows = helpers.compacting_fold_in(model, queries, beta)
+        assert got.tobytes() == want.tobytes()
+        assert [rows.tolist() for rows in live_rows[:2]] == [[0, 1], [1]] and len(live_rows) > 2
+        assert sizes[0] == (2, 6)
+        assert set(sizes[1:]) == ({(2, 6)} if share == 1.0 else {(1, 3)})
+        np.testing.assert_allclose(got[0], [0.5, 0.5], rtol=RTOL)
+        assert_folds_like_oracle(model, queries, beta)
+
+    def test_compacts_when_the_live_rows_take_the_other_path(self):
+        # query 0's 600 cells hold terms of one probability under every
+        # factor, so it freezes after sweep 1; with it the set averages 2520
+        # multiply-adds per row at K = 16 and takes the SDDMM's loop, without
+        # it 160 and the gather, as the per-sweep compaction does
+        rng = np.random.default_rng(3)
+        k, n_flat = 16, 600
+        varied = 0.05 + rng.random((40, k))
+        word = np.vstack([np.ones((n_flat, k)), varied / varied.sum(axis=0)])  # equal column sums
+        model = normalized(np.ones(k), np.ones((2, k)), word)
+        d = np.repeat([0, 1, 2, 3], [n_flat, 10, 10, 10])
+        t = np.concatenate([np.arange(n_flat), *(n_flat + rng.choice(40, 10, replace=False)
+                                                  for _ in range(3))])
+        order = np.lexsort((t, d))
+        queries = CountMatrix(4, n_flat + 40, d[order], t[order], rng.integers(1, 4, d.size))
+        assert not aspect_model._gathers(630, 4, k) and aspect_model._gathers(30, 3, k)
+        with mock.patch.object(trainer, "_FROZEN_SHARE", 1e9):  # only the path compacts
+            got, sizes = working_sets(model, queries, 1.0)
+        want, live_rows = helpers.compacting_fold_in(model, queries, 1.0)
+        assert got.tobytes() == want.tobytes()
+        assert live_rows[1].tolist() == [1, 2, 3]
+        assert sizes[:2] == [(4, 630), (3, 30)]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_cell_that_starts_to_underflow_in_a_later_sweep(self, beta):
+        # only factor 0 emits term 0, at 1e-199: S_beta of its cell passes
+        # 1e-200 in sweep 1, then falls below it as term 1 draws the weight
+        # to factor 1, so R's stored entry for the cell must be cleared
+        word = np.array([[1e-199, 0.0], [0.01, 0.9], [0.99, 0.1]])
+        model = normalized(np.array([0.5, 0.5]), np.ones((2, 2)), word)
+        queries = CountMatrix(2, 3, [0, 0, 1], [0, 1, 2], [1, 20, 1])
+        _, live_rows = helpers.compacting_fold_in(model, queries, beta)
+        assert len(live_rows) > 2
+        assert_folds_like_oracle(model, queries, beta)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_every_row_frozen_after_sweep_one(self, beta):
+        # every term has one probability under all factors: no weight moves
+        model = normalized(np.ones(3), np.ones((2, 3)), np.ones((4, 3)))
+        queries = CountMatrix(3, 4, [0, 0, 1, 2, 2], [0, 3, 1, 0, 2], [2, 1, 1, 1, 4])
+        got, sizes = working_sets(model, queries, beta)
+        assert sizes == [(3, 5)]
+        np.testing.assert_allclose(got, np.full((3, 3), 1.0 / 3), rtol=RTOL)
+        assert_folds_like_oracle(model, queries, beta)
 
     @pytest.mark.parametrize("shape", LONG_SHAPES)
     @settings(max_examples=10, deadline=None)

@@ -8,6 +8,8 @@ cell probability is P(d,w) = sum_z P(z) P(d|z) P(w|z).  Everything asymmetric
 there is a single source of truth.
 """
 
+import bisect
+import copy
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,16 +24,17 @@ LOG_FLOOR = float(np.log(PROB_FLOOR))
 
 _NORM_TOL = 1e-10
 _CHUNK_CELLS = 1 << 22
-# _sddmm gathers both operands of rows averaging at most this many
-# multiply-adds (cells per row times K) and runs one gemv per longer row.
-# Measured on 2000 x 8000 tables (2-vCPU Xeon, 1 BLAS thread), the gather
-# wins up to about 3000-4000 (K = 32-128) and the loop beyond.  Training
-# rows at MED scale (about 4000 at K = 32) take the loop, but so does the
-# held-out split of a MED-scale fit at K = 128: about 2080 per row, just
-# past the switch, where the loop takes twice the gather's time (8.4
-# against 4.2 ms per SDDMM, same host).
-_SHORT_ROW = 2048
-_GATHER_CHUNK = 1 << 15  # elements of each gathered operand per step: stays in L2
+# Bytes of the document rows that _sddmm gathers per chunk of its plan.  On
+# the seed-1 train splits of perfbench's workloads (2-core Xeon, 2 MB L2 per
+# core; medians of 11-31 interleaved calls) one SDDMM took, at 256, 384 and
+# 512 KiB: 6.3, 5.9 and 6.4 ms on med-query at K = 32; 9.3, 8.8 and 9.7 ms
+# at K = 48; 21.6, 20.1 and 20.5 ms on med-tem at K = 128; and 81.3, 78.5
+# and 79.4 ms on large-em at K = 32.  Smaller chunks pay numpy's per-call
+# overhead on more chunks, larger ones leave the cache.
+_PLAN_BYTES = 3 << 17
+# cells per take of S back to the cells' order: take copies its int32 ids
+# to intp, so the copy stays this small
+_TAKE_STEP = 1 << 16
 # S_beta below this takes the log-domain path; above it, terms > 1e-100 of S are normal
 _UNDERFLOW = 1e-200
 
@@ -153,6 +156,128 @@ def _log_blocks(model: AspectModel, rows=slice(None), cols=slice(None)):
     return log_a, _safe_log(model.word_given_z[cols])
 
 
+class _Cells:
+    """The nonzero cells of an N x M count table in term-major order (term,
+    then document), with what every sweep over them reuses.  Built once per
+    table and swept many times:
+
+    table   : the counts as CSC, N x M, whose cells are in this order:
+    doc_ids : (nnz,) its indices, the document of each cell, int32 below
+              2**31 cells
+    starts  : (M + 1,) its indptr, the first cell of each term
+    counts  : (nnz,) its data, the count of each cell
+    plan    : _sddmm's chunks (terms, docs): `docs` holds the documents of
+              the cells of one term per row, padded to the chunk's longest
+              row by repeating the row's last cell, and `terms` their term;
+              the chunks are views of one array of `padded` ids
+    order   : (nnz,) the position of each cell in that array, or None when
+              the array holds the cells in their order
+
+    The plan sorts the terms by their number of cells, splits a term longer
+    than a chunk, and fills each chunk with up to `chunk` cells, its rows of
+    K doubles taking about _PLAN_BYTES; a table of at most two cells per
+    term has one cell per row.  A fit also keeps here the joint it
+    hands to its next sweep (keep_joint) and the number of factors its
+    sweeps reset (dead_factor_resets).
+    """
+
+    def __init__(self, rows, cols, counts, shape, k: int):
+        self.n_docs, self.n_terms = shape
+        self.nnz, self.total = rows.size, int(counts.sum())
+        # scipy's CSR to CSC conversion, a stable counting sort, takes the
+        # cells of the doc-major table to term-major order: its data are
+        # the cells' doc-major positions
+        self.table = _csr(rows, cols, np.arange(rows.size, dtype=np.int32), shape).tocsc()
+        self.table.data = counts.take(self.table.data)
+        self.doc_ids, self.starts, self.counts = (self.table.indices, self.table.indptr,
+                                                  self.table.data)
+        self.chunk = max(1, _PLAN_BYTES // (8 * k))
+        self.plan, self.order, self.padded = _plan(self.starts, self.doc_ids, self.chunk)
+        self.dead_factor_resets = 0
+        self._kept = None
+
+    @classmethod
+    def of(cls, counts, k: int) -> "_Cells":
+        """`counts` if it is a _Cells already, else the cells of the
+        CountMatrix `counts`, planned for K = `k`."""
+        if isinstance(counts, cls):
+            return counts
+        return cls(counts.doc_ids, counts.term_ids, counts.counts,
+                   (counts.n_docs, counts.n_terms), k)
+
+    def terms_of(self, cells: np.ndarray) -> np.ndarray:
+        """The terms of the cells at the positions `cells`."""
+        return np.searchsorted(self.starts, cells, side="right") - 1
+
+    def keep_joint(self, model: AspectModel, beta: float):
+        """_tempered_joint(model, self, beta), kept for the next take_joint
+        of this model at this beta; the joint kept before is freed first."""
+        self._kept = None
+        joint = _tempered_joint(model, self, beta)
+        self._kept = (model, beta, joint)
+        return joint
+
+    def take_joint(self, model: AspectModel, beta: float):
+        """The joint kept for this model and beta, or a new one; whatever
+        was kept is released."""
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] is model and kept[1] == beta:
+            return kept[2]
+        del kept
+        return _tempered_joint(model, self, beta)
+
+
+def _plan(starts: np.ndarray, doc_ids: np.ndarray, chunk: int):
+    """(plan, order, padded) of _Cells for the terms whose cells, of the
+    documents `doc_ids`, start at `starts`: pieces of at most `chunk` cells,
+    sorted by length, grouped while the group padded to its longest piece
+    holds at most `chunk` cells and no piece in it is padded by more than a
+    quarter; or, for a table of at most two cells per term, chunks of one
+    cell per row, unpadded, with order None.  The temporaries are the size
+    of the pieces, of one chunk or, in `starts`' dtype, of the cells."""
+    lengths = np.diff(starts)
+    if doc_ids.size <= 2 * np.count_nonzero(lengths):
+        # at two cells per term or fewer, as in a batch of queries, a term's
+        # row is reused too little to pay for padding and more chunks: one
+        # cell per row, unpadded
+        term = np.repeat(np.arange(lengths.size), lengths)
+        plan = [(term[lo:lo + chunk], doc_ids[lo:lo + chunk, None])
+                for lo in range(0, doc_ids.size, chunk)]
+        return plan, None, doc_ids.size
+    pieces = -(-lengths // chunk)
+    term = np.repeat(np.arange(lengths.size), pieces)
+    first = chunk * (np.arange(term.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+    first += starts[term]
+    size = np.minimum(starts[term + 1] - first, chunk)
+    by_size = np.argsort(size, kind="stable")
+    widths = size[by_size]
+    bounds, width = [0], widths.tolist()
+    while bounds[-1] < term.size:
+        lo = bounds[-1]
+        # the most pieces from lo on that fit at the width of the longest,
+        # which pads none by more than a quarter of its cells
+        hi = bisect.bisect_right(width, width[lo] + width[lo] // 4, lo)
+        bounds.append(lo + bisect.bisect_right(range(1, hi - lo + 1), chunk,
+                                               key=lambda n: n * width[lo + n - 1]))
+    rows = np.diff(bounds)
+    cols = widths[np.cumsum(rows) - 1]
+    # each piece's row in the padded array, and each cell's place in it
+    row_at = np.empty_like(first)
+    row_at[by_size] = np.cumsum(np.repeat(cols, rows)) - np.repeat(cols, rows)
+    order = np.arange(doc_ids.size, dtype=starts.dtype)
+    order += np.repeat((row_at - first).astype(starts.dtype), size)
+    docs = np.empty(int(rows @ cols), dtype=doc_ids.dtype)
+    plan, at, term = [], 0, term[by_size]  # the chunks' terms are views of one array
+    for lo, n_rows, n_cols in zip(bounds, rows.tolist(), cols.tolist()):
+        sel = by_size[lo:lo + n_rows]
+        block = docs[at:at + n_rows * n_cols].reshape(n_rows, n_cols)
+        doc_ids.take(first[sel, None] + np.minimum(np.arange(n_cols), size[sel, None] - 1),
+                     out=block)
+        plan.append((term[lo:lo + n_rows], block))
+        at += block.size
+    return plan, order, docs.size
+
+
 def _touched(ids: np.ndarray, n: int):
     """(selector, positions) of the rows `ids` of an n-row block: the
     distinct ids and the position of each id among them, or the whole block
@@ -162,26 +287,26 @@ def _touched(ids: np.ndarray, n: int):
     return np.unique(ids, return_inverse=True)
 
 
-def _log_joint_terms(log_blocks, rows, cols, cells, shape):
-    """Yield (selector, lp) over chunks of the cells (rows[i], cols[i]) at the
-    entry indices `cells` of a table of `shape`: lp[i, z] = log A[rows[i], z]
-    + log W[cols[i], z], with log_blocks(r, c) = (log A[r], log W[c]) called
-    once, on the rows and columns the cells touch (`_touched`)."""
-    (row_sel, row_pos), (col_sel, col_pos) = (_touched(rows[cells], shape[0]),
-                                              _touched(cols[cells], shape[1]))
+def _log_joint_terms(log_blocks, cells: _Cells, low: np.ndarray):
+    """Yield (positions, lp) over chunks of the cells at the positions `low`:
+    lp[i, z] = log A[d_i, z] + log W[w_i, z], with log_blocks(r, c) = (log
+    A[r], log W[c]) called once, on the rows and columns the cells touch
+    (`_touched`)."""
+    (row_sel, row_pos), (col_sel, col_pos) = (_touched(cells.doc_ids[low], cells.n_docs),
+                                              _touched(cells.terms_of(low), cells.n_terms))
     log_a, log_w = log_blocks(row_sel, col_sel)
     step = max(1, _CHUNK_CELLS // log_a.shape[1])
-    for lo in range(0, cells.size, step):
+    for lo in range(0, low.size, step):
         sel = slice(lo, lo + step)
-        yield cells[sel], log_a[row_pos[sel]] + log_w[col_pos[sel]]
+        yield low[sel], log_a[row_pos[sel]] + log_w[col_pos[sel]]
 
 
-def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
+def _tempered_joint(model: AspectModel, cells: _Cells, beta: float):
     """The E-step's SDDMM: (A^beta, W^beta, S_beta) with A = P(z)P(d|z), W = P(w|z)
-    and S_beta[i] = A^beta[d_i] . W^beta[w_i] per nonzero cell.  At beta = 1,
+    and S_beta[i] = A^beta[d_i] . W^beta[w_i] per cell of `cells`.  At beta = 1,
     W^beta is the model's own block.  Below it the powers are taken in the log
     domain, before A could underflow, in place: one block each."""
-    _check_dims(model, counts)
+    _check_dims(model, cells)
     if beta == 1.0:
         a, w = model.prior * model.doc_given_z, model.word_given_z
     else:
@@ -189,69 +314,75 @@ def _tempered_joint(model: AspectModel, counts: CountMatrix, beta: float):
         for block in (a, w):
             block *= beta
             np.exp(block, out=block)
-    return a, w, _sddmm(a, w, counts.doc_ids, counts.term_ids)
+    return a, w, _sddmm(a, w, cells)
 
 
-def _gathers(n_cells: int, n_rows: int, k: int) -> bool:
-    """Whether _sddmm gathers the operands of `n_cells` cells over `n_rows`
-    rows of K = `k`: at most _SHORT_ROW multiply-adds per row on average."""
-    return n_cells * k <= _SHORT_ROW * n_rows
-
-
-def _sddmm(a: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """S[i] = a[rows[i]] . w[cols[i]] for cells sorted by row.  Short rows
-    (`_gathers`, over the rows of `a`) are gathered in cache-sized chunks;
-    longer rows take one gemv each."""
+def _sddmm(a: np.ndarray, w: np.ndarray, cells: _Cells) -> np.ndarray:
+    """S[i] = a[d_i] . w[w_i] per cell, one chunk of the plan at a time: the
+    rows of `a` its documents take, gathered into one buffer, against the
+    row of `w` of each row's term, by einsum, which calls no BLAS, into the
+    padded order, taken to the cells' order at the end.  A cell's value is
+    bit for bit einsum("ij,ij->i") of its two rows, whatever the chunk."""
     k = a.shape[1]
-    s = np.empty(rows.size)
-    if _gathers(rows.size, a.shape[0], k):
-        step = max(1, _GATHER_CHUNK // k)
-        for lo in range(0, rows.size, step):
-            sel = slice(lo, lo + step)
-            s[sel] = np.einsum("ij,ij->i", a.take(rows[sel], axis=0), w.take(cols[sel], axis=0))
-        return s
-    starts = np.searchsorted(rows, np.arange(a.shape[0] + 1))
-    for d in np.flatnonzero(np.diff(starts)):
-        lo, hi = starts[d], starts[d + 1]
-        s[lo:hi] = w[cols[lo:hi]] @ a[d]
+    out = np.empty(cells.padded)
+    buf = np.empty(min(cells.chunk, cells.padded) * k)
+    at = 0
+    for terms, docs in cells.plan:
+        rows = buf[:docs.size * k].reshape(*docs.shape, k)
+        # "clip" skips the bounds check, and the copy that `out` takes
+        # under "raise": the ids are in range by construction
+        a.take(docs, axis=0, out=rows, mode="clip")
+        np.einsum("bjk,bk->bj", rows, w.take(terms, axis=0),
+                  out=out[at:at + docs.size].reshape(docs.shape))
+        at += docs.size
+    if cells.order is None:
+        return out
+    s = np.empty(cells.nnz)
+    for lo in range(0, cells.nnz, _TAKE_STEP):
+        sel = slice(lo, lo + _TAKE_STEP)
+        out.take(cells.order[sel], out=s[sel], mode="clip")
     return s
 
 
-def _e_step(rows, cols, n, a, w, beta: float, log_blocks, s=None, r=None):
-    """The E-step on the cells (rows[i], cols[i]), sorted by row, with counts
-    n, a = A^beta, w = W^beta and S_beta as `s` if the caller has it: R = n /
-    S_beta as CSR, 0 where S_beta < 1e-200, and (cells, n q) chunks for those
-    cells, with q their log-domain posteriors from log_blocks(r, c) =
+def _e_step(cells: _Cells, a, w, beta: float, log_blocks, s=None, r=None):
+    """The E-step on `cells`, with a = A^beta, w = W^beta and S_beta as `s`
+    if the caller has it: R = n / S_beta as CSC on the pattern of
+    cells.table, 0 where S_beta < 1e-200, and (positions, n q) chunks for
+    those cells, with q their log-domain posteriors from log_blocks(r, c) =
     (log A[r], log W[c]), called only then, on the rows and columns they
     touch.  The row side of the M-step is a * (R @ w) plus the chunks.
-    Iterating them raises DegeneracyError where S_beta = 0.  A caller that
-    sweeps one set of cells again and again may pass a CSR of their pattern
-    as `r`, whose data this call overwrites and which it returns as R."""
+    Iterating them raises DegeneracyError where S_beta = 0.  R is a new
+    matrix, whose data is the one array this allocates, or the `r` of an
+    earlier call on these cells, overwritten."""
     if s is None:
-        s = _sddmm(a, w, rows, cols)
+        s = _sddmm(a, w, cells)
     low = s < _UNDERFLOW
+    n = cells.counts
     if r is None:
-        r = _csr(rows, cols, np.divide(n, s, out=np.zeros(n.size), where=~low), (len(a), len(w)))
+        r = copy.copy(cells.table)  # shares the pattern, without the checks of scipy's constructor
+        r.data = np.divide(n, s, out=np.zeros(n.size), where=~low)
     else:
         np.divide(n, s, out=r.data, where=~low)
         r.data[low] = 0.0
-    cells = np.flatnonzero(low)
-    if not cells.size:
+    low = np.flatnonzero(low)
+    if not low.size:
         return r, ()
-    chunks = _log_joint_terms(log_blocks, rows, cols, cells, (len(a), len(w)))
-    return r, ((sel, _tempered_softmax(lp, beta) * n[sel, None]) for sel, lp in chunks)
+    return r, ((sel, _tempered_softmax(lp, beta) * n[sel, None])
+               for sel, lp in _log_joint_terms(log_blocks, cells, low))
 
 
-def _scan_log_joint(model: AspectModel, counts: CountMatrix, beta: float = 1.0, s=None) -> np.ndarray:
-    """Per nonzero cell, log S_beta = logsumexp_z of beta * log[P(z)P(d|z)P(w|z)],
-    from `s` when the caller already has S_beta.  No floor is applied."""
-    if s is None:
-        s = _tempered_joint(model, counts, beta)[2]
-    out = _safe_log(s)
+def _scan_log_joint(model: AspectModel, cells: _Cells, beta: float = 1.0, s=None) -> np.ndarray:
+    """Per cell of `cells`, log S_beta = logsumexp_z of beta *
+    log[P(z)P(d|z)P(w|z)], from `s` when the caller already has S_beta.
+    No floor is applied.  An S_beta computed here is overwritten by its log."""
+    own = s is None
+    if own:
+        s = _tempered_joint(model, cells, beta)[2]
     low = np.flatnonzero(s < _UNDERFLOW)
+    with np.errstate(divide="ignore"):
+        out = np.log(s, out=s if own else None)
     if low.size:
-        for sel, lp in _log_joint_terms(partial(_log_blocks, model), counts.doc_ids,
-                                        counts.term_ids, low, (model.n_docs, model.n_terms)):
+        for sel, lp in _log_joint_terms(partial(_log_blocks, model), cells, low):
             out[sel] = logsumexp(beta * lp, axis=1)
     return out
 
@@ -276,7 +407,8 @@ def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:
     Cell probabilities below PROB_FLOOR are clamped to it before the log, so
     events the model cannot produce yield a large finite penalty.
     """
-    return float(np.dot(counts.counts, np.maximum(_scan_log_joint(model, counts), LOG_FLOOR)))
+    cells = _Cells.of(counts, model.k)
+    return float(np.dot(cells.counts, np.maximum(_scan_log_joint(model, cells), LOG_FLOOR)))
 
 
 def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = False) -> float:
@@ -289,14 +421,15 @@ def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = Fals
     total = counts.total
     if total == 0:
         raise ValueError("perplexity of an empty count matrix is undefined")
+    cells = _Cells.of(counts, model.k)
     if not conditional:
-        return float(np.exp(-log_likelihood(model, counts) / total))
-    log_joint = _scan_log_joint(model, counts)
+        return float(np.exp(-log_likelihood(model, cells) / total))
+    log_joint = _scan_log_joint(model, cells)
     log_pd = logsumexp(_safe_log(model.doc_given_z * model.prior[None, :]), axis=1)
-    per_doc = log_pd[counts.doc_ids]
+    per_doc = log_pd[cells.doc_ids]
     with np.errstate(invalid="ignore"):
         log_q = np.where(np.isneginf(per_doc), -np.inf, log_joint - per_doc)
-    mean_log = np.dot(counts.counts, np.maximum(log_q, LOG_FLOOR)) / total
+    mean_log = np.dot(cells.counts, np.maximum(log_q, LOG_FLOOR)) / total
     return float(np.exp(-mean_log))
 
 

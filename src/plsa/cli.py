@@ -260,17 +260,20 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.bin"
     _entry(outputs, "model", model_path, sha256=model.save(model_path))
     trace.save(_entry(outputs, "trace", out_dir / "trace.tsv")["path"])
+    counters = {"dead_factor_resets": trace.dead_factor_resets,
+                "empty_heldout_fallback": int(trace.empty_heldout_fallback)}
     _write_manifest(
         out_dir, "train",
         {"mode": args.mode, "k": args.k,
          **{dest: getattr(config, field) for dest, (field, _) in _SCHEDULE.items()}},
-        inputs, outputs,
+        inputs, outputs, counters,
     )
     last = trace.records[-1]
     best = min(r.heldout_perplexity for r in trace.records)
     print(f"mode={args.mode} k={args.k} iterations={last.iteration} "
           f"final_beta={last.beta:.6g} best_heldout_ppx={best:.6g} "
-          f"stopping={trace.stopping_reason.value}")
+          f"stopping={trace.stopping_reason.value}",
+          *(f"{name}={n}" for name, n in counters.items()))
     return EXIT_OK
 
 

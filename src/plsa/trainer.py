@@ -13,7 +13,9 @@ scored best on the held-out data, not the last iterate.
 A sweep is KL-NMF's multiplicative update: aspect_model._e_step gives
 R = n / S_beta on the nonzero cells, S_beta being the tempered joint, and the
 log-domain posteriors of the cells where S_beta underflows; the M-step is
-two sparse times dense products with R.
+two sparse times dense products with R.  A fit lays out the cells of each
+split once, as an aspect_model._Cells, and hands it to every em_step and
+perplexity call in place of the CountMatrix.
 """
 
 import enum
@@ -28,25 +30,24 @@ import numpy as np
 from .aspect_model import (
     LOG_FLOOR,
     AspectModel,
+    _Cells,
     _e_step,
-    _gathers,
     _log_blocks,
     _safe_log,
     _scan_log_joint,
-    _tempered_joint,
     init_model,
     perplexity,
 )
-from .corpus import CountMatrix, SplitPair, _csr, split_heldout
+from .corpus import CountMatrix, SplitPair, split_heldout
 
 
 # fold_in compacts its working set once its frozen cells outnumber this
 # share of its live cells.  On med-query's seed-1 inputs (2-core host, 1
-# BLAS thread, min of 25 interleaved runs) its 200 queries at K = 32 and 48
-# folded in in 13.5-13.8 ms at shares 0.1-0.5 and 14.8 ms at 1, against
-# 16.4 ms compacting before every sweep; its 1033 documents, long rows,
-# freeze under a fifth of their cells in 50 sweeps and took alike at 0 and
-# 0.25 (medians of 9: 527 and 515 ms at K = 32, 677 and 679 ms at K = 48).
+# BLAS thread, medians of 30 interleaved runs) its 200 queries at K = 32
+# folded in in 9.8, 8.9, 8.9 and 9.2 ms at shares 0.1, 0.25, 0.5 and 1
+# (10.5-11.5 ms at K = 48, least at 0.25-0.5); its 1033 documents, long
+# rows, took 363 and 375 ms at 0.25 and 0.5 at K = 32, and 615 and 534 ms
+# at K = 48 (medians of 3).
 _FROZEN_SHARE = 0.25
 
 
@@ -110,11 +111,16 @@ class TrainTrace:
     posteriors, where it is -sum n log S_beta over the internal training
     split, S_beta being the tempered joint.  Unlike train_perplexity it has
     no PROB_FLOOR clamp.  At beta = 1 it is the negative training
-    log-likelihood.
+    log-likelihood.  dead_factor_resets counts the factors the fit's sweeps
+    reset to uniform, and empty_heldout_fallback tells that the held-out
+    split was empty, so that stopping tracked the training cells; both are
+    also RuntimeWarnings, and save() writes neither.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     stopping_reason: StoppingReason = StoppingReason.ITERATION_CAP
+    dead_factor_resets: int = 0
+    empty_heldout_fallback: bool = False
 
     def save(self, path) -> None:
         """Plain-text table, one iteration per line, ready for plotting."""
@@ -126,39 +132,42 @@ class TrainTrace:
             f.write(f"# stopping_reason\t{self.stopping_reason.value}\n")
 
 
-def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0, _joint=None) -> AspectModel:
+def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0) -> AspectModel:
     """One fused E+M sweep over the nonzero cells at inverse temperature beta.
 
     Accumulates n(d,w) * q(z; d, w) into unnormalized parameter blocks, then
     normalizes each.  With q = A^beta W^beta / S_beta the blocks are
     A^beta * (R @ W^beta) and W^beta * (R^T @ A^beta), R = n / S_beta; a cell
-    with S_beta below 1e-200 takes the log-domain path.  `_joint` is the
-    caller's _tempered_joint(model, counts, beta), if it has it.  Beyond
-    that joint, a sweep allocates R, the two accumulators, which are
-    multiplied and normalised in place and become the new model's blocks,
-    and the log-domain rows of the cells that take that path.  The input
-    model and the joint are not modified.  A factor that receives no
-    posterior mass is reset to uniform conditionals (with a warning) so a
-    later sweep can reassign it.
+    with S_beta below 1e-200 takes the log-domain path.  `counts` is a
+    CountMatrix, or the aspect_model._Cells a fit sweeps, which holds the
+    cells' layout and may hold the joint of this model at this beta.  Beyond the
+    joint, a sweep allocates the two accumulators, which are multiplied and
+    normalised in place and become the new model's blocks, and the
+    log-domain rows of the cells that take that path.  The input model is not
+    modified.  A factor that receives no posterior mass is reset to uniform
+    conditionals (with a warning, and counted in the _Cells) so a later
+    sweep can reassign it.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0 for an EM sweep")
     if counts.nnz == 0:
         raise ValueError("cannot run an EM sweep on empty counts")
-    a, w, s = _tempered_joint(model, counts, beta) if _joint is None else _joint
-    r, tail = _e_step(counts.doc_ids, counts.term_ids, counts.counts, a, w, beta,
-                      partial(_log_blocks, model), s)
+    cells = _Cells.of(counts, model.k)
+    a, w, s = cells.take_joint(model, beta)
+    r, tail = _e_step(cells, a, w, beta, partial(_log_blocks, model), s)
+    del s
     doc_acc = r @ w
     doc_acc *= a
     word_acc = r.T @ a
     word_acc *= w
-    for cells, weighted in tail:
-        np.add.at(doc_acc, counts.doc_ids[cells], weighted)
-        np.add.at(word_acc, counts.term_ids[cells], weighted)
+    for sel, weighted in tail:
+        np.add.at(doc_acc, cells.doc_ids[sel], weighted)
+        np.add.at(word_acc, cells.terms_of(sel), weighted)
     del r  # freed before the blocks are normalised: holding it raised the peak RSS of a fit
     prior_acc = doc_acc.sum(axis=0)
     dead = prior_acc == 0.0
     if dead.any():
+        cells.dead_factor_resets += int(dead.sum())
         warnings.warn(
             f"{int(dead.sum())} factor(s) received no posterior mass; reset to uniform",
             RuntimeWarning,
@@ -192,8 +201,10 @@ def fit_em(counts: CountMatrix, k: int, config: TemConfig | None = None
     """Plain EM at beta = 1 with early stopping on held-out perplexity."""
     config = config or TemConfig()
     split = internal_split(counts, config)
-    del counts  # the fit keeps its split only, so a caller's sole reference frees the matrix
-    return _fit(split, k, config, temper=False)
+    del counts  # the fit keeps its cells only, so a caller's sole reference frees the matrix
+    cells = _sweep_cells(split, k)
+    del split  # and its split once they are built
+    return _fit(*cells, k, config, temper=False)
 
 
 def fit_tem(counts: CountMatrix, k: int, config: TemConfig | None = None
@@ -203,47 +214,51 @@ def fit_tem(counts: CountMatrix, k: int, config: TemConfig | None = None
     config = config or TemConfig()
     split = internal_split(counts, config)
     del counts  # as in fit_em
-    return _fit(split, k, config, temper=True)
+    cells = _sweep_cells(split, k)
+    del split
+    return _fit(*cells, k, config, temper=True)
 
 
-def _fit(split: SplitPair, k: int, config: TemConfig, temper: bool
-         ) -> tuple[AspectModel, TrainTrace]:
-    """The fit on `split`, internal_split's train/held-out pair of the
-    counts.  Besides the split, the current and best models and the joint
-    a sweep reuses are kept: each sweep's joint is freed before the next is
-    built, and log S_beta is reduced to the free energy before the
-    untempered scan of a tempered stage."""
-    train, heldout = split.train, split.heldout
-    if train.nnz == 0 and heldout.nnz == 0:
+def _sweep_cells(split: SplitPair, k: int) -> tuple[_Cells, _Cells]:
+    """The _Cells a fit at K = `k` sweeps, of the train and held-out sides of
+    `split`, internal_split's pair of the counts.  When the held-out side is
+    empty, the train's cells stand in for it, with a warning."""
+    if split.train.nnz == 0 and split.heldout.nnz == 0:
         raise ValueError("cannot fit a model on empty counts")
-    if train.nnz == 0:
+    if split.train.nnz == 0:
         raise ValueError("held-out split left no training occurrences; lower heldout_fraction")
-    if heldout.total == 0:
+    train = _Cells.of(split.train, k)
+    if split.heldout.total == 0:
         warnings.warn(
             "internal held-out split is empty; stopping will track training perplexity",
             RuntimeWarning,
         )
-        heldout = train
+        return train, train
+    return train, _Cells.of(split.heldout, k)
 
+
+def _fit(train: _Cells, heldout: _Cells, k: int, config: TemConfig, temper: bool
+         ) -> tuple[AspectModel, TrainTrace]:
+    """The fit on _sweep_cells' train and held-out cells.  Besides those,
+    the current and best models and the joint that train keeps for the next
+    sweep are kept: log S_beta is reduced to the free energy before the
+    untempered scan of a tempered stage."""
     model = init_model(k, train.n_docs, train.n_terms, subseed(config.seed, "init"))
     records: list[TraceRecord] = []
     best_model, best_ppx = model, math.inf
     beta, prev_ppx = 1.0, math.inf  # inf - x < tol * inf is false: sweep 1 never stalls
     while True:
         best_before_stage, stalled = best_ppx, False
-        joint = None  # _tempered_joint of the current model at this stage's beta
         for _ in range(config.max_iters_per_beta):
             if len(records) == config.max_total_iters:
                 break
-            model = em_step(model, train, beta, _joint=joint)
-            joint = None  # freed before the next one is built
-            joint = _tempered_joint(model, train, beta)
-            log_joint = _scan_log_joint(model, train, beta, joint[2])  # log S_beta
-            free = -float(np.dot(train.counts, log_joint))
+            model = em_step(model, train, beta)
+            log_joint = _scan_log_joint(model, train, beta, train.keep_joint(model, beta)[2])
+            free = -float(np.dot(train.counts, log_joint))  # log_joint is log S_beta
             if beta != 1.0:
                 del log_joint  # freed before the untempered scan builds its own
                 log_joint = _scan_log_joint(model, train)
-            train_ll = float(np.dot(train.counts, np.maximum(log_joint, LOG_FLOOR)))
+            train_ll = float(np.dot(train.counts, np.maximum(log_joint, LOG_FLOOR, out=log_joint)))
             train_ppx = math.exp(-train_ll / train.total)
             held_ppx = perplexity(model, heldout, conditional=True)
             records.append(TraceRecord(len(records) + 1, beta, train_ppx, held_ppx, free))
@@ -264,7 +279,9 @@ def _fit(split: SplitPair, k: int, config: TemConfig, temper: bool
         else:
             beta *= config.eta
             continue
-        return best_model, TrainTrace(records=records, stopping_reason=reason)
+        return best_model, TrainTrace(records=records, stopping_reason=reason,
+                                      dead_factor_resets=train.dead_factor_resets,
+                                      empty_heldout_fallback=heldout is train)
 
 
 def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
@@ -273,7 +290,8 @@ def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
     sweeps that keep the model's word distributions frozen.
 
     `queries` holds one row per query over the model's terms.  A sweep is
-    em_step's kernel with theta = P(z|q) in place of A and W = P(w|z) fixed.
+    em_step's kernel with theta = P(z|q) in place of A and W = P(w|z) fixed,
+    on the _Cells of a working set of queries, built when the set is.
     Terms no factor can generate are dropped; a query left without terms
     gets a NaN row.  Each query starts from uniform weights and is frozen
     after the sweep in which no weight moved by `tol`, or after `max_iters`
@@ -295,28 +313,25 @@ def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
     theta = np.full((queries.n_docs, model.k), 1.0 / model.k)
     row_cells = np.bincount(cell_row, minlength=queries.n_docs)
     theta[row_cells == 0] = np.nan
-    # The working set: the rows `rows` of theta, their cells and the
-    # pattern of their R, which each sweep refills.  A row that freezes
-    # stays in it, swept again from the weights of its last sweep and
-    # discarded, until the frozen cells outnumber _FROZEN_SHARE of the live
-    # cells or the live rows alone would take the other _sddmm path; then
-    # the set is compacted to the live rows.
+    # The working set: the rows `rows` of theta and the _Cells of their
+    # cells, which every sweep reuses.  A row that freezes stays in it,
+    # swept again from the weights of its last sweep and discarded, until
+    # the frozen cells outnumber _FROZEN_SHARE of the live cells; then the
+    # set is compacted to the live rows.
     rows, live, weights = np.arange(queries.n_docs), row_cells > 0, theta
-    cells_live, cells_in_set, r = cell_row.size, 0, None
+    cells_live, cells, r = cell_row.size, None, None
     for _ in range(max_iters):
         n_live = int(np.count_nonzero(live))
         if not n_live:
             break
-        if (r is None or cells_in_set - cells_live > _FROZEN_SHARE * cells_live
-                or _gathers(cells_live, n_live, model.k)
-                != _gathers(cells_in_set, rows.size, model.k)):
+        if cells is None or cells.nnz - cells_live > _FROZEN_SHARE * cells_live:
             keep = live[cell_row]
             rows, weights, live = rows[live], weights[live], live[live]
             cell_row = np.repeat(np.arange(rows.size), row_cells[rows])
             cell_term, cell_count = cell_term[keep], cell_count[keep]
-            cells_in_set = cell_row.size
-            r = _csr(cell_row, cell_term, np.zeros(cells_in_set), (rows.size, terms.size))
-        new = _fold_in_sweep(weights, w_beta, lword, cell_row, cell_term, cell_count, beta, r)
+            cells = _Cells(cell_row, cell_term, cell_count, (rows.size, terms.size), model.k)
+            r = None
+        new, r = _fold_in_sweep(weights, w_beta, lword, cells, beta, r)
         theta[rows[live]] = new[live]
         live &= np.abs(new - weights).max(axis=1) >= tol
         np.copyto(weights, new, where=live[:, None])
@@ -324,19 +339,18 @@ def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
     return theta
 
 
-def _fold_in_sweep(theta, w_beta, lword, rows, cols, counts, beta: float,
-                   r=None) -> np.ndarray:
-    """One fold-in EM sweep: the next mixing weights of the queries `theta`,
-    whose cells (rows[i], cols[i]) are sorted by row and cover every row.
+def _fold_in_sweep(theta, w_beta, lword, cells, beta: float, r=None):
+    """One fold-in EM sweep: (the next mixing weights of the queries
+    `theta`, R), with `cells` the _Cells of their cells, which cover every
+    row, and `r` the R of an earlier sweep on them, if any, to overwrite.
 
     E-step as in em_step, with theta in place of A; only the row-side SpMM
     is needed.  A cell with S_beta below 1e-200 adds its log-domain
-    posterior; one with S_beta = 0 raises DegeneracyError.  `r`, if given,
-    is a CSR of the cells' pattern for _e_step to fill."""
+    posterior; one with S_beta = 0 raises DegeneracyError."""
     theta_beta = theta if beta == 1.0 else np.exp(beta * _safe_log(theta))
-    r, tail = _e_step(rows, cols, counts, theta_beta, w_beta, beta,
+    r, tail = _e_step(cells, theta_beta, w_beta, beta,
                       lambda i, j: (_safe_log(theta[i]), lword[j]), r=r)
     acc = theta_beta * (r @ w_beta)
-    for cells, weighted in tail:
-        np.add.at(acc, rows[cells], weighted)
-    return acc / acc.sum(axis=1, keepdims=True)
+    for sel, weighted in tail:
+        np.add.at(acc, cells.doc_ids[sel], weighted)
+    return acc / acc.sum(axis=1, keepdims=True), r

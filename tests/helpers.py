@@ -15,7 +15,7 @@ import numpy as np
 
 from plsa import (AspectModel, CountMatrix, ParseError, Vocabulary, lsi_doc_coords,
                   mixing_weight_matrix, serialize, trainer)
-from plsa.aspect_model import _e_step, _log_blocks, _tempered_joint
+from plsa.aspect_model import _Cells, _e_step, _log_blocks, _scan_log_joint, _tempered_joint
 
 PROB_FLOOR = 1e-12
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -371,25 +371,48 @@ def entropy(p):
 # ------------------------------------------------- production-path readers
 
 
+def doc_major(cells, values):
+    """Per-cell `values` of an aspect_model._Cells, which keeps its cells in
+    (term, doc) order, in the (doc, term) order of the CountMatrix it was
+    built from."""
+    return values[np.lexsort((cells.terms_of(np.arange(cells.nnz)), cells.doc_ids))]
+
+
+def joint_by_cell(model, counts, beta):
+    """S_beta per nonzero cell of `counts`, in its (doc, term) order, as the
+    E-step's SDDMM computes it on the counts' _Cells."""
+    cells = _Cells.of(counts, model.k)
+    return doc_major(cells, _tempered_joint(model, cells, beta)[2])
+
+
+def scan_by_cell(model, counts, beta):
+    """log S_beta per nonzero cell of `counts`, in its (doc, term) order, as
+    aspect_model._scan_log_joint computes it on the counts' _Cells."""
+    cells = _Cells.of(counts, model.k)
+    return doc_major(cells, _scan_log_joint(model, cells, beta))
+
+
 def e_step_posteriors(model, counts, beta):
     """The tempered posteriors q(z; d, w) of the nonzero cells, shape (nnz, K),
-    as aspect_model._e_step hands them to the M-step: a[d] w[w] R / n on the
-    normal cells, and the tail's n q / n on the cells where S_beta underflows.
-    Raises DegeneracyError where S_beta = 0."""
-    rows, cols, n = counts.doc_ids, counts.term_ids, counts.counts
-    a, w, s = _tempered_joint(model, counts, beta)
-    r, tail = _e_step(rows, cols, n, a, w, beta, functools.partial(_log_blocks, model), s)
-    q = a[rows] * w[cols] * (np.asarray(r[rows, cols]).ravel() / n)[:, None]
-    for cells, weighted in tail:
-        q[cells] = weighted / n[cells, None]
-    return q
+    in the (doc, term) order of `counts`, as aspect_model._e_step hands them
+    to the M-step: a[d] w[w] R / n on the normal cells, and the tail's n q / n
+    on the cells where S_beta underflows.  Raises DegeneracyError where
+    S_beta = 0."""
+    cells = _Cells.of(counts, model.k)
+    rows, cols, n = cells.doc_ids, cells.terms_of(np.arange(cells.nnz)), cells.counts
+    a, w, s = _tempered_joint(model, cells, beta)
+    r, tail = _e_step(cells, a, w, beta, functools.partial(_log_blocks, model), s)
+    q = a[rows] * w[cols] * (r.data / n)[:, None]
+    for sel, weighted in tail:
+        q[sel] = weighted / n[sel, None]
+    return doc_major(cells, q)
 
 
 def compacting_fold_in(model, queries, beta=1.0, max_iters=50, tol=1e-6):
     """trainer.fold_in with its working set compacted to the live rows before
-    every sweep, which also builds R anew in every sweep: the reference that
-    the kept working set must match bit for bit.  Returns (weights, the live
-    rows of each sweep)."""
+    every sweep, which also builds its _Cells anew in every sweep: the
+    reference that the kept working set must match bit for bit.  Returns
+    (weights, the live rows of each sweep)."""
     terms, cell_term = np.unique(queries.term_ids, return_inverse=True)
     emitted = model.word_given_z[terms].sum(axis=1) > 0.0
     keep = emitted[cell_term]
@@ -410,9 +433,9 @@ def compacting_fold_in(model, queries, beta=1.0, max_iters=50, tol=1e-6):
         sweeps.append(rows)
         sel = active[cell_row]
         old = theta[rows]
-        theta[rows] = new = trainer._fold_in_sweep(
-            old, w_beta, lword, np.repeat(np.arange(rows.size), row_cells[rows]),
-            cell_term[sel], cell_count[sel], beta)
+        cells = _Cells(np.repeat(np.arange(rows.size), row_cells[rows]), cell_term[sel],
+                       cell_count[sel], (rows.size, terms.size), model.k)
+        theta[rows] = new = trainer._fold_in_sweep(old, w_beta, lword, cells, beta)[0]
         active[rows] = np.abs(new - old).max(axis=1) >= tol
     return theta, sweeps
 

@@ -39,7 +39,6 @@ from plsa import (
     truncated_svd,
     unigram_baseline,
 )
-from plsa.aspect_model import _scan_log_joint, _tempered_joint
 from plsa.lsa import lsi_doc_coords
 from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
 
@@ -124,7 +123,7 @@ def test_brute_force_equivalence():
         m = int(rng.integers(2, 8))
         model = helpers.random_model(rng, k, n, m)
         counts = helpers.random_counts(rng, n, m, int(rng.integers(3, 16)))
-        joint = _tempered_joint(model, helpers.full_table(n, m), 1.0)[2].reshape(n, m)
+        joint = helpers.joint_by_cell(model, helpers.full_table(n, m), 1.0).reshape(n, m)
         for d in range(n):
             for w in range(m):
                 assert abs(joint[d, w] - helpers.brute_joint(model, d, w)) < 1e-12
@@ -137,7 +136,7 @@ def test_brute_force_equivalence():
                        1.0, abs(helpers.brute_log_likelihood(model, counts)))
         # the trace's free energy, -sum n log S_beta, is F_beta at the exact posteriors
         q = helpers.brute_cell_posteriors(model, counts, 0.8)
-        lib = -float(np.dot(counts.counts, _scan_log_joint(model, counts, 0.8)))
+        lib = -float(np.dot(counts.counts, helpers.scan_by_cell(model, counts, 0.8)))
         ref = helpers.brute_free_energy(model, counts, q, beta=0.8)
         assert abs(lib - ref) < 1e-12 * max(1.0, abs(ref))
     elapsed = time.time() - start

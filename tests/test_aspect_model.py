@@ -22,7 +22,7 @@ from plsa import (
     unigram_baseline,
 )
 from plsa import build_counts
-from plsa.aspect_model import _UNDERFLOW, _tempered_joint
+from plsa.aspect_model import _UNDERFLOW
 
 
 class TestInitModel:
@@ -106,7 +106,7 @@ class TestPosterior:
                         word / word.sum(axis=0))
         counts = helpers.full_table(4, 6)
         for beta in (0.75, 1.0, 2.0):
-            low = _tempered_joint(m, counts, beta)[2] < _UNDERFLOW
+            low = helpers.joint_by_cell(m, counts, beta) < _UNDERFLOW
             assert low.any() and not low.all()
             expected = helpers.brute_cell_posteriors(m, counts, beta,
                                                      helpers.log_domain_posterior)
@@ -201,7 +201,7 @@ class TestWordGivenDoc:
 def joint_table(model):
     """The N x M table of P(d, w): the E-step's S_beta at beta = 1 over every cell."""
     table = helpers.full_table(model.n_docs, model.n_terms)
-    return _tempered_joint(model, table, 1.0)[2].reshape(model.n_docs, model.n_terms)
+    return helpers.joint_by_cell(model, table, 1.0).reshape(model.n_docs, model.n_terms)
 
 
 class TestJoint:

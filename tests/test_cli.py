@@ -280,8 +280,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["em", "tem"])
     def test_fit_frees_the_loaded_matrix(self, tmp_path, monkeypatch, mode):
-        # the fit keeps only its train/held-out split: the matrix train
-        # loaded is freed before the first sweep
+        # the fit keeps only the cells of its train/held-out split: the
+        # matrix train loaded is freed before the first sweep
         out_dir = ingest(tmp_path)
         loaded, alive = [], []
         load, sweep = CountMatrix.load.__func__, trainer.em_step
@@ -300,6 +300,46 @@ class TestTrain:
         assert main(["train", "--counts", str(out_dir / "counts.tsv"), "--k", "2",
                      "--mode", mode, "--out", str(tmp_path / "t")]) == 0
         assert len(loaded) == 1 and alive and not any(alive)
+
+    @staticmethod
+    def train_counters(tmp_path, capsys, counts, *flags):
+        """(the manifest's counters, the summary line, the caught warnings)
+        of a TEM train run on `counts`."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--counts", str(counts), "--k", "3", "--mode", "tem",
+                         "--max-total-iters", "4", *flags, "--out", str(tmp_path / "c")]) == 0
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        return manifest["counters"], capsys.readouterr().out.strip(), caught
+
+    def test_counts_dead_factor_resets(self, tmp_path, capsys, monkeypatch):
+        # factor 1 starts with no prior mass, so the first sweep resets it
+        out_dir = ingest(tmp_path)
+        start = trainer.init_model
+
+        def dead_start(k, n_docs, n_terms, seed):
+            model = start(k, n_docs, n_terms, seed)
+            prior = model.prior.copy()
+            prior[1] = 0.0
+            return AspectModel(prior / prior.sum(), model.doc_given_z, model.word_given_z)
+
+        counters, line, _ = self.train_counters(tmp_path, capsys, out_dir / "counts.tsv")
+        assert counters == {"dead_factor_resets": 0, "empty_heldout_fallback": 0}
+        monkeypatch.setattr(trainer, "init_model", dead_start)
+        counters, line, caught = self.train_counters(tmp_path, capsys, out_dir / "counts.tsv")
+        resets = [w for w in caught if "no posterior mass" in str(w.message)]
+        assert resets and counters == {"dead_factor_resets": len(resets),
+                                       "empty_heldout_fallback": 0}
+        assert line.endswith(f"dead_factor_resets={len(resets)} empty_heldout_fallback=0")
+
+    def test_counts_the_empty_heldout_fallback(self, tmp_path, capsys):
+        # three tokens at a held-out share of 0.01: seed 0 holds out none
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("0\t0\t1\n0\t1\t1\n1\t1\t1\n")
+        counters, line, caught = self.train_counters(tmp_path, capsys, counts, "--heldout", "0.01")
+        assert any("held-out split is empty" in str(w.message) for w in caught)
+        assert counters == {"dead_factor_resets": 0, "empty_heldout_fallback": 1}
+        assert line.endswith("dead_factor_resets=0 empty_heldout_fallback=1")
 
     def test_svd_mode(self, tmp_path):
         out_dir = ingest(tmp_path)
@@ -910,6 +950,9 @@ class TestBlasThreadCounts:
             ["train", "--counts", counts, "--k", "48", "--mode", "svd", "--out", str(out / "svd")],
             ["train", "--counts", counts, "--k", "8", "--max-total-iters", "12",
              "--out", str(out / "tem")],
+            # about 39 cells per document: 2496 multiply-adds per row at K = 64
+            ["train", "--counts", counts, "--k", "64", "--mode", "tem", "--max-total-iters", "12",
+             "--out", str(out / "tem64")],
             ["query", "--counts", counts, "--queries", queries, "--queries-format", "raw",
              "--svd", str(out / "svd" / "svd.bin"), "--out", str(out / "q")],
         ]
@@ -936,8 +979,8 @@ class TestBlasThreadCounts:
         one, two = (self._run_at(tmp_path, t, str(tmp_path / "ing" / "counts.tsv"),
                                  str(tmp_path / "queries.txt")) for t in ("1", "2"))
 
-        for name in ("model.bin", "trace.tsv"):
-            assert (one / "tem" / name).read_bytes() == (two / "tem" / name).read_bytes()
+        for fit, name in itertools.product(("tem", "tem64"), ("model.bin", "trace.tsv")):
+            assert (one / fit / name).read_bytes() == (two / fit / name).read_bytes(), fit
         a, b = (SvdDecomposition.load(out / "svd" / "svd.bin") for out in (one, two))
         np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-12, atol=0)
         np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-12)

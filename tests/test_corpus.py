@@ -207,8 +207,10 @@ class TestBuildCountsOracle:
         assert_same_counts(build_counts(iter(docs)), helpers.brute_build_counts(docs))
 
     def test_terms_first_seen_in_later_blocks(self):
-        n_docs = 2 * corpus._COUNT_BLOCK + 7
-        docs = [["common", f"t{d % 50}"] * (d % 3) for d in range(n_docs)]
+        # every third document is empty; the other two of each triple hold
+        # one `t` term, up to 50 of them, all first seen in the first block
+        n_docs, n_t = 2 * corpus._COUNT_BLOCK + 7, min(50, corpus._COUNT_BLOCK // 3)
+        docs = [["common", f"t{d // 3 % n_t}"] * (d % 3) for d in range(n_docs)]
         docs[corpus._COUNT_BLOCK] = ["fresh", "common", "fresh"]  # first doc of block 2
         docs[-1] = ["last", "common"]
         got = build_counts(doc for doc in docs)

@@ -2,9 +2,10 @@
 the log-joint scan and the batched fold_in against the brute-force oracles
 in helpers, over random shapes, tempering levels, dead factors, parameters
 near PROB_FLOOR, cells whose factor products underflow, and
-zero-probability cells.  The SDDMM gathers short rows and loops over long
-ones: the random shapes cover short rows, rows at the switch and long
-rows, and the fixed cases run on each path in turn."""
+zero-probability cells.  The SDDMM runs term by term, over chunks of terms
+of similar cell count padded to the longest: the plan-shape cases put terms
+at the edges of a chunk and terms longer than one, and the fixed cases run
+with one cell per chunk and with the default chunks in turn."""
 
 import contextlib
 import math
@@ -27,42 +28,54 @@ from plsa import (
     log_likelihood,
 )
 from plsa import aspect_model, trainer
-from plsa.aspect_model import _SHORT_ROW, _UNDERFLOW, _scan_log_joint, _sddmm, _tempered_joint
+from plsa.aspect_model import _UNDERFLOW, _Cells, _scan_log_joint, _sddmm, _tempered_joint
 from plsa.trainer import _fold_in_sweep
 
 RTOL = 1e-12
 BETAS = (1.0, 0.9, TemConfig().beta_min)
-LONG_SHAPES = ("crossover", "long")
+PLAN_SHAPES = ("crossover", "long")
 
 
-def forced_paths():
-    """Patches that force the SDDMM's path rule to the gather path and to the
-    loop path, for use one after the other."""
-    return [mock.patch.object(aspect_model, "_SHORT_ROW", limit) for limit in (2**62, 0)]
+def plans():
+    """Patches that set the SDDMM's chunks to one cell each, which splits
+    every term into one-cell rows, and to the default size, for use one
+    after the other."""
+    return [mock.patch.object(aspect_model, "_PLAN_BYTES", size)
+            for size in (1, aspect_model._PLAN_BYTES)]
+
+
+def chunk_of(cells, k):
+    """A patch under which a plan for K = k takes `cells` cells per chunk."""
+    return mock.patch.object(aspect_model, "_PLAN_BYTES", 8 * k * cells)
 
 
 def underflow_settings():
-    """Pairs of patches for the underflow cases: each forced SDDMM path, with
+    """Pairs of patches for the underflow cases: each plan of plans(), with
     the default _CHUNK_CELLS, which takes their log-domain cells in one
     chunk, and with one that splits those cells into chunks of two at K = 2."""
-    return [(path, mock.patch.object(aspect_model, "_CHUNK_CELLS", cells))
-            for cells in (aspect_model._CHUNK_CELLS, 4) for path in forced_paths()]
+    return [(plan, mock.patch.object(aspect_model, "_CHUNK_CELLS", cells))
+            for cells in (aspect_model._CHUNK_CELLS, 4) for plan in plans()]
 
 
-def long_rows(draw, rng, n_rows, shape):
-    """(k, mask) of rows with equal numbers of cells: cells times k just
-    below, at or just above _SHORT_ROW ("crossover"), or well above it
-    ("long"), so that the rule's choice is known."""
+def plan_shape(draw, rng, shape):
+    """(k, chunk, mask) of a documents x terms table laid out against SDDMM
+    chunks of `chunk` cells: in "crossover" its terms hold 1, chunk - 1,
+    chunk, chunk + 1 or 2 chunk cells, so rows fill chunks to their edge and
+    one past it; in "long" one term or more holds every document, several
+    chunks' worth of cells, next to terms of one cell."""
+    k, chunk = draw(st.integers(1, 8)), draw(st.integers(1, 6))
     if shape == "crossover":
-        k = draw(st.sampled_from([16, 32]))
-        length = _SHORT_ROW // k + draw(st.integers(-1, 1))
+        n_docs = 2 * chunk + draw(st.integers(0, 3))
+        lengths = [min(n_docs, max(1, n)) for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk)]
+        per_term = rng.choice(lengths, size=draw(st.integers(1, 12)))
     else:
-        k = draw(st.integers(2, 8))
-        length = _SHORT_ROW // k + draw(st.integers(1, 150))
-    n_terms = length + draw(st.integers(0, 8))
-    mask = np.zeros((n_rows, n_terms), dtype=bool)
-    np.put_along_axis(mask, np.argsort(rng.random(mask.shape), axis=1)[:, :length], True, axis=1)
-    return k, mask
+        n_docs = chunk * draw(st.integers(2, 6)) + draw(st.integers(0, 2))
+        per_term = np.where(rng.random(draw(st.integers(1, 8))) < 0.4, n_docs, 1)
+        per_term[0] = n_docs
+    mask = np.zeros((n_docs, per_term.size), dtype=bool)
+    for t, n in enumerate(per_term):
+        mask[rng.choice(n_docs, size=int(n), replace=False), t] = True
+    return k, chunk, mask
 
 
 def assert_models_close(got, want):
@@ -77,10 +90,12 @@ def normalized(prior, doc, word):
 
 @st.composite
 def cases(draw, shape="short"):
-    """(model, counts, beta) with random shapes; some documents without
-    entries, some terms unused, and optionally entries near PROB_FLOOR.
-    Other shapes than "short" have rows of equal length, see long_rows."""
+    """(model, counts, beta, plan) with random shapes; some documents
+    without entries, some terms unused, and optionally entries near
+    PROB_FLOOR.  Other shapes than "short" come from plan_shape, and `plan`
+    patches the chunks to its size; for "short" it changes nothing."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plan = contextlib.nullcontext()
     if shape == "short":
         n_docs, n_terms, k = (draw(st.integers(1, 7)), draw(st.integers(1, 7)),
                               draw(st.integers(1, 4)))
@@ -92,9 +107,9 @@ def cases(draw, shape="short"):
         if not mask.any():
             mask[rng.integers(n_docs), rng.integers(n_terms)] = True
     else:
-        n_docs = draw(st.integers(1, 3))
-        k, mask = long_rows(draw, rng, n_docs, shape)
-        n_terms = mask.shape[1]
+        k, chunk, mask = plan_shape(draw, rng, shape)
+        n_docs, n_terms = mask.shape
+        plan = chunk_of(chunk, k)
     d, w = np.nonzero(mask)
     counts = CountMatrix(n_docs, n_terms, d, w, rng.integers(1, 6, size=d.size))
     blocks = [0.05 + rng.random(k), 0.05 + rng.random((n_docs, k)), 0.05 + rng.random((n_terms, k))]
@@ -102,33 +117,96 @@ def cases(draw, shape="short"):
         for block in blocks:
             low = rng.random(block.shape) < 0.4
             block[low] = helpers.PROB_FLOOR * (0.5 + rng.random(int(low.sum())))
-    return normalized(*blocks), counts, draw(st.sampled_from(BETAS))
+    return normalized(*blocks), counts, draw(st.sampled_from(BETAS)), plan
+
+
+class TestPlan:
+    """The SDDMM's plan covers every cell once and gives, bit for bit, the
+    row-by-row einsum of the gather it replaced, whatever the chunk size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sddmm_is_bit_equal_to_the_row_einsum(self, data):
+        # chunk sizes from one cell, below a single term's cells, to more
+        # than the table holds
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k, chunk, mask = plan_shape(data.draw, rng, data.draw(st.sampled_from(PLAN_SHAPES)))
+        if data.draw(st.booleans()):
+            mask = mask.T.copy()  # many terms of few cells
+        chunk = data.draw(st.sampled_from([1, 2, chunk, mask.size + 1]))
+        d, t = np.nonzero(mask)
+        counts = CountMatrix(*mask.shape, d, t, np.ones(d.size, dtype=np.int64))
+        a, w = rng.random((mask.shape[0], k)), rng.random((mask.shape[1], k))
+        with chunk_of(chunk, k):
+            cells = _Cells.of(counts, k)
+        got = helpers.doc_major(cells, _sddmm(a, w, cells))
+        assert got.tobytes() == np.einsum("ij,ij->i", a[d], w[t]).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 100])
+    def test_plan_covers_every_cell_once(self, chunk):
+        # terms of 0, 1, 2, 3, 5 and 9 cells and an empty document row
+        lengths = [0, 1, 2, 3, 5, 9]
+        d = np.concatenate([np.arange(1, n + 1) for n in lengths])
+        t = np.repeat(np.arange(len(lengths)), lengths)
+        order = np.lexsort((t, d))
+        counts = CountMatrix(10, len(lengths), d[order], t[order], np.ones(d.size, dtype=np.int64))
+        with chunk_of(chunk, 4):
+            cells = _Cells.of(counts, 4)
+        flat = np.concatenate([docs.ravel() for _, docs in cells.plan])
+        assert flat.size == cells.padded
+        np.testing.assert_array_equal(flat[cells.order], cells.doc_ids)
+        assert np.unique(cells.order).size == cells.nnz
+        terms = cells.terms_of(np.arange(cells.nnz))
+        np.testing.assert_array_equal(terms, np.sort(t))
+        for rows, docs in cells.plan:
+            assert docs.size <= chunk
+            # each row is one term's run of cells, padded with its last one
+            for term, row in zip(rows, docs):
+                run = cells.doc_ids[terms == term]
+                assert set(row) <= set(run) and row[-1] in run
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_one_cell_terms_and_an_empty_row_and_column(self, beta):
+        # K = 1 over a table whose first document and last term are empty
+        # and whose other terms hold one cell each, except term 0
+        counts = CountMatrix(5, 6, [1, 1, 2, 3, 4], [0, 1, 0, 2, 3], [2, 1, 3, 1, 4])
+        rng = np.random.default_rng(12)
+        model = normalized(np.ones(1), 0.1 + rng.random((5, 1)), 0.1 + rng.random((6, 1)))
+        for plan in plans():
+            with plan:
+                assert_models_close(em_step(model, counts, beta),
+                                    helpers.brute_em_step(model, counts, beta))
+                TestScan.assert_scan_like_oracle(model, counts, beta)
 
 
 class TestEmStep:
     @settings(max_examples=80, deadline=None)
     @given(cases())
     def test_matches_log_domain_and_product_oracles(self, case):
-        model, counts, beta = case
+        model, counts, beta, _ = case
         stepped = em_step(model, counts, beta)
         assert_models_close(stepped, helpers.brute_em_step(model, counts, beta))
         assert_models_close(stepped, helpers.brute_em_step(model, counts, beta,
                                                            posterior=helpers.brute_posterior))
 
-    @pytest.mark.parametrize("shape", LONG_SHAPES)
+    @pytest.mark.parametrize("shape", PLAN_SHAPES)
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_long_rows_match_oracle(self, shape, data):
-        model, counts, beta = data.draw(cases(shape))
-        assert_models_close(em_step(model, counts, beta),
-                            helpers.brute_em_step(model, counts, beta))
+        model, counts, beta, plan = data.draw(cases(shape))
+        with plan:
+            assert_models_close(em_step(model, counts, beta),
+                                helpers.brute_em_step(model, counts, beta))
 
     @settings(max_examples=20, deadline=None)
     @given(cases())
     def test_supplied_joint_changes_no_bit(self, case):
-        model, counts, beta = case
+        # the joint a fit keeps in its _Cells for the next sweep
+        model, counts, beta, _ = case
         fresh = em_step(model, counts, beta)
-        reused = em_step(model, counts, beta, _joint=_tempered_joint(model, counts, beta))
+        cells = _Cells.of(counts, model.k)
+        cells.keep_joint(model, beta)
+        reused = em_step(model, cells, beta)
         for name in ("prior", "doc_given_z", "word_given_z"):
             assert getattr(fresh, name).tobytes() == getattr(reused, name).tobytes()
 
@@ -137,8 +215,8 @@ class TestEmStep:
         rng = np.random.default_rng(3)
         counts = helpers.random_counts(rng, 6, 7, 20)
         model = normalized(np.array([0.6, 0.0, 0.4]), rng.random((6, 3)), rng.random((7, 3)))
-        for forced in forced_paths():
-            with forced:
+        for plan in plans():
+            with plan:
                 with pytest.warns(RuntimeWarning, match="no posterior mass"):
                     stepped = em_step(model, counts, beta)
                 assert_models_close(stepped, helpers.brute_em_step(model, counts, beta))
@@ -160,15 +238,15 @@ class TestEmStep:
     def assert_cells_underflow(model, counts):
         """At beta = 1 the 9 shared cells are below the threshold, so the
         fallback runs, in several chunks at underflow_settings' small one."""
-        low = _tempered_joint(model, counts, 1.0)[2] < _UNDERFLOW
+        low = helpers.joint_by_cell(model, counts, 1.0) < _UNDERFLOW
         np.testing.assert_array_equal(low, (counts.doc_ids < 3) & (counts.term_ids < 3))
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_underflowing_cell_matches_log_domain_oracle(self, beta):
         model, counts = self.underflow_case()
         self.assert_cells_underflow(model, counts)
-        for forced, chunks in underflow_settings():
-            with forced, chunks:
+        for plan, chunks in underflow_settings():
+            with plan, chunks:
                 assert_models_close(em_step(model, counts, beta),
                                     helpers.brute_em_step(model, counts, beta))
 
@@ -180,8 +258,8 @@ class TestEmStep:
         counts = helpers.random_counts(rng, 4, 5, 12)
         model = normalized(np.array([1e-318, 1.0]), 0.1 + rng.random((4, 2)),
                            0.1 + rng.random((5, 2)))
-        for forced in forced_paths():
-            with forced:
+        for plan in plans():
+            with plan:
                 assert_models_close(em_step(model, counts, beta),
                                     helpers.brute_em_step(model, counts, beta))
 
@@ -191,8 +269,8 @@ class TestEmStep:
         word = np.random.default_rng(6).random((5, 2))
         word[counts.term_ids[0]] = 0.0  # no factor can emit this observed term
         model = normalized(np.array([0.5, 0.5]), np.ones((4, 2)), word)
-        for forced in forced_paths():
-            with forced:
+        for plan in plans():
+            with plan:
                 with pytest.raises(DegeneracyError):
                     em_step(model, counts, beta)
 
@@ -208,14 +286,16 @@ class TestEmStep:
         arrays = (model.prior, model.doc_given_z, model.word_given_z, counts.doc_ids,
                   counts.term_ids, counts.counts)
         before = [a.tobytes() for a in arrays]
-        joint = _tempered_joint(model, counts, beta)
+        cells = _Cells.of(counts, model.k)
+        joint = cells.keep_joint(model, beta)
         assert (joint[1] is model.word_given_z) == (beta == 1.0)
         joint_before = [a.tobytes() for a in joint]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fresh = em_step(model, counts, beta)
-            reused = em_step(model, counts, beta, _joint=joint)
+            reused = em_step(model, cells, beta)
         assert len(caught) == (2 if dead else 0)  # the reset ran
+        assert cells.dead_factor_resets == (1 if dead else 0)
         assert [a.tobytes() for a in arrays] == before
         assert [a.tobytes() for a in joint] == joint_before
         for name in ("prior", "doc_given_z", "word_given_z"):
@@ -238,20 +318,26 @@ class TestScan:
     @settings(max_examples=80, deadline=None)
     @given(cases())
     def test_matches_log_domain_oracle(self, case):
-        self.assert_scan_like_oracle(*case)
+        self.assert_scan_like_oracle(*case[:3])
 
-    @pytest.mark.parametrize("shape", LONG_SHAPES)
+    @pytest.mark.parametrize("shape", PLAN_SHAPES)
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_long_rows_match_oracle(self, shape, data):
-        self.assert_scan_like_oracle(*data.draw(cases(shape)))
+        model, counts, beta, plan = data.draw(cases(shape))
+        with plan:
+            self.assert_scan_like_oracle(model, counts, beta)
+            expected = [helpers.brute_joint(model, int(d), int(w))
+                        for d, w in zip(counts.doc_ids, counts.term_ids)]
+            np.testing.assert_allclose(helpers.joint_by_cell(model, counts, 1.0), expected,
+                                       rtol=RTOL, atol=0)
 
     @staticmethod
     def assert_scan_like_oracle(model, counts, beta):
         expected = [helpers.log_domain_joint(model, int(d), int(w), beta)
                     for d, w in zip(counts.doc_ids, counts.term_ids)]
         # an absolute 1e-12 on the log is a relative 1e-12 on S_beta
-        np.testing.assert_allclose(_scan_log_joint(model, counts, beta), expected,
+        np.testing.assert_allclose(helpers.scan_by_cell(model, counts, beta), expected,
                                    rtol=RTOL, atol=RTOL)
         if beta == 1.0:  # the same absolute 1e-12, for sums whose true value is 0.0
             np.testing.assert_allclose(log_likelihood(model, counts),
@@ -264,18 +350,18 @@ class TestScan:
         TestEmStep.assert_cells_underflow(model, counts)
         expected = [helpers.log_domain_joint(model, int(d), int(w), beta)
                     for d, w in zip(counts.doc_ids, counts.term_ids)]
-        for forced, chunks in underflow_settings():
-            with forced, chunks:
-                np.testing.assert_allclose(_scan_log_joint(model, counts, beta), expected,
+        for plan, chunks in underflow_settings():
+            with plan, chunks:
+                np.testing.assert_allclose(helpers.scan_by_cell(model, counts, beta), expected,
                                            rtol=RTOL)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_zero_probability_cell_is_minus_infinity(self, beta):
         model = AspectModel(np.array([1.0]), np.array([[0.5], [0.5]]), np.array([[1.0], [0.0]]))
         counts = CountMatrix(2, 2, [0, 0], [0, 1], [1, 1])
-        for forced in forced_paths():
-            with forced:
-                got = _scan_log_joint(model, counts, beta)
+        for plan in plans():
+            with plan:
+                got = helpers.scan_by_cell(model, counts, beta)
                 assert got[1] == -math.inf
                 np.testing.assert_allclose(got[0], beta * math.log(0.5), rtol=RTOL)
 
@@ -290,12 +376,13 @@ class TestScan:
         word = 0.05 + rng.random((n_terms, k))
         word[t[0]] = 1e-300
         model = normalized(0.1 + rng.random(k), 0.05 + rng.random((n_docs, k)), word)
-        s = _tempered_joint(model, counts, beta)[2]
+        cells = _Cells.of(counts, k)
+        s = _tempered_joint(model, cells, beta)[2]
         assert (s < _UNDERFLOW).sum() == (t == t[0]).sum()
-        got, peak = helpers.traced_peak(_scan_log_joint, model, counts, beta, s)
+        got, peak = helpers.traced_peak(_scan_log_joint, model, cells, beta, s)
         assert peak < (n_docs + n_terms) * k * 8
         with whole_blocks():
-            assert got.tobytes() == _scan_log_joint(model, counts, beta, s).tobytes()
+            assert got.tobytes() == _scan_log_joint(model, cells, beta, s).tobytes()
 
 
 def whole_blocks():
@@ -356,7 +443,7 @@ class TestLogTails:
     @given(tail_cases())
     def test_e_step_tail(self, case):
         model, counts, beta, zero, chunk = case
-        assert (_tempered_joint(model, counts, beta)[2] < _UNDERFLOW).any()
+        assert (helpers.joint_by_cell(model, counts, beta) < _UNDERFLOW).any()
         with chunk:
             got, want = sliced_and_whole(lambda: em_step(model, counts, beta))
         if zero:
@@ -370,7 +457,7 @@ class TestLogTails:
     def test_scan_tail(self, case):
         model, counts, beta, zero, chunk = case
         with chunk:
-            got, want = sliced_and_whole(lambda: _scan_log_joint(model, counts, beta))
+            got, want = sliced_and_whole(lambda: helpers.scan_by_cell(model, counts, beta))
         assert got.tobytes() == want.tobytes()
         null = model.word_given_z[counts.term_ids].max(axis=1) == 0.0
         assert null.any() == zero
@@ -389,7 +476,7 @@ class TestLogTails:
         w_beta = word if beta == 1.0 else np.exp(beta * lword)
         with chunk:
             got, want = sliced_and_whole(lambda: _fold_in_sweep(
-                theta, w_beta, lword, counts.doc_ids, counts.term_ids, counts.counts, beta))
+                theta, w_beta, lword, _Cells.of(counts, model.k), beta)[0])
         if zero:
             assert got is want is DegeneracyError
         else:
@@ -398,18 +485,20 @@ class TestLogTails:
 
 @st.composite
 def fold_cases(draw, shape="short"):
-    """(model, queries, beta): random shapes, some empty query rows, some
-    terms no factor generates, and optionally P(w|z) entries near PROB_FLOOR.
-    Other shapes than "short" start from rows of equal length, see long_rows."""
+    """(model, queries, beta, plan): random shapes, some empty query rows,
+    some terms no factor generates, and optionally P(w|z) entries near
+    PROB_FLOOR.  Other shapes than "short" come from plan_shape, with the
+    queries as its documents, and `plan` patches the chunks to its size."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plan = contextlib.nullcontext()
     if shape == "short":
         n_queries, n_terms, k = (draw(st.integers(1, 6)), draw(st.integers(1, 8)),
                                  draw(st.integers(1, 4)))
         mask = rng.random((n_queries, n_terms)) < draw(st.floats(0.1, 1.0))
     else:
-        n_queries = draw(st.integers(1, 3))
-        k, mask = long_rows(draw, rng, n_queries, shape)
-        n_terms = mask.shape[1]
+        k, chunk, mask = plan_shape(draw, rng, shape)
+        n_queries, n_terms = mask.shape
+        plan = chunk_of(chunk, k)
     word = 0.05 + rng.random((n_terms, k))
     if n_terms > 1 and draw(st.booleans()):
         word[rng.integers(n_terms)] = 0.0  # a term no factor generates
@@ -421,7 +510,7 @@ def fold_cases(draw, shape="short"):
         mask[rng.integers(n_queries)] = False  # a query without terms
     d, t = np.nonzero(mask)
     queries = CountMatrix(n_queries, n_terms, d, t, rng.integers(1, 6, size=d.size))
-    return model, queries, draw(st.sampled_from(BETAS))
+    return model, queries, draw(st.sampled_from(BETAS)), plan
 
 
 def working_sets(model, queries, beta, max_iters=50, tol=1e-6):
@@ -429,31 +518,28 @@ def working_sets(model, queries, beta, max_iters=50, tol=1e-6):
     sweep), from a spy on its sweeps."""
     sizes = []
 
-    def spy(theta, w_beta, lword, rows, *args):
-        sizes.append((len(theta), rows.size))
-        return sweep(theta, w_beta, lword, rows, *args)
+    def spy(theta, w_beta, lword, cells, beta, r):
+        sizes.append((len(theta), cells.nnz))
+        return sweep(theta, w_beta, lword, cells, beta, r)
 
     sweep = trainer._fold_in_sweep
     with mock.patch.object(trainer, "_fold_in_sweep", spy):
         return fold_in(model, queries, beta, max_iters, tol), sizes
 
 
-def expected_sets(queries, k, live_rows):
+def expected_sets(queries, live_rows):
     """The (rows, cells) of fold_in's working set in each sweep, by its rule,
     from the rows live in each sweep: the set stays until its frozen cells
-    outnumber trainer._FROZEN_SHARE of its live ones, or until the live
-    rows alone would take the other SDDMM path, and is then compacted to
-    the live rows.  Terms no factor emits still count here, so only models
-    that emit every term fit."""
+    outnumber trainer._FROZEN_SHARE of its live ones, and is then compacted
+    to the live rows.  Terms no factor emits still count here, so only
+    models that emit every term fit."""
     row_cells = np.bincount(queries.doc_ids, minlength=queries.n_docs)
     sets = []
     for rows in live_rows:
         live = (rows.size, int(row_cells[rows].sum()))
         if sets:
             kept = sets[-1]
-            if not (kept[1] - live[1] > trainer._FROZEN_SHARE * live[1]
-                    or aspect_model._gathers(live[1], live[0], k)
-                    != aspect_model._gathers(kept[1], kept[0], k)):
+            if not kept[1] - live[1] > trainer._FROZEN_SHARE * live[1]:
                 live = kept
         sets.append(live)
     return sets
@@ -485,24 +571,24 @@ class TestFoldIn:
     @settings(max_examples=80, deadline=None)
     @given(fold_cases())
     def test_matches_per_query_oracle(self, case):
-        assert_folds_like_oracle(*case)
+        assert_folds_like_oracle(*case[:3])
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_working_set_matches_compacting_reference(self, data):
         # rows freeze at different sweeps under several tolerances and
         # budgets, and the set is compacted at various points
-        model, queries, beta = data.draw(fold_cases(data.draw(st.sampled_from(
-            ("short", *LONG_SHAPES)))))
+        model, queries, beta, plan = data.draw(fold_cases(data.draw(st.sampled_from(
+            ("short", *PLAN_SHAPES)))))
         tol, max_iters = data.draw(st.sampled_from([1e-2, 1e-4, 1e-6])), data.draw(
             st.integers(1, 60))
-        with mock.patch.object(trainer, "_FROZEN_SHARE", data.draw(
+        with plan, mock.patch.object(trainer, "_FROZEN_SHARE", data.draw(
                 st.sampled_from([0.0, 0.1, 0.25, 1.0, 1e9]))):
             got, sizes = working_sets(model, queries, beta, max_iters, tol)
             want, live_rows = helpers.compacting_fold_in(model, queries, beta, max_iters, tol)
             assert got.tobytes() == want.tobytes()
             if (model.word_given_z.sum(axis=1) > 0).all():
-                assert sizes == expected_sets(queries, model.k, live_rows)
+                assert sizes == expected_sets(queries, live_rows)
 
     @pytest.mark.parametrize("share", [1.0, 0.99])
     @pytest.mark.parametrize("beta", BETAS)
@@ -524,29 +610,6 @@ class TestFoldIn:
         assert set(sizes[1:]) == ({(2, 6)} if share == 1.0 else {(1, 3)})
         np.testing.assert_allclose(got[0], [0.5, 0.5], rtol=RTOL)
         assert_folds_like_oracle(model, queries, beta)
-
-    def test_compacts_when_the_live_rows_take_the_other_path(self):
-        # query 0's 600 cells hold terms of one probability under every
-        # factor, so it freezes after sweep 1; with it the set averages 2520
-        # multiply-adds per row at K = 16 and takes the SDDMM's loop, without
-        # it 160 and the gather, as the per-sweep compaction does
-        rng = np.random.default_rng(3)
-        k, n_flat = 16, 600
-        varied = 0.05 + rng.random((40, k))
-        word = np.vstack([np.ones((n_flat, k)), varied / varied.sum(axis=0)])  # equal column sums
-        model = normalized(np.ones(k), np.ones((2, k)), word)
-        d = np.repeat([0, 1, 2, 3], [n_flat, 10, 10, 10])
-        t = np.concatenate([np.arange(n_flat), *(n_flat + rng.choice(40, 10, replace=False)
-                                                  for _ in range(3))])
-        order = np.lexsort((t, d))
-        queries = CountMatrix(4, n_flat + 40, d[order], t[order], rng.integers(1, 4, d.size))
-        assert not aspect_model._gathers(630, 4, k) and aspect_model._gathers(30, 3, k)
-        with mock.patch.object(trainer, "_FROZEN_SHARE", 1e9):  # only the path compacts
-            got, sizes = working_sets(model, queries, 1.0)
-        want, live_rows = helpers.compacting_fold_in(model, queries, 1.0)
-        assert got.tobytes() == want.tobytes()
-        assert live_rows[1].tolist() == [1, 2, 3]
-        assert sizes[:2] == [(4, 630), (3, 30)]
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_cell_that_starts_to_underflow_in_a_later_sweep(self, beta):
@@ -570,11 +633,13 @@ class TestFoldIn:
         np.testing.assert_allclose(got, np.full((3, 3), 1.0 / 3), rtol=RTOL)
         assert_folds_like_oracle(model, queries, beta)
 
-    @pytest.mark.parametrize("shape", LONG_SHAPES)
+    @pytest.mark.parametrize("shape", PLAN_SHAPES)
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_long_rows_match_oracle(self, shape, data):
-        assert_folds_like_oracle(*data.draw(fold_cases(shape)))
+        model, queries, beta, plan = data.draw(fold_cases(shape))
+        with plan:
+            assert_folds_like_oracle(model, queries, beta)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
     def test_long_rows_need_no_cells_by_factors_array(self, beta):
@@ -601,8 +666,8 @@ class TestFoldIn:
                               [0, 1, 3, 0, 2, 0, 1, 2, 4, 2, 3, 4],
                               [2, 1, 1, 1, 3, 1, 2, 1, 3, 2, 1, 1])
         assert (model.word_given_z[:3].max(axis=1) < _UNDERFLOW).all()
-        for forced, chunks in underflow_settings():
-            with forced, chunks:
+        for plan, chunks in underflow_settings():
+            with plan, chunks:
                 assert_folds_like_oracle(model, queries, beta)
 
     @pytest.mark.parametrize("beta", [1.0, 0.7])
@@ -611,9 +676,9 @@ class TestFoldIn:
         # a query term, so a true zero reaches its sweep only from other
         # weights: here P(z|q) = (1, 0) and the term only factor 1 emits
         theta, word = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
-        rows, cols, counts = np.array([0]), np.array([1]), np.array([1])
-        for forced in forced_paths():
-            with forced:
-                assert _sddmm(theta, word, rows, cols)[0] == 0.0
+        for plan in plans():
+            with plan:
+                cells = _Cells(np.array([0]), np.array([1]), np.array([1]), (1, 2), 2)
+                assert _sddmm(theta, word, cells)[0] == 0.0
                 with pytest.raises(DegeneracyError), np.errstate(divide="ignore"):
-                    _fold_in_sweep(theta, word, np.log(word), rows, cols, counts, beta)
+                    _fold_in_sweep(theta, word, np.log(word), cells, beta)

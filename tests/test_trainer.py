@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from plsa import trainer
+from plsa import aspect_model
 from plsa import (
     AspectModel,
     CountMatrix,
@@ -211,14 +211,14 @@ class TestFitTem:
                 == self.fit_files(tmp_path, "b", counts, config))
 
     def test_reused_joint_matches_fresh_sweeps(self, tmp_path, monkeypatch):
-        # _fit hands each sweep the S_beta its scan computed; recomputing it
-        # inside em_step instead must not change a byte of the outputs
+        # _fit keeps the S_beta its scan computed for the next sweep;
+        # recomputing it inside em_step instead must not change a byte of
+        # the outputs
         counts = helpers.random_counts(np.random.default_rng(27), 30, 40, 300, max_count=4)
         config = TemConfig(seed=5, eta=0.8)
         reused = self.fit_files(tmp_path, "reused", counts, config)
-        original = trainer.em_step
-        monkeypatch.setattr(trainer, "em_step",
-                            lambda model, counts, beta, _joint=None: original(model, counts, beta))
+        monkeypatch.setattr(aspect_model._Cells, "keep_joint",
+                            lambda cells, model, beta: aspect_model._tempered_joint(model, cells, beta))
         assert self.fit_files(tmp_path, "fresh", counts, config) == reused
 
     def test_train_perplexity_never_increases_at_beta_one_on_topic_corpus(self):

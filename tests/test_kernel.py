@@ -165,6 +165,21 @@ class TestPlan:
                 run = cells.doc_ids[terms == term]
                 assert set(row) <= set(run) and row[-1] in run
 
+    @pytest.mark.parametrize("chunk", [1, 3, 100])
+    def test_few_cells_per_term_take_one_cell_per_row(self, chunk):
+        # 7 cells over 4 terms: at most two per term, as in a query batch
+        counts = CountMatrix(3, 5, [0, 0, 1, 1, 1, 2, 2], [0, 3, 0, 1, 4, 1, 3],
+                             np.ones(7, dtype=np.int64))
+        with chunk_of(chunk, 2):
+            cells = _Cells.of(counts, 2)
+        assert cells.order is None and cells.padded == cells.nnz
+        assert [docs.shape for _, docs in cells.plan] == [
+            (min(chunk, 7 - lo), 1) for lo in range(0, 7, chunk)]
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in cells.plan]),
+                                      cells.terms_of(np.arange(7)))
+        np.testing.assert_array_equal(np.concatenate([d.ravel() for _, d in cells.plan]),
+                                      cells.doc_ids)
+
     @pytest.mark.parametrize("beta", BETAS)
     def test_one_cell_terms_and_an_empty_row_and_column(self, beta):
         # K = 1 over a table whose first document and last term are empty

@@ -166,22 +166,13 @@ class _Cells:
               2**31 cells
     starts  : (M + 1,) its indptr, the first cell of each term
     counts  : (nnz,) its data, the count of each cell
-    plan    : _sddmm's chunks (terms, docs): `docs` holds the documents of
-              the cells of one term per row, padded to the chunk's longest
-              row by repeating the row's last cell, and `terms` their term;
-              the chunks are views of one array of `padded` ids
-    order   : (nnz,) the position of each cell in that array, or None when
-              the array holds the cells in their order
 
-    The plan sorts the terms by their number of cells, splits a term longer
-    than a chunk, and fills each chunk with up to `chunk` cells, its rows of
-    K doubles taking about _PLAN_BYTES; a table of at most two cells per
-    term has one cell per row.  A fit also keeps here the joint it
-    hands to its next sweep (keep_joint) and the number of factors its
-    sweeps reset (dead_factor_resets).
+    and _sddmm's plan at one K (plan()), built on the first SDDMM at that K.
+    A fit also keeps here the joint it hands to its next sweep (keep_joint)
+    and the number of factors its sweeps reset (dead_factor_resets).
     """
 
-    def __init__(self, rows, cols, counts, shape, k: int):
+    def __init__(self, rows, cols, counts, shape):
         self.n_docs, self.n_terms = shape
         self.nnz, self.total = rows.size, int(counts.sum())
         # scipy's CSR to CSC conversion, a stable counting sort, takes the
@@ -191,19 +182,37 @@ class _Cells:
         self.table.data = counts.take(self.table.data)
         self.doc_ids, self.starts, self.counts = (self.table.indices, self.table.indptr,
                                                   self.table.data)
-        self.chunk = max(1, _PLAN_BYTES // (8 * k))
-        self.plan, self.order, self.padded = _plan(self.starts, self.doc_ids, self.chunk)
         self.dead_factor_resets = 0
+        self._planned = None
         self._kept = None
 
     @classmethod
-    def of(cls, counts, k: int) -> "_Cells":
+    def of(cls, counts) -> "_Cells":
         """`counts` if it is a _Cells already, else the cells of the
-        CountMatrix `counts`, planned for K = `k`."""
+        CountMatrix `counts`, built on the first call and kept with it, so
+        that each later sweep or scan of the same matrix reuses them."""
         if isinstance(counts, cls):
             return counts
-        return cls(counts.doc_ids, counts.term_ids, counts.counts,
-                   (counts.n_docs, counts.n_terms), k)
+        cells = counts.__dict__.get("_cells")
+        if cells is None:
+            cells = cls(counts.doc_ids, counts.term_ids, counts.counts,
+                        (counts.n_docs, counts.n_terms))
+            object.__setattr__(counts, "_cells", cells)  # CountMatrix is frozen
+        return cells
+
+    def plan(self, k: int):
+        """(chunks, order, padded, gathered), _sddmm's plan at K = `k`:
+        chunks of up to _PLAN_BYTES // (8 K) cells, whose rows of K doubles
+        take about _PLAN_BYTES, as _plan lays them out, and the most rows,
+        of documents and terms, that one chunk gathers.  Kept until a plan
+        of another chunk size replaces it."""
+        chunk = max(1, _PLAN_BYTES // (8 * k))
+        if self._planned is None or self._planned[0] != chunk:
+            self._planned = None  # freed before the next is built
+            plan, order, padded = _plan(self.starts, self.doc_ids, chunk)
+            gathered = max((docs.size + terms.size for terms, docs in plan), default=0)
+            self._planned = chunk, plan, order, padded, gathered
+        return self._planned[1:]
 
     def terms_of(self, cells: np.ndarray) -> np.ndarray:
         """The terms of the cells at the positions `cells`."""
@@ -228,22 +237,17 @@ class _Cells:
 
 
 def _plan(starts: np.ndarray, doc_ids: np.ndarray, chunk: int):
-    """(plan, order, padded) of _Cells for the terms whose cells, of the
-    documents `doc_ids`, start at `starts`: pieces of at most `chunk` cells,
-    sorted by length, grouped while the group padded to its longest piece
-    holds at most `chunk` cells and no piece in it is padded by more than a
-    quarter; or, for a table of at most two cells per term, chunks of one
-    cell per row, unpadded, with order None.  The temporaries are the size
-    of the pieces, of one chunk or, in `starts`' dtype, of the cells."""
+    """(chunks, order, padded) of _sddmm for the terms whose cells, of the
+    documents `doc_ids`, start at `starts`.  The terms are cut into pieces
+    of at most `chunk` cells, sorted by length, and grouped while the group
+    padded to its longest piece holds at most `chunk` cells and no piece in
+    it is padded by more than a quarter.  Each chunk is (terms, docs):
+    `docs` holds the documents of one piece per row, padded by repeating the
+    row's last cell, and `terms` their term; the chunks are views of one
+    array of `padded` ids, and `order` (nnz,) is the position of each cell
+    in it.  The temporaries are the size of the pieces, of one chunk or, in
+    `starts`' dtype, of the cells."""
     lengths = np.diff(starts)
-    if doc_ids.size <= 2 * np.count_nonzero(lengths):
-        # at two cells per term or fewer, as in a batch of queries, a term's
-        # row is reused too little to pay for padding and more chunks: one
-        # cell per row, unpadded
-        term = np.repeat(np.arange(lengths.size), lengths)
-        plan = [(term[lo:lo + chunk], doc_ids[lo:lo + chunk, None])
-                for lo in range(0, doc_ids.size, chunk)]
-        return plan, None, doc_ids.size
     pieces = -(-lengths // chunk)
     term = np.repeat(np.arange(lengths.size), pieces)
     first = chunk * (np.arange(term.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
@@ -262,8 +266,8 @@ def _plan(starts: np.ndarray, doc_ids: np.ndarray, chunk: int):
     rows = np.diff(bounds)
     cols = widths[np.cumsum(rows) - 1]
     # each piece's row in the padded array, and each cell's place in it
-    row_at = np.empty_like(first)
-    row_at[by_size] = np.cumsum(np.repeat(cols, rows)) - np.repeat(cols, rows)
+    row_at, row_width = np.empty_like(first), np.repeat(cols, rows)
+    row_at[by_size] = np.cumsum(row_width) - row_width
     order = np.arange(doc_ids.size, dtype=starts.dtype)
     order += np.repeat((row_at - first).astype(starts.dtype), size)
     docs = np.empty(int(rows @ cols), dtype=doc_ids.dtype)
@@ -319,28 +323,32 @@ def _tempered_joint(model: AspectModel, cells: _Cells, beta: float):
 
 def _sddmm(a: np.ndarray, w: np.ndarray, cells: _Cells) -> np.ndarray:
     """S[i] = a[d_i] . w[w_i] per cell, one chunk of the plan at a time: the
-    rows of `a` its documents take, gathered into one buffer, against the
-    row of `w` of each row's term, by einsum, which calls no BLAS, into the
-    padded order, taken to the cells' order at the end.  A cell's value is
+    rows of `a` its documents take against the row of `w` of each row's
+    term, both gathered into one buffer, by einsum, which calls no BLAS,
+    into the padded order, taken to the cells' order at the end.  A cell's value is
     bit for bit einsum("ij,ij->i") of its two rows, whatever the chunk."""
     k = a.shape[1]
-    out = np.empty(cells.padded)
-    buf = np.empty(min(cells.chunk, cells.padded) * k)
+    plan, order, padded, gathered = cells.plan(k)
+    # one buffer for the rows of every chunk: separate ones for the
+    # document and the term rows made glibc return them to the system after
+    # each call, so that each call faulted them in again (about 150 page
+    # faults per call, 4x its time, on med-tem's queries at K = 128)
+    scratch = np.empty(gathered * k)
+    out = np.empty(padded)
     at = 0
-    for terms, docs in cells.plan:
-        rows = buf[:docs.size * k].reshape(*docs.shape, k)
+    for terms, docs in plan:
+        rows = scratch[:docs.size * k].reshape(*docs.shape, k)
+        term_rows = scratch[docs.size * k:(docs.size + terms.size) * k].reshape(terms.size, k)
         # "clip" skips the bounds check, and the copy that `out` takes
         # under "raise": the ids are in range by construction
         a.take(docs, axis=0, out=rows, mode="clip")
-        np.einsum("bjk,bk->bj", rows, w.take(terms, axis=0),
-                  out=out[at:at + docs.size].reshape(docs.shape))
+        w.take(terms, axis=0, out=term_rows, mode="clip")
+        np.einsum("bjk,bk->bj", rows, term_rows, out=out[at:at + docs.size].reshape(docs.shape))
         at += docs.size
-    if cells.order is None:
-        return out
     s = np.empty(cells.nnz)
     for lo in range(0, cells.nnz, _TAKE_STEP):
         sel = slice(lo, lo + _TAKE_STEP)
-        out.take(cells.order[sel], out=s[sel], mode="clip")
+        out.take(order[sel], out=s[sel], mode="clip")
     return s
 
 
@@ -407,7 +415,7 @@ def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:
     Cell probabilities below PROB_FLOOR are clamped to it before the log, so
     events the model cannot produce yield a large finite penalty.
     """
-    cells = _Cells.of(counts, model.k)
+    cells = _Cells.of(counts)
     return float(np.dot(cells.counts, np.maximum(_scan_log_joint(model, cells), LOG_FLOOR)))
 
 
@@ -421,7 +429,7 @@ def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = Fals
     total = counts.total
     if total == 0:
         raise ValueError("perplexity of an empty count matrix is undefined")
-    cells = _Cells.of(counts, model.k)
+    cells = _Cells.of(counts)
     if not conditional:
         return float(np.exp(-log_likelihood(model, cells) / total))
     log_joint = _scan_log_joint(model, cells)

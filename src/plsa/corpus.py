@@ -155,7 +155,10 @@ class CountMatrix:
     and strictly positive counts.  Documents without any entry are legal:
     they keep their row so ids stay aligned with external judgments.  The
     entry arrays are kept as given when they are int64 already; the checks
-    allocate a few bytes per entry, no array of int64 per entry.
+    allocate a few bytes per entry, no array of int64 per entry.  The first
+    sweep or scan of a matrix keeps its cell layout on it (`_cells`, see
+    aspect_model._Cells.of), so the entry arrays are not to be changed in
+    place after that.
     """
 
     n_docs: int

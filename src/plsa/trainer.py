@@ -139,8 +139,9 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0) -> Aspec
     normalizes each.  With q = A^beta W^beta / S_beta the blocks are
     A^beta * (R @ W^beta) and W^beta * (R^T @ A^beta), R = n / S_beta; a cell
     with S_beta below 1e-200 takes the log-domain path.  `counts` is a
-    CountMatrix, or the aspect_model._Cells a fit sweeps, which holds the
-    cells' layout and may hold the joint of this model at this beta.  Beyond the
+    CountMatrix, whose _Cells are built on the first call and kept with it,
+    or the aspect_model._Cells a fit sweeps, which holds the cells' layout
+    and may hold the joint of this model at this beta.  Beyond the
     joint, a sweep allocates the two accumulators, which are multiplied and
     normalised in place and become the new model's blocks, and the
     log-domain rows of the cells that take that path.  The input model is not
@@ -152,7 +153,7 @@ def em_step(model: AspectModel, counts: CountMatrix, beta: float = 1.0) -> Aspec
         raise ValueError("beta must be > 0 for an EM sweep")
     if counts.nnz == 0:
         raise ValueError("cannot run an EM sweep on empty counts")
-    cells = _Cells.of(counts, model.k)
+    cells = _Cells.of(counts)
     a, w, s = cells.take_joint(model, beta)
     r, tail = _e_step(cells, a, w, beta, partial(_log_blocks, model), s)
     del s
@@ -202,7 +203,7 @@ def fit_em(counts: CountMatrix, k: int, config: TemConfig | None = None
     config = config or TemConfig()
     split = internal_split(counts, config)
     del counts  # the fit keeps its cells only, so a caller's sole reference frees the matrix
-    cells = _sweep_cells(split, k)
+    cells = _sweep_cells(split)
     del split  # and its split once they are built
     return _fit(*cells, k, config, temper=False)
 
@@ -214,27 +215,27 @@ def fit_tem(counts: CountMatrix, k: int, config: TemConfig | None = None
     config = config or TemConfig()
     split = internal_split(counts, config)
     del counts  # as in fit_em
-    cells = _sweep_cells(split, k)
+    cells = _sweep_cells(split)
     del split
     return _fit(*cells, k, config, temper=True)
 
 
-def _sweep_cells(split: SplitPair, k: int) -> tuple[_Cells, _Cells]:
-    """The _Cells a fit at K = `k` sweeps, of the train and held-out sides of
+def _sweep_cells(split: SplitPair) -> tuple[_Cells, _Cells]:
+    """The _Cells a fit sweeps, of the train and held-out sides of
     `split`, internal_split's pair of the counts.  When the held-out side is
     empty, the train's cells stand in for it, with a warning."""
     if split.train.nnz == 0 and split.heldout.nnz == 0:
         raise ValueError("cannot fit a model on empty counts")
     if split.train.nnz == 0:
         raise ValueError("held-out split left no training occurrences; lower heldout_fraction")
-    train = _Cells.of(split.train, k)
+    train = _Cells.of(split.train)
     if split.heldout.total == 0:
         warnings.warn(
             "internal held-out split is empty; stopping will track training perplexity",
             RuntimeWarning,
         )
         return train, train
-    return train, _Cells.of(split.heldout, k)
+    return train, _Cells.of(split.heldout)
 
 
 def _fit(train: _Cells, heldout: _Cells, k: int, config: TemConfig, temper: bool
@@ -329,7 +330,7 @@ def fold_in(model: AspectModel, queries: CountMatrix, beta: float = 1.0,
             rows, weights, live = rows[live], weights[live], live[live]
             cell_row = np.repeat(np.arange(rows.size), row_cells[rows])
             cell_term, cell_count = cell_term[keep], cell_count[keep]
-            cells = _Cells(cell_row, cell_term, cell_count, (rows.size, terms.size), model.k)
+            cells = _Cells(cell_row, cell_term, cell_count, (rows.size, terms.size))
             r = None
         new, r = _fold_in_sweep(weights, w_beta, lword, cells, beta, r)
         theta[rows[live]] = new[live]

@@ -381,14 +381,14 @@ def doc_major(cells, values):
 def joint_by_cell(model, counts, beta):
     """S_beta per nonzero cell of `counts`, in its (doc, term) order, as the
     E-step's SDDMM computes it on the counts' _Cells."""
-    cells = _Cells.of(counts, model.k)
+    cells = _Cells.of(counts)
     return doc_major(cells, _tempered_joint(model, cells, beta)[2])
 
 
 def scan_by_cell(model, counts, beta):
     """log S_beta per nonzero cell of `counts`, in its (doc, term) order, as
     aspect_model._scan_log_joint computes it on the counts' _Cells."""
-    cells = _Cells.of(counts, model.k)
+    cells = _Cells.of(counts)
     return doc_major(cells, _scan_log_joint(model, cells, beta))
 
 
@@ -398,7 +398,7 @@ def e_step_posteriors(model, counts, beta):
     to the M-step: a[d] w[w] R / n on the normal cells, and the tail's n q / n
     on the cells where S_beta underflows.  Raises DegeneracyError where
     S_beta = 0."""
-    cells = _Cells.of(counts, model.k)
+    cells = _Cells.of(counts)
     rows, cols, n = cells.doc_ids, cells.terms_of(np.arange(cells.nnz)), cells.counts
     a, w, s = _tempered_joint(model, cells, beta)
     r, tail = _e_step(cells, a, w, beta, functools.partial(_log_blocks, model), s)
@@ -434,7 +434,7 @@ def compacting_fold_in(model, queries, beta=1.0, max_iters=50, tol=1e-6):
         sel = active[cell_row]
         old = theta[rows]
         cells = _Cells(np.repeat(np.arange(rows.size), row_cells[rows]), cell_term[sel],
-                       cell_count[sel], (rows.size, terms.size), model.k)
+                       cell_count[sel], (rows.size, terms.size))
         theta[rows] = new = trainer._fold_in_sweep(old, w_beta, lword, cells, beta)[0]
         active[rows] = np.abs(new - old).max(axis=1) >= tol
     return theta, sweeps

@@ -137,9 +137,9 @@ class TestPlan:
         d, t = np.nonzero(mask)
         counts = CountMatrix(*mask.shape, d, t, np.ones(d.size, dtype=np.int64))
         a, w = rng.random((mask.shape[0], k)), rng.random((mask.shape[1], k))
+        cells = _Cells.of(counts)
         with chunk_of(chunk, k):
-            cells = _Cells.of(counts, k)
-        got = helpers.doc_major(cells, _sddmm(a, w, cells))
+            got = helpers.doc_major(cells, _sddmm(a, w, cells))
         assert got.tobytes() == np.einsum("ij,ij->i", a[d], w[t]).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 100])
@@ -150,35 +150,35 @@ class TestPlan:
         t = np.repeat(np.arange(len(lengths)), lengths)
         order = np.lexsort((t, d))
         counts = CountMatrix(10, len(lengths), d[order], t[order], np.ones(d.size, dtype=np.int64))
+        cells = _Cells.of(counts)
         with chunk_of(chunk, 4):
-            cells = _Cells.of(counts, 4)
-        flat = np.concatenate([docs.ravel() for _, docs in cells.plan])
-        assert flat.size == cells.padded
-        np.testing.assert_array_equal(flat[cells.order], cells.doc_ids)
-        assert np.unique(cells.order).size == cells.nnz
+            plan, order, padded, _ = cells.plan(4)
+        flat = np.concatenate([docs.ravel() for _, docs in plan])
+        assert flat.size == padded
+        np.testing.assert_array_equal(flat[order], cells.doc_ids)
+        assert np.unique(order).size == cells.nnz
         terms = cells.terms_of(np.arange(cells.nnz))
         np.testing.assert_array_equal(terms, np.sort(t))
-        for rows, docs in cells.plan:
+        for rows, docs in plan:
             assert docs.size <= chunk
             # each row is one term's run of cells, padded with its last one
             for term, row in zip(rows, docs):
                 run = cells.doc_ids[terms == term]
                 assert set(row) <= set(run) and row[-1] in run
 
-    @pytest.mark.parametrize("chunk", [1, 3, 100])
-    def test_few_cells_per_term_take_one_cell_per_row(self, chunk):
-        # 7 cells over 4 terms: at most two per term, as in a query batch
-        counts = CountMatrix(3, 5, [0, 0, 1, 1, 1, 2, 2], [0, 3, 0, 1, 4, 1, 3],
-                             np.ones(7, dtype=np.int64))
-        with chunk_of(chunk, 2):
-            cells = _Cells.of(counts, 2)
-        assert cells.order is None and cells.padded == cells.nnz
-        assert [docs.shape for _, docs in cells.plan] == [
-            (min(chunk, 7 - lo), 1) for lo in range(0, 7, chunk)]
-        np.testing.assert_array_equal(np.concatenate([t for t, _ in cells.plan]),
-                                      cells.terms_of(np.arange(7)))
-        np.testing.assert_array_equal(np.concatenate([d.ravel() for _, d in cells.plan]),
-                                      cells.doc_ids)
+    def test_a_matrix_is_laid_out_once_and_planned_once_per_k(self):
+        # public sweeps and scans of one CountMatrix share the cells built by
+        # the first of them, and its plan while K stays the same
+        rng = np.random.default_rng(13)
+        counts = helpers.random_counts(rng, 6, 7, 20)
+        models = [helpers.random_model(rng, k, 6, 7) for k in (2, 2, 1)]
+        with mock.patch.object(aspect_model, "_plan", wraps=aspect_model._plan) as plan:
+            for model in models:
+                em_step(model, counts, 0.9)
+                log_likelihood(model, counts)
+                aspect_model.perplexity(model, counts, conditional=True)
+        assert plan.call_count == 2
+        assert _Cells.of(counts) is _Cells.of(counts)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_one_cell_terms_and_an_empty_row_and_column(self, beta):
@@ -216,12 +216,18 @@ class TestEmStep:
     @settings(max_examples=20, deadline=None)
     @given(cases())
     def test_supplied_joint_changes_no_bit(self, case):
-        # the joint a fit keeps in its _Cells for the next sweep
+        # the joint a fit keeps in its _Cells for the next sweep, which that
+        # sweep takes without computing one
         model, counts, beta, _ = case
         fresh = em_step(model, counts, beta)
-        cells = _Cells.of(counts, model.k)
+        cells = _Cells.of(counts)
         cells.keep_joint(model, beta)
-        reused = em_step(model, cells, beta)
+        with mock.patch.object(aspect_model, "_tempered_joint",
+                               wraps=aspect_model._tempered_joint) as spy:
+            reused = em_step(model, cells, beta)
+            assert spy.call_count == 0
+            em_step(model, cells, beta)  # nothing kept: the sweep computes its own
+            assert spy.call_count == 1
         for name in ("prior", "doc_given_z", "word_given_z"):
             assert getattr(fresh, name).tobytes() == getattr(reused, name).tobytes()
 
@@ -301,16 +307,16 @@ class TestEmStep:
         arrays = (model.prior, model.doc_given_z, model.word_given_z, counts.doc_ids,
                   counts.term_ids, counts.counts)
         before = [a.tobytes() for a in arrays]
-        cells = _Cells.of(counts, model.k)
-        joint = cells.keep_joint(model, beta)
-        assert (joint[1] is model.word_given_z) == (beta == 1.0)
-        joint_before = [a.tobytes() for a in joint]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fresh = em_step(model, counts, beta)
+            cells = _Cells.of(counts)  # the cells that sweep built, kept with the matrix
+            joint = cells.keep_joint(model, beta)
+            joint_before = [a.tobytes() for a in joint]
             reused = em_step(model, cells, beta)
+        assert (joint[1] is model.word_given_z) == (beta == 1.0)
         assert len(caught) == (2 if dead else 0)  # the reset ran
-        assert cells.dead_factor_resets == (1 if dead else 0)
+        assert cells.dead_factor_resets == (2 if dead else 0)
         assert [a.tobytes() for a in arrays] == before
         assert [a.tobytes() for a in joint] == joint_before
         for name in ("prior", "doc_given_z", "word_given_z"):
@@ -391,7 +397,7 @@ class TestScan:
         word = 0.05 + rng.random((n_terms, k))
         word[t[0]] = 1e-300
         model = normalized(0.1 + rng.random(k), 0.05 + rng.random((n_docs, k)), word)
-        cells = _Cells.of(counts, k)
+        cells = _Cells.of(counts)
         s = _tempered_joint(model, cells, beta)[2]
         assert (s < _UNDERFLOW).sum() == (t == t[0]).sum()
         got, peak = helpers.traced_peak(_scan_log_joint, model, cells, beta, s)
@@ -491,7 +497,7 @@ class TestLogTails:
         w_beta = word if beta == 1.0 else np.exp(beta * lword)
         with chunk:
             got, want = sliced_and_whole(lambda: _fold_in_sweep(
-                theta, w_beta, lword, _Cells.of(counts, model.k), beta)[0])
+                theta, w_beta, lword, _Cells.of(counts), beta)[0])
         if zero:
             assert got is want is DegeneracyError
         else:
@@ -693,7 +699,7 @@ class TestFoldIn:
         theta, word = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 1.0]])
         for plan in plans():
             with plan:
-                cells = _Cells(np.array([0]), np.array([1]), np.array([1]), (1, 2), 2)
+                cells = _Cells(np.array([0]), np.array([1]), np.array([1]), (1, 2))
                 assert _sddmm(theta, word, cells)[0] == 0.0
                 with pytest.raises(DegeneracyError), np.errstate(divide="ignore"):
                     _fold_in_sweep(theta, word, np.log(word), cells, beta)

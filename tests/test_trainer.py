@@ -1,5 +1,7 @@
 """Training tests: EM sweeps, the annealing schedule, and query fold-in."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -216,7 +218,20 @@ class TestFitTem:
         # the outputs
         counts = helpers.random_counts(np.random.default_rng(27), 30, 40, 300, max_count=4)
         config = TemConfig(seed=5, eta=0.8)
+        joint, callers = aspect_model._tempered_joint, []
+
+        def spy(model, cells, beta):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return joint(model, cells, beta)
+
+        monkeypatch.setattr(aspect_model, "_tempered_joint", spy)
         reused = self.fit_files(tmp_path, "reused", counts, config)
+        # only the first sweep at each beta computes its joint; each later
+        # one takes the joint the scan before it kept
+        sweeps = [line.split(b"\t") for line in reused[1].splitlines() if line[:1] != b"#"]
+        assert callers.count("keep_joint") == len(sweeps)
+        assert callers.count("take_joint") == len({beta for _, beta, *_ in sweeps}) < len(sweeps)
+        monkeypatch.setattr(aspect_model, "_tempered_joint", joint)
         monkeypatch.setattr(aspect_model._Cells, "keep_joint",
                             lambda cells, model, beta: aspect_model._tempered_joint(model, cells, beta))
         assert self.fit_files(tmp_path, "fresh", counts, config) == reused

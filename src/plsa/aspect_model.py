@@ -10,6 +10,7 @@ there is a single source of truth.
 
 import bisect
 import copy
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -245,8 +246,8 @@ def _plan(starts: np.ndarray, doc_ids: np.ndarray, chunk: int):
     `docs` holds the documents of one piece per row, padded by repeating the
     row's last cell, and `terms` their term; the chunks are views of one
     array of `padded` ids, and `order` (nnz,) is the position of each cell
-    in it.  The temporaries are the size of the pieces, of one chunk or, in
-    `starts`' dtype, of the cells."""
+    in it.  The temporaries are the size of the pieces, of a block of rows
+    of about _TAKE_STEP ids or, in `starts`' dtype, of the cells."""
     lengths = np.diff(starts)
     pieces = -(-lengths // chunk)
     term = np.repeat(np.arange(lengths.size), pieces)
@@ -267,18 +268,27 @@ def _plan(starts: np.ndarray, doc_ids: np.ndarray, chunk: int):
     cols = widths[np.cumsum(rows) - 1]
     # each piece's row in the padded array, and each cell's place in it
     row_at, row_width = np.empty_like(first), np.repeat(cols, rows)
-    row_at[by_size] = np.cumsum(row_width) - row_width
+    row_end = np.cumsum(row_width)
+    row_start = row_end - row_width
+    row_at[by_size] = row_start
     order = np.arange(doc_ids.size, dtype=starts.dtype)
     order += np.repeat((row_at - first).astype(starts.dtype), size)
     docs = np.empty(int(rows @ cols), dtype=doc_ids.dtype)
+    # the padded ids, taken in blocks of whole rows of about _TAKE_STEP ids,
+    # so that the intp index arrays stay small: each row repeats its
+    # piece's last cell
+    first, last = first[by_size], size[by_size] - 1
+    cuts = np.searchsorted(row_end, np.arange(_TAKE_STEP, docs.size, _TAKE_STEP)) + 1
+    for lo, hi in itertools.pairwise(np.unique([0, *cuts, term.size]).tolist()):
+        at, end, width = row_start[lo], row_end[hi - 1], row_width[lo:hi]
+        cell = np.arange(end - at) - np.repeat(row_start[lo:hi] - at, width)
+        np.minimum(cell, np.repeat(last[lo:hi], width), out=cell)
+        cell += np.repeat(first[lo:hi], width)
+        doc_ids.take(cell, out=docs[at:end])
     plan, at, term = [], 0, term[by_size]  # the chunks' terms are views of one array
     for lo, n_rows, n_cols in zip(bounds, rows.tolist(), cols.tolist()):
-        sel = by_size[lo:lo + n_rows]
-        block = docs[at:at + n_rows * n_cols].reshape(n_rows, n_cols)
-        doc_ids.take(first[sel, None] + np.minimum(np.arange(n_cols), size[sel, None] - 1),
-                     out=block)
-        plan.append((term[lo:lo + n_rows], block))
-        at += block.size
+        plan.append((term[lo:lo + n_rows], docs[at:at + n_rows * n_cols].reshape(n_rows, n_cols)))
+        at += n_rows * n_cols
     return plan, order, docs.size
 
 
@@ -409,6 +419,13 @@ def mixing_weight_matrix(model: AspectModel) -> np.ndarray:
     return out
 
 
+def _weighted_sum(counts: np.ndarray, values: np.ndarray):
+    """sum_i counts[i] * values[i] by einsum, which calls no BLAS: BLAS's
+    ddot splits a long vector across threads, and its sum then depends on
+    the thread count."""
+    return np.einsum("i,i->", counts, values)
+
+
 def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:
     """sum over nonzero cells of n(d,w) * log P(d,w), in nats.
 
@@ -416,7 +433,7 @@ def log_likelihood(model: AspectModel, counts: CountMatrix) -> float:
     events the model cannot produce yield a large finite penalty.
     """
     cells = _Cells.of(counts)
-    return float(np.dot(cells.counts, np.maximum(_scan_log_joint(model, cells), LOG_FLOOR)))
+    return float(_weighted_sum(cells.counts, np.maximum(_scan_log_joint(model, cells), LOG_FLOOR)))
 
 
 def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = False) -> float:
@@ -437,7 +454,7 @@ def perplexity(model: AspectModel, counts: CountMatrix, conditional: bool = Fals
     per_doc = log_pd[cells.doc_ids]
     with np.errstate(invalid="ignore"):
         log_q = np.where(np.isneginf(per_doc), -np.inf, log_joint - per_doc)
-    mean_log = np.dot(cells.counts, np.maximum(log_q, LOG_FLOOR)) / total
+    mean_log = _weighted_sum(cells.counts, np.maximum(log_q, LOG_FLOOR)) / total
     return float(np.exp(-mean_log))
 
 

@@ -24,12 +24,30 @@ def cosine_scores(queries, docs):
     the same terms; pairs with an all-zero row score 0."""
     q = scipy.sparse.csr_matrix(queries, dtype=np.float64)
     d = scipy.sparse.csr_matrix(docs, dtype=np.float64)
-    q_norms, d_norms = (np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel()) for m in (q, d))
+    q_norms, d_norms = _row_norms(q), _row_norms(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         # d @ q.T: scipy turns the small q.T into CSR, where q @ d.T would
         # turn the whole collection's d.T back into CSR
         scores = (d @ q.T).T.toarray() / (q_norms[:, None] * d_norms[None, :])
     return np.nan_to_num(scores, nan=0.0, posinf=0.0, neginf=0.0), q_norms > 0.0, d_norms > 0.0
+
+
+def _row_norms(m: scipy.sparse.csr_matrix) -> np.ndarray:
+    """The Euclidean norm of each row of `m`, bit for bit
+    sqrt(m.multiply(m).sum(axis=1)) without the product's copy of the
+    indices: np.add.reduceat over each row's nonzero squares, the sum scipy
+    takes.  Duplicate cells are summed first, on a copy."""
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    squares, starts = m.data * m.data, m.indptr
+    if not squares.all():  # m.multiply(m) drops zeros, explicit or underflowed
+        keep = squares != 0.0
+        squares, starts = squares[keep], np.concatenate(([0], np.cumsum(keep)))[starts]
+    sums = np.zeros(m.shape[0])
+    rows = np.flatnonzero(np.diff(starts))
+    sums[rows] = np.add.reduceat(squares, starts[rows])
+    return np.sqrt(sums)
 
 
 def _unit_rows(matrix) -> tuple[np.ndarray, np.ndarray]:

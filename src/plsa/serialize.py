@@ -16,17 +16,23 @@ import numpy as np
 
 _MAGIC = b"#plsa-container v1\n"
 _VERSION = 1
-_DTYPES = ("<f8", "<i8")  # the only dtypes save_arrays writes
+# save_arrays stores an integer array with no negative value in the first of
+# these that holds its maximum, any other as int64; load_arrays reads every
+# integer array back as int64
+_UNSIGNED = ("|u1", "<u2", "<u4")
+_DTYPES = ("<f8", "<i8", *_UNSIGNED)  # the only dtypes save_arrays writes
 
 
 def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None,
                 checksum: bool = False) -> str:
     """Write named arrays to `path` under the given container kind, with
     `meta` in the header, and return the SHA-256 of the bytes written.
-    Arrays already stored as float64 or int64 are written from their own
-    buffers, without a copy.  With `checksum`, the meta also holds the
-    SHA-256 of the array manifest and bytes ("arrays_sha256"), which
-    load_arrays checks."""
+    Floats are stored as float64.  An integer array with no negative value
+    is stored in the narrowest of 1, 2 and 4 unsigned bytes that holds its
+    maximum, any other as int64.  An array already in the dtype it is
+    stored in is written from its own buffer, without a copy.  With `checksum`,
+    the meta also holds the SHA-256 of the array manifest and bytes
+    ("arrays_sha256"), which load_arrays checks."""
     entries = []
     blocks = []
     for name, arr in arrays.items():
@@ -34,7 +40,7 @@ def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None,
         if a.dtype.kind == "f":
             a = np.ascontiguousarray(a, dtype="<f8")
         elif a.dtype.kind in "iu":
-            a = np.ascontiguousarray(a, dtype="<i8")
+            a = np.ascontiguousarray(a, dtype=_integer_dtype(a))
         else:
             raise TypeError(f"array {name!r} has unsupported dtype {a.dtype}")
         entries.append({"name": name, "dtype": a.dtype.str, "shape": list(a.shape)})
@@ -45,6 +51,16 @@ def save_arrays(path, kind: str, arrays: dict, meta: dict | None = None,
     header = {"kind": kind, "version": _VERSION, "meta": meta, "arrays": entries}
     line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     return write_blocks(path, [_MAGIC, line, *blocks])
+
+
+def _integer_dtype(a: np.ndarray) -> str:
+    """The dtype save_arrays stores the integer array `a` in."""
+    if a.min(initial=0) >= 0:
+        top = a.max(initial=0)
+        for dtype in _UNSIGNED:
+            if top <= np.iinfo(dtype).max:
+                return dtype
+    return "<i8"
 
 
 def write_blocks(path, blocks) -> str:
@@ -76,8 +92,10 @@ def load_arrays(path, kind: str | None = None, names=(), meta: dict | None = Non
     `meta` is given, the file is read only if its header shows every item of
     `meta` in its own: for any other file, a container or not, None is
     returned.  With `checksum`, the arrays must match the checksum that
-    save_arrays wrote.  A dict `record` receives the SHA-256 of the file's
-    bytes.
+    save_arrays wrote, which cover the bytes as stored.  A dict `record`
+    receives the SHA-256 of the file's bytes.  Integer arrays are returned
+    as int64, whatever width they are stored in: np.diff of an unsigned
+    array would wrap where int64 goes negative.
     """
     with open(path, "rb") as f:
         magic = f.readline()
@@ -109,10 +127,12 @@ def load_arrays(path, kind: str | None = None, names=(), meta: dict | None = Non
                                  f"limits: {entry['shape']}") from None
             if f.readinto(a.reshape(-1).view(np.uint8)) != n_bytes:
                 raise ValueError(f"{path}: truncated container (array {entry['name']!r})")
-            arrays[entry["name"]] = a
             for hashed in (digest, check):
                 if hashed is not None:
                     hashed.update(a)
+            if dtype.kind == "u":
+                a = a.astype(np.int64)  # the narrow buffer is freed here
+            arrays[entry["name"]] = a
         if check is not None and check.hexdigest() != header.get("meta", {}).get("arrays_sha256"):
             raise ValueError(f"{path}: arrays differ from the checksum in the header")
         if digest is not None:

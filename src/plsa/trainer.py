@@ -35,6 +35,7 @@ from .aspect_model import (
     _log_blocks,
     _safe_log,
     _scan_log_joint,
+    _weighted_sum,
     init_model,
     perplexity,
 )
@@ -255,11 +256,12 @@ def _fit(train: _Cells, heldout: _Cells, k: int, config: TemConfig, temper: bool
                 break
             model = em_step(model, train, beta)
             log_joint = _scan_log_joint(model, train, beta, train.keep_joint(model, beta)[2])
-            free = -float(np.dot(train.counts, log_joint))  # log_joint is log S_beta
+            free = -float(_weighted_sum(train.counts, log_joint))  # log_joint is log S_beta
             if beta != 1.0:
                 del log_joint  # freed before the untempered scan builds its own
                 log_joint = _scan_log_joint(model, train)
-            train_ll = float(np.dot(train.counts, np.maximum(log_joint, LOG_FLOOR, out=log_joint)))
+            train_ll = float(_weighted_sum(train.counts,
+                                           np.maximum(log_joint, LOG_FLOOR, out=log_joint)))
             train_ppx = math.exp(-train_ll / train.total)
             held_ppx = perplexity(model, heldout, conditional=True)
             records.append(TraceRecord(len(records) + 1, beta, train_ppx, held_ppx, free))

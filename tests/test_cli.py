@@ -956,15 +956,42 @@ class TestBlasThreadCounts:
             ["query", "--counts", counts, "--queries", queries, "--queries-format", "raw",
              "--svd", str(out / "svd" / "svd.bin"), "--out", str(out / "q")],
         ]
-        src = str(Path(plsa.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = ("import sys; from plsa.cli import main\n"
                   f"for argv in {commands!r}:\n"
                   "    assert main(argv) == 0, argv\n")
-        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+        subprocess.run([sys.executable, "-c", script], env=self._env(threads), check=True,
                        stdout=subprocess.DEVNULL, timeout=120)
         return out
+
+    @staticmethod
+    def _env(threads: str) -> dict:
+        """The environment of a child process at `threads` BLAS threads that
+        imports this checkout's plsa."""
+        src = str(Path(plsa.__file__).resolve().parents[1])
+        return {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def test_unrounded_trace_at_one_and_two_threads(self):
+        # 60,000 train cells: BLAS's ddot gave count-weighted sums this long
+        # different bits at 1 and 2 OpenBLAS threads, where trace.tsv's 10
+        # printed digits hid them but the stall rule compares them whole
+        script = (
+            "import numpy as np\n"
+            "from plsa import CountMatrix, TemConfig, fit_tem\n"
+            "rng = np.random.default_rng(7)\n"
+            "cells = np.sort(rng.choice(2000 * 3000, size=66000, replace=False))\n"
+            "counts = CountMatrix(2000, 3000, cells // 3000, cells % 3000,\n"
+            "                     rng.integers(1, 4, size=cells.size))\n"
+            "_, trace = fit_tem(counts, 4, TemConfig(seed=1, max_iters_per_beta=2,\n"
+            "                                        max_total_iters=5))\n"
+            "for r in trace.records:\n"
+            "    print(r.iteration, *(float(v).hex() for v in (r.beta, r.train_perplexity,\n"
+            "          r.heldout_perplexity, r.free_energy)))\n"
+            "print(trace.stopping_reason.value)\n")
+        one, two = (subprocess.run([sys.executable, "-c", script], env=self._env(t), check=True,
+                                   capture_output=True, text=True, timeout=120).stdout
+                    for t in ("1", "2"))
+        assert len(one.splitlines()) == 6 and one == two
 
     def test_outputs_at_one_and_two_threads(self, tmp_path):
         # 250 x 1000 counts: at k = 48 the iterative SVD's bytes differ

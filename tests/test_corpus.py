@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import re
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from plsa import cli, corpus
+from plsa import cli, corpus, serialize
 from plsa import (
     CountMatrix,
     ParseError,
@@ -566,14 +567,35 @@ class TestCountsContainer:
         save_pair(CountMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1, 2, 3]), path)
         container = path.with_suffix(".bin")
         intact = container.read_bytes()
+        assert intact[-3:] == bytes([1, 2, 3])  # the counts, one byte each, end the file
         # a count of 2 read as 3 would make a valid matrix, not the text's
-        damaged = intact[:-16] + bytes([intact[-16] + 1]) + intact[-15:]
+        damaged = intact[:-2] + bytes([intact[-2] + 1]) + intact[-1:]
         unchecked = intact.replace(b'"arrays_sha256"', b'"arrays_sha257"')
         for content in (damaged, unchecked):
             container.write_bytes(content)
             with pytest.raises(ParseError, match="differ from the checksum") as excinfo:
                 CountMatrix.load(path)
             assert excinfo.value.path == str(container)
+
+    def test_all_int64_container_still_reads(self, tmp_path):
+        # the layout before integers were narrowed: every array as <i8
+        path = tmp_path / "counts.tsv"
+        m = CountMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1, 2, 300])
+        save_pair(m, path)
+        arrays = serialize.load_arrays(path.with_suffix(".bin"))
+        entries = [{"name": n, "dtype": "<i8", "shape": list(a.shape)} for n, a in arrays.items()]
+        blocks = b"".join(a.astype("<i8").tobytes() for a in arrays.values())
+        meta = {"source_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "arrays_sha256": hashlib.sha256(
+                    json.dumps(entries, sort_keys=True).encode() + blocks).hexdigest()}
+        header = {"kind": "counts", "version": 1, "meta": meta, "arrays": entries}
+        path.with_suffix(".bin").write_bytes(
+            b"#plsa-container v1\n" + json.dumps(header).encode() + b"\n" + blocks)
+        record = {}
+        back = CountMatrix.load(path, record)
+        assert record["read_from"] == str(path.with_suffix(".bin"))
+        assert back.to_dense().tolist() == m.to_dense().tolist()
+        assert back.counts.dtype == np.int64
 
     @pytest.mark.parametrize("arrays, message", [
         ({"shape": [2, 3, 1]}, "shape must hold"),
@@ -591,8 +613,12 @@ class TestCountsContainer:
     def test_corrupt_container_is_named(self, tmp_path, arrays, message):
         path = tmp_path / "counts.tsv"
         save_pair(CountMatrix(2, 3, [0, 0, 1], [0, 2, 1], [1, 2, 3]), path)
-        path.with_suffix(".bin").write_bytes(helpers.counts_container(
-            path, **{k: np.array(v, dtype=np.int64) for k, v in arrays.items()}))
+        content = helpers.counts_container(
+            path, **{k: np.array(v, dtype=np.int64) for k, v in arrays.items()})
+        # every array is stored in one unsigned byte a value and read back
+        # as int64: falling row starts show as such
+        assert {e["dtype"] for e in json.loads(content.split(b"\n")[1])["arrays"]} == {"|u1"}
+        path.with_suffix(".bin").write_bytes(content)
         with pytest.raises(ParseError, match=re.escape(message)) as excinfo:
             CountMatrix.load(path)
         assert excinfo.value.path == str(tmp_path / "counts.bin")

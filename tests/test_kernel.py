@@ -166,6 +166,26 @@ class TestPlan:
                 run = cells.doc_ids[terms == term]
                 assert set(row) <= set(run) and row[-1] in run
 
+    @pytest.mark.parametrize("take_step", [1, 2, 3, 5, 64])
+    def test_plan_is_the_same_taken_in_blocks_of_any_size(self, take_step):
+        # the padded ids are filled in blocks of whole rows of about
+        # _TAKE_STEP ids; a table this small fills them in one by default
+        rng = np.random.default_rng(take_step)
+        mask = rng.random((40, 30)) < rng.random(30) ** 2
+        mask[:, 0] = True  # one term in several pieces at the smaller chunks
+        d, t = np.nonzero(mask)
+        cells = _Cells.of(CountMatrix(*mask.shape, d, t, np.ones(d.size, dtype=np.int64)))
+        for chunk in (1, 3, 7, 50):
+            want = aspect_model._plan(cells.starts, cells.doc_ids, chunk)
+            assert want[2] < aspect_model._TAKE_STEP
+            with mock.patch.object(aspect_model, "_TAKE_STEP", take_step):
+                got = aspect_model._plan(cells.starts, cells.doc_ids, chunk)
+            assert got[1].tobytes() == want[1].tobytes() and got[2] == want[2]
+            assert len(got[0]) == len(want[0])
+            for (terms, docs), (want_terms, want_docs) in zip(got[0], want[0]):
+                np.testing.assert_array_equal(terms, want_terms)
+                assert docs.shape == want_docs.shape and docs.tobytes() == want_docs.tobytes()
+
     def test_a_matrix_is_laid_out_once_and_planned_once_per_k(self):
         # public sweeps and scans of one CountMatrix share the cells built by
         # the first of them, and its plan while K stays the same

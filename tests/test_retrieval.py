@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import helpers
 from plsa import Rankings, precision_recall, rank_all
-from plsa.retrieval import combined_scores, cosine_scores, latent_scores, plsi_star_scores
+from plsa.retrieval import (
+    _row_norms,
+    combined_scores,
+    cosine_scores,
+    latent_scores,
+    plsi_star_scores,
+)
 
 
 class TestCosineScore:
@@ -47,6 +53,43 @@ class TestCosineScore:
         np.testing.assert_array_equal(q_ok, [True, False])
         np.testing.assert_array_equal(d_ok, [False, True])
         np.testing.assert_array_equal(scores, [[0.0, 1.0], [0.0, 0.0]])
+
+
+def random_csr(rng, n_rows, n_cols):
+    """A canonical CSR matrix with empty rows, rows of up to every column,
+    explicit zeros and values whose squares underflow to zero."""
+    lengths = rng.integers(0, n_cols + 1, size=n_rows) * (rng.random(n_rows) < 0.8)
+    indices = np.concatenate([np.sort(rng.choice(n_cols, n, replace=False)) for n in lengths])
+    data = rng.normal(size=indices.size) * 10.0 ** rng.integers(-3, 4, size=indices.size)
+    data[rng.random(data.size) < 0.1] = 0.0
+    data[rng.random(data.size) < 0.05] = 1e-170
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    return scipy.sparse.csr_matrix((data, indices.astype(np.int32), indptr), shape=(n_rows, n_cols))
+
+
+class TestRowNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 30), n_cols=st.integers(1, 70))
+    def test_bit_equal_to_the_squared_copy(self, seed, n_rows, n_cols):
+        m = random_csr(np.random.default_rng(seed), n_rows, n_cols)
+        assert m.has_canonical_format
+        want = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+        assert _row_norms(m).tobytes() == want.tobytes()
+
+    def test_duplicate_cells_are_summed_on_a_copy(self):
+        m = random_csr(np.random.default_rng(3), 20, 40)
+        # every cell split in two, the halves in reverse column order
+        rows = np.repeat(np.arange(20), np.diff(m.indptr))
+        order = np.lexsort((-m.indices, rows))
+        halves = scipy.sparse.csr_matrix(
+            (np.repeat(m.data[order] / 2, 2), np.repeat(m.indices[order], 2),
+             2 * m.indptr), shape=m.shape)
+        assert not halves.has_canonical_format
+        before = halves.data.copy(), halves.indices.copy()
+        want = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+        assert _row_norms(halves).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(halves.data, before[0])
+        np.testing.assert_array_equal(halves.indices, before[1])
 
 
 class TestLatentScore:

@@ -33,13 +33,14 @@ _DIMS_RE = re.compile(rb"#dims\t[^\r\n]*")
 _NUMPY_DECOMPRESSES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 _SAVE_BLOCK = 1 << 16  # rows formatted per write in CountMatrix.save
 _PAD = 0xFF  # a byte that UTF-8 text never holds: the padding of byte tables
-# documents mapped to term ids per step in build_counts.  Smaller blocks map
-# a little faster, while a block's token strings are still in cache:
-# tokenizing and counting large-em's seed-1 text took 404, 387 and 426 ms at
-# 16, 256 and 1024 (2-core host, min of 11).  But in perfbench's worker,
-# where commands share one process, blocks of 256 and 512 raised large-em's
-# peak_rss_mb from 208 to 215-216 MB (medians of 4 runs each), so 1024 stays.
-_COUNT_BLOCK = 1 << 10
+# documents mapped to term ids and counted per step in build_counts.  In
+# perfbench's worker, where commands share one process and the heap one
+# command leaves raises the next one's peak, large-em's peak_rss_mb read 181,
+# 184, 187 and 190 MB at 256, 512, 1024 and 2048 documents a block, and its
+# ingest_s 0.66, 0.72, 0.76 and 0.75 s (medians of 4 runs, seeds 611-614,
+# 2-core host); it read 208-216 MB at 256-1024 when the cells were counted
+# over the whole corpus at once.
+_COUNT_BLOCK = 1 << 8
 _CONTAINER_ARRAYS = ("shape", "rows", "row_starts", "term_ids", "counts")
 
 
@@ -476,26 +477,49 @@ def build_counts(docs) -> tuple[Vocabulary, CountMatrix]:
     taken `_COUNT_BLOCK` documents at a time.
 
     Term ids are assigned in first-seen order across the corpus.  Documents
-    with no tokens are retained as empty rows.
+    with no tokens are retained as empty rows.  Each block's cells are
+    counted as soon as its tokens are mapped to ids, so no array spans the
+    corpus's tokens: the blocks hold ascending, disjoint row ranges, and
+    their sorted cells are appended in (doc, term) order to term and count
+    columns grown in place.  One block's token strings are alive at a time.
     """
     index = defaultdict()
     index.default_factory = index.__len__  # a new term takes the next id
-    rows, terms, n_docs, docs = [], [], 0, iter(docs)
-    while block := list(itertools.islice(docs, _COUNT_BLOCK)):
-        lengths = list(map(len, block))
-        flat = itertools.chain.from_iterable(block)
-        terms.append(np.fromiter(map(index.__getitem__, flat), np.int64, sum(lengths)))
-        rows.append(np.repeat(np.arange(n_docs, n_docs + len(block)), lengths))
-        n_docs += len(block)
-    index.default_factory = None  # a cycle through its own method kept it until a full gc
+    row_cells, docs = [], iter(docs)
+    term_ids, counts, nnz = np.empty(0, np.int64), np.empty(0, np.int64), 0
+    try:
+        while block := list(itertools.islice(docs, _COUNT_BLOCK)):
+            lengths = list(map(len, block))
+            keys = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(block)),
+                               np.int64, sum(lengths))
+            del block  # its tokens are freed before the next block's are made
+            # the cell key of each token: its row within the block times the
+            # terms seen so far (one at least, for blocks before the first
+            # token), plus its term
+            keys += np.repeat(np.arange(len(lengths)) * len(index), lengths)
+            cells = _count_cells(len(lengths), max(len(index), 1), keys)
+            # each of the block's arrays is freed once used: kept to the next
+            # block, they raised large-em's worker peak_rss_mb by 2-3 MB and
+            # its ingest_s from 0.65 to 0.75-0.8 s (seeds 801-802)
+            del keys
+            end = nnz + cells.nnz
+            if end > counts.size:  # grown by half, in place where realloc can
+                term_ids.resize(max(end, counts.size * 3 // 2), refcheck=False)
+                counts.resize(term_ids.size, refcheck=False)
+            term_ids[nnz:end], counts[nnz:end] = cells.term_ids, cells.counts
+            row_cells.append(np.bincount(cells.doc_ids, minlength=len(lengths)))
+            nnz = end
+            del cells
+    finally:
+        index.default_factory = None  # a cycle through its own method kept it until a full gc
     if not index:
         raise ValueError("all documents are empty; nothing to count")
-    keys = np.concatenate(rows)  # the row of each token; frees the blocks' arrays
-    del rows
-    keys *= len(index)
-    keys += np.concatenate(terms)
-    del terms  # the token arrays are freed before the cells are counted
-    return Vocabulary(list(index)), _count_cells(n_docs, len(index), keys)
+    term_ids.resize(nnz, refcheck=False)
+    counts.resize(nnz, refcheck=False)
+    row_cells = np.concatenate(row_cells)
+    doc_ids = np.repeat(np.arange(row_cells.size), row_cells)
+    return Vocabulary(list(index)), CountMatrix(row_cells.size, len(index), doc_ids, term_ids,
+                                                counts)
 
 
 def _count_cells(n_rows: int, n_terms: int, keys: np.ndarray) -> CountMatrix:
@@ -522,15 +546,16 @@ def split_heldout(counts: CountMatrix, fraction: float, seed: int) -> SplitPair:
     """Assign each token occurrence to the held-out side with probability
     `fraction`, independently, using a deterministic seeded generator.
 
-    A cell's count can end up split between the two sides.
+    A cell's count can end up split between the two sides.  The draws are
+    the one per-cell array beside the two sides: the held-out side is taken
+    from them first, and then they are turned into the kept counts in place.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     held = rng.binomial(counts.counts, fraction)
-    kept = counts.counts - held
-    train = _select_entries(counts, kept)
     heldout = _select_entries(counts, held)
+    train = _select_entries(counts, np.subtract(counts.counts, held, out=held))
     return SplitPair(train=train, heldout=heldout)
 
 

@@ -70,20 +70,25 @@ def truncated_svd(counts: CountMatrix, k: int) -> SvdDecomposition:
     N x K and M x K singular vectors, which covers K = min(N, M) that the
     iterative Lanczos-style solver (ARPACK) cannot return; ARPACK runs
     otherwise.  A table without counts gets sigma = 0 and the leading
-    columns of the identity as u and v.
+    columns of the identity as u and v.  `counts` is let go once its dense
+    or CSR table is built, so a matrix that only the call holds is freed
+    before the solver runs.
     """
     n, m = counts.n_docs, counts.n_terms
     if not 1 <= k <= min(n, m):
         raise ValueError(f"k must be in [1, {min(n, m)}], got {k}")
     if counts.nnz == 0:
         return SvdDecomposition(np.eye(n, k), np.zeros(k), np.eye(m, k))
-    if n * m <= (n + m) * k:
-        u, s, vt = np.linalg.svd(counts.to_dense(np.float64), full_matrices=False)
+    dense = n * m <= (n + m) * k
+    table = counts.to_dense(np.float64) if dense else counts.to_csr()
+    del counts
+    if dense:
+        u, s, vt = np.linalg.svd(table, full_matrices=False)
     else:
         # fixed starting vector: the default is drawn from global random
         # state, which would break run-to-run determinism
         v0 = np.random.default_rng(0x5EED).random(min(n, m))
-        u, s, vt = scipy.sparse.linalg.svds(counts.to_csr(), k=k, v0=v0)
+        u, s, vt = scipy.sparse.linalg.svds(table, k=k, v0=v0)
     order = np.argsort(-s, kind="stable")[:k]
     u, s, v = u[:, order], s[order], vt[order].T
     signs = np.where(v[np.argmax(np.abs(v), axis=0), np.arange(k)] < 0, -1.0, 1.0)

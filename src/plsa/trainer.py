@@ -243,8 +243,11 @@ def _fit(train: _Cells, heldout: _Cells, k: int, config: TemConfig, temper: bool
          ) -> tuple[AspectModel, TrainTrace]:
     """The fit on _sweep_cells' train and held-out cells.  Besides those,
     the current and best models and the joint that train keeps for the next
-    sweep are kept: log S_beta is reduced to the free energy before the
-    untempered scan of a tempered stage."""
+    sweep are kept.  A sweep's log S_beta is reduced to the free energy and
+    freed before the untempered scan of a tempered stage, and the log joint
+    of the train log-likelihood is freed once it is summed, so the held-out
+    scan and the next em_step run beside no per-cell array of the train
+    side but its layout and the kept joint."""
     model = init_model(k, train.n_docs, train.n_terms, subseed(config.seed, "init"))
     records: list[TraceRecord] = []
     best_model, best_ppx = model, math.inf
@@ -262,6 +265,7 @@ def _fit(train: _Cells, heldout: _Cells, k: int, config: TemConfig, temper: bool
                 log_joint = _scan_log_joint(model, train)
             train_ll = float(_weighted_sum(train.counts,
                                            np.maximum(log_joint, LOG_FLOOR, out=log_joint)))
+            del log_joint  # freed before the held-out scan and the next sweep
             train_ppx = math.exp(-train_ll / train.total)
             held_ppx = perplexity(model, heldout, conditional=True)
             records.append(TraceRecord(len(records) + 1, beta, train_ppx, held_ppx, free))

@@ -137,9 +137,36 @@ class TestBuildCounts:
         finally:
             gc.enable()
 
+    def test_raising_documents_leave_no_reference_cycle(self):
+        def docs():
+            yield from (["a", f"t{i}"] for i in range(4))  # two blocks of two
+            raise OSError("unreadable document")
+
+        gc.collect()
+        gc.disable()
+        try:
+            with mock.patch.object(corpus, "_COUNT_BLOCK", 2), pytest.raises(OSError):
+                build_counts(docs())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_peak_memory_over_blocks(self):
+        # 200,000 tokens in 10 blocks, each document over 20 of 2000 terms:
+        # the cells are counted block by block, so no array holds an int64
+        # per token of the corpus
+        rng = np.random.default_rng(16)
+        words = [f"w{i}" for i in range(2000)]
+        docs = [[words[i] for i in rng.integers(0, 20, size=200) + rng.integers(0, 1980)]
+                for _ in range(1000)]
+        with mock.patch.object(corpus, "_COUNT_BLOCK", 100):
+            got, peak = helpers.traced_peak(build_counts, docs)
+        assert peak < 8 * 200_000
+        assert_same_counts(got, helpers.brute_build_counts(docs))
+
     def test_peak_memory(self):
-        # 200,000 tokens over 2000 terms, nearly every cell distinct: the cell
-        # keys are formed in place and the token arrays freed before np.unique
+        # 200,000 tokens over 2000 terms, nearly every cell distinct, so the
+        # three int64 columns of the result are about 4.6 MB of the bound
         rng = np.random.default_rng(12)
         words = [f"w{i}" for i in range(2000)]
         docs = [[words[i] for i in rng.integers(0, 2000, size=200)] for _ in range(1000)]
@@ -793,6 +820,22 @@ class TestSplitHeldout:
             assert 800 <= pair.heldout.total <= 1200
             share = pair.heldout.total / counts.total
             assert abs(share - 0.1) <= 0.02
+
+    def test_peak_memory(self):
+        # the binomial draws are the one per-cell array beside the two
+        # sides: they become the kept counts in place, no second array
+        rng = np.random.default_rng(17)
+        cells = np.sort(rng.choice(500 * 2000, size=400_000, replace=False))
+        counts = CountMatrix(500, 2000, cells // 2000, cells % 2000,
+                             rng.integers(1, 4, size=cells.size))
+        pair, peak = helpers.traced_peak(split_heldout, counts, 0.3, 8)
+        sides = sum(getattr(side, name).nbytes for side in (pair.train, pair.heldout)
+                    for name in ("doc_ids", "term_ids", "counts"))
+        assert peak < sides + 2 * 8 * counts.nnz
+        held = np.random.default_rng(8).binomial(counts.counts, 0.3)
+        np.testing.assert_array_equal(pair.heldout.counts, held[held > 0])
+        kept = counts.counts - held
+        np.testing.assert_array_equal(pair.train.counts, kept[kept > 0])
 
     def test_fraction_bounds(self):
         counts = self._corpus_of_total(10)

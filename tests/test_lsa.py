@@ -1,9 +1,11 @@
 """Truncated-SVD baseline tests: hand oracles, orthonormality, optimality."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import helpers
 from plsa import CountMatrix, SvdDecomposition, lsi_doc_coords, lsi_fold_in, truncated_svd
@@ -132,6 +134,33 @@ class TestTruncatedSvd:
         np.testing.assert_array_equal(np.abs(decomp.u), np.abs(want[0]))
         np.testing.assert_array_equal(decomp.sigma, want[1])
         np.testing.assert_array_equal(np.abs(decomp.v), np.abs(want[2].T))
+
+    @pytest.mark.parametrize("n, m, k", [(40, 60, 40), (300, 700, 8)])
+    def test_frees_a_matrix_that_only_the_call_holds(self, monkeypatch, n, m, k):
+        # the dense or CSR table is all the solver reads: the matrix that
+        # `train --mode svd` hands over is freed before LAPACK or ARPACK runs
+        rng = np.random.default_rng(m)
+        held, refs, alive = counts_from_dense(rng.poisson(0.5, size=(n, m))), [], []
+
+        def only_the_call_holds():
+            matrix = CountMatrix(n, m, held.doc_ids.copy(), held.term_ids.copy(),
+                                 held.counts.copy())
+            refs.append(weakref.ref(matrix))
+            return matrix
+
+        def solver(solve):
+            def observed(*args, **kwargs):
+                alive.append(refs[-1]() is not None)
+                return solve(*args, **kwargs)
+            return observed
+
+        monkeypatch.setattr(np.linalg, "svd", solver(np.linalg.svd))
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", solver(scipy.sparse.linalg.svds))
+        decomp = truncated_svd(only_the_call_holds(), k)
+        assert alive == [False]
+        want = truncated_svd(held, k)
+        for name in ("u", "sigma", "v"):
+            np.testing.assert_array_equal(getattr(decomp, name), getattr(want, name))
 
     def test_iterative_path_on_small_and_rank_deficient_tables_matches_lapack(self):
         # tables whose N x M cells outnumber the (N + M) x K singular vectors

@@ -1,12 +1,14 @@
 """Training tests: EM sweeps, the annealing schedule, and query fold-in."""
 
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import helpers
-from plsa import aspect_model
+from plsa import aspect_model, trainer
 from plsa import (
     AspectModel,
     CountMatrix,
@@ -189,6 +191,33 @@ class TestFitTem:
         _, trace = fit_tem(counts, 3, TemConfig(seed=9, eta=0.8))
         assert any(r.beta < 1.0 for r in trace.records)
         assert [a.tobytes() for a in arrays] == before
+
+    def test_heldout_scans_run_beside_one_train_joint(self):
+        # at each held-out scan the train side holds its layout and the
+        # joint kept for the next sweep; its log joint is freed once the
+        # train log-likelihood is summed.  The traced memory at each scan is
+        # measured from that after the first sweep, before any joint is kept.
+        counts = helpers.random_counts(np.random.default_rng(29), 200, 300, 60_000)
+        config = TemConfig(seed=4, max_iters_per_beta=2, max_total_iters=4,
+                           improvement_tol=1e-12, heldout_fraction=0.05)
+        sweep, scan = trainer.em_step, trainer.perplexity
+        after_sweep, at_scan, n_train = [], [], []
+
+        def traced_sweep(model, cells, beta=1.0):
+            n_train.append(cells.nnz)
+            model = sweep(model, cells, beta)
+            after_sweep.append(tracemalloc.get_traced_memory()[0])
+            return model
+
+        def traced_scan(*args, **kwargs):
+            at_scan.append(tracemalloc.get_traced_memory()[0])
+            return scan(*args, **kwargs)
+
+        with (mock.patch.object(trainer, "em_step", traced_sweep),
+              mock.patch.object(trainer, "perplexity", traced_scan)):
+            (_, trace), _ = helpers.traced_peak(fit_tem, counts, 2, config)
+        assert len(at_scan) == len(trace.records) and trace.records[-1].beta < 1.0
+        assert max(at_scan) - after_sweep[0] < 1.5 * 8 * n_train[0]
 
     def test_bit_deterministic(self):
         counts = helpers.random_counts(np.random.default_rng(24), 12, 14, 80)
